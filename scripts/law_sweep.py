@@ -2,8 +2,9 @@
 """Randomized sweep of the categorical laws, with timing.
 
 Checks, on freshly sampled circuits, that composing then black-boxing equals
-black-boxing then composing (same for tensor and dagger), and that the three
-behavior computations agree.  Every failure would raise, so a clean run is
+black-boxing then composing (same for tensor and dagger), and that the
+production black box, the fast path and the Kirchhoff oracle all agree with
+the categorical composite.  Every failure would raise, so a clean run is
 the report.
 
     python scripts/law_sweep.py --pairs 200 --nodes 7 --edges 8 --seed 1
@@ -19,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from blackbox import (
     blackbox,
+    blackbox_categorical,
     blackbox_fast,
     compose_circuits,
     compose_relations,
@@ -57,13 +59,14 @@ def main():
     t0 = time.monotonic()
     for k in range(args.pairs):
         g = rand_circuit(rng, max_nodes=args.nodes, max_edges=args.edges)
-        ref = blackbox(g)
+        ref = blackbox_categorical(g)
+        assert blackbox(g) == ref, f"elimination route disagrees on circuit {k}"
         assert blackbox_fast(g) == ref, f"fast path disagrees on circuit {k}"
         assert oracle_behavior(g) == ref, f"oracle disagrees on circuit {k}"
     t_triple = time.monotonic() - t0
 
     print(f"{args.pairs} pairs: functoriality+monoidal+dagger ok in {t_laws:.2f}s")
-    print(f"{args.pairs} circuits: triple agreement ok in {t_triple:.2f}s")
+    print(f"{args.pairs} circuits: four-route agreement ok in {t_triple:.2f}s")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 from .behavior import (
     as_impedance,
     blackbox,
+    blackbox_categorical,
     blackbox_fast,
     cospan_relation,
     equivalent,
     oracle_behavior,
+    port_relation,
     to_dirichlet_cospan,
     to_lagr_cospan,
 )

@@ -1,14 +1,18 @@
 """The black box: from a circuit to the Lagrangian relation it imposes
 between potentials and currents at its ports.
 
-Three routes compute the same relation and are cross-checked by the tests:
+``blackbox`` is the production route: Kron-reduce the power functional onto
+the terminals, then solve for the port relation in one nullspace
+(``port_relation``).  Three independent references compute the same relation
+and are cross-checked against it by the tests and by ``check``:
 
-* ``blackbox``       -- the categorical composite, factored through cospans
-                        decorated by Dirichlet forms and Lagrangian subspaces;
-* ``blackbox_fast``  -- eliminate interior nodes first, then symplectify the
-                        corestricted boundary cospan;
-* ``oracle_behavior``-- assemble the Kirchhoff/Ohm equations per edge and node
-                        and solve the linear system outright.
+* ``blackbox_categorical`` -- the categorical composite, factored through
+                              cospans decorated by Dirichlet forms and
+                              Lagrangian subspaces; the functor's definition;
+* ``blackbox_fast``        -- eliminate interior nodes first, then
+                              symplectify the corestricted boundary cospan;
+* ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
+                              and node and solve the linear system outright.
 
 Input ports report current flowing inward (sign flipped by the twist);
 output ports report current flowing outward.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from .circuits import _fresh_labels, merge_map
 from .corel import corel_from_cospan, dagger_corelation
 from .dirichlet import DirichletForm, extended_power_functional, power_functional
-from .errors import NotAGraph, PortCountMismatch
+from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
 from .field import ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
@@ -129,10 +133,9 @@ def compose_lagr_cospans(a, b):
             row[na + k] = r[k]
             row[na + nb + na + k] = r[nb + k]
         rows.append(row)
-    disjoint = tuple(a.nodes) + tuple(f"{n}~right" for n in b.nodes)
-    f = {n: map1[n] for n in a.nodes}
-    f.update({f"{n}~right": map2[n] for n in b.nodes})
-    pushed = pushforward_lagrangian(f, disjoint, Subspace(rows, width), nodes)
+    # The disjoint union is indexed by position, so no label can collide.
+    f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
+    pushed = pushforward_lagrangian(f, range(na + nb), Subspace(rows, width), nodes)
     return LagrCospan(
         tuple(map1[p] for p in a.inputs),
         tuple(map2[p] for p in b.outputs),
@@ -176,7 +179,52 @@ def cospan_relation(lc):
     return _behavior_from_name(compose_relations(onto_ports, tw), m, n)
 
 
+def port_relation(form, inputs, outputs):
+    """The relation a Dirichlet form imposes between ports on its support.
+
+    Unknowns are one current share per port (inputs first, then outputs),
+    then the potentials on the support.  Each support node b contributes the
+    Kirchhoff row  sum_{ports p at b} share_p - sum_j 2 c_bj (phi_b - phi_j)
+    = 0: the shares of a repeated terminal split the current dQ_b that leaves
+    it, and a node without ports passes no current.  With the shares first,
+    each row of a terminal already leads with a unit pivot, so the one
+    nullspace costs no elimination.  Each basis vector is read as
+    [phi_in, -share_in, phi_out, share_out].
+    """
+    nodes = form.support
+    m, n = len(inputs), len(outputs)
+    width = m + n + len(nodes)
+    col = {lab: m + n + x for x, lab in enumerate(nodes)}
+    rows = {lab: [ZERO] * width for lab in nodes}
+    for (i, j), c in form.coeffs.items():
+        a, b, t = col[i], col[j], 2 * c
+        rows[i][a] = rows[i][a] - t
+        rows[i][b] = rows[i][b] + t
+        rows[j][b] = rows[j][b] - t
+        rows[j][a] = rows[j][a] + t
+    for p, lab in enumerate(tuple(inputs) + tuple(outputs)):
+        if lab not in rows:
+            raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
+        rows[lab][p] = ONE
+    out_rows = []
+    for vec in nullspace(list(rows.values()), width):
+        out_rows.append(
+            [vec[col[p]] for p in inputs]
+            + [-vec[p] for p in range(m)]
+            + [vec[col[p]] for p in outputs]
+            + [vec[m + p] for p in range(n)]
+        )
+    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), out_rows)
+
+
 def blackbox(g):
+    """The external behavior of a circuit: Kron-reduce the power functional
+    onto the terminals, then solve for the port relation."""
+    q = power_functional(extended_power_functional(g), g.boundary)
+    return port_relation(q, g.inputs, g.outputs)
+
+
+def blackbox_categorical(g):
     """The external behavior of a circuit, by the categorical definition."""
     return cospan_relation(to_lagr_cospan(to_dirichlet_cospan(g)))
 

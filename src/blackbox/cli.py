@@ -20,7 +20,7 @@ from .behavior import (
     as_impedance,
     behavior_to_json,
     blackbox,
-    blackbox_fast,
+    blackbox_categorical,
     oracle_behavior,
 )
 from .circuits import compose_circuits, dagger_circuit, tensor_circuits
@@ -123,11 +123,13 @@ def _cmd_eval(args):
 
 def _check_one(path, args):
     g = _load(path, args)
-    ref = blackbox(g)
-    if blackbox_fast(g) != ref:
-        raise EngineError(f"{path}: fast path disagrees with the black box")
+    ref = blackbox_categorical(g)
+    if blackbox(g) != ref:
+        raise EngineError(f"{path}: elimination route disagrees with the categorical black box")
     if oracle_behavior(g) != ref:
-        raise EngineError(f"{path}: Kirchhoff/Ohm oracle disagrees with the black box")
+        raise EngineError(
+            f"{path}: Kirchhoff/Ohm oracle disagrees with the categorical black box"
+        )
     half = ref.source.num_ports + ref.target.num_ports
     if ref.sub.dim != half:
         raise EngineError(f"{path}: behavior dimension {ref.sub.dim} != {half}")

@@ -235,6 +235,10 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # A constant hashes like its Fraction value, since it compares equal
+        # to it (and to an int).
+        if self.is_constant():
+            return hash(self.as_rat())
         return hash((self.num, self.den))
 
     def with_witness(self, witness):
@@ -448,6 +452,12 @@ def is_positive_sampled(f, points=DEFAULT_SAMPLE_POINTS):
 
 _TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
 
+#: Largest power of s a netlist may write; a polynomial stores one
+#: coefficient per degree, so the cap bounds what parsing allocates.
+MAX_EXPONENT = 1000
+#: Longest digit string accepted for a coefficient or an exponent.
+MAX_DIGITS = 1000
+
 
 def _poly_str(p):
     """Render an integer-coefficient polynomial, highest degree first."""
@@ -500,10 +510,14 @@ def _parse_poly(text, line=0):
         sign, digits, svar, exp = m.groups()
         if exp is not None and svar is None:
             raise ParseError(line, f"bad term {chunk!r}")
+        if max(len(digits or ""), len(exp or "")) > MAX_DIGITS:
+            raise ParseError(line, f"number longer than {MAX_DIGITS} digits")
         coef = Fraction(int(digits)) if digits else Fraction(1)
         if sign == "-":
             coef = -coef
         k = 0 if svar is None else (int(exp) if exp else 1)
+        if k > MAX_EXPONENT:
+            raise ParseError(line, f"exponent {k} above the cap of {MAX_EXPONENT}")
         coeffs[k] = coeffs.get(k, Fraction(0)) + coef
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, c in coeffs.items():

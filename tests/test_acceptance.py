@@ -9,7 +9,12 @@ import random
 import time
 from fractions import Fraction
 
-from blackbox.behavior import blackbox, blackbox_fast, oracle_behavior
+from blackbox.behavior import (
+    blackbox,
+    blackbox_categorical,
+    blackbox_fast,
+    oracle_behavior,
+)
 from blackbox.circuits import (
     circuit,
     compose_circuits,
@@ -148,7 +153,8 @@ def test_criterion_06_sympmin_fast_path():
         rng = random.Random(66)
         for _ in range(200):
             g = rand_circuit(rng, max_nodes=7, max_edges=8)
-            ref = blackbox(g)
+            ref = blackbox_categorical(g)
+            assert blackbox(g) == ref
             assert blackbox_fast(g) == ref
             _assert_safe(ref)
 

@@ -7,12 +7,14 @@ from blackbox.behavior import (
     as_impedance,
     behavior_to_json,
     blackbox,
+    blackbox_categorical,
     blackbox_fast,
     compose_dirichlet_cospans,
     compose_lagr_cospans,
     cospan_relation,
     equivalent,
     oracle_behavior,
+    port_relation,
     to_dirichlet_cospan,
     to_lagr_cospan,
 )
@@ -23,6 +25,7 @@ from blackbox.circuits import (
     identity_circuit,
     tensor_circuits,
 )
+from blackbox.dirichlet import DirichletForm, extended_power_functional, power_functional
 from blackbox.errors import NotAGraph
 from blackbox.field import ONE, ZERO, from_rat, impedance, rat_func
 from blackbox.lagrel import (
@@ -134,6 +137,28 @@ def test_final_factor_functorial_and_dagger():
         assert cospan_relation(flipped) == dagger_relation(cospan_relation(a))
 
 
+def test_lagr_cospan_composite_keeps_colliding_labels_apart():
+    # A left node named like a tagged right node must stay its own node.
+    left = circuit(
+        ["a", "b~right", "o"],
+        [("a", "b~right", impedance("R", 1)), ("b~right", "o", impedance("R", 5))],
+        ["a"],
+        ["o"],
+    )
+    right = circuit(["b", "c"], [("b", "c", impedance("R", 2))], ["c"], ["b"])
+    lagr = compose_lagr_cospans(
+        to_lagr_cospan(to_dirichlet_cospan(left)),
+        to_lagr_cospan(to_dirichlet_cospan(right)),
+    )
+    dirichlet = compose_dirichlet_cospans(
+        to_dirichlet_cospan(left), to_dirichlet_cospan(right)
+    )
+    eight = from_rat(8)
+    assert as_impedance(cospan_relation(lagr)) == eight
+    assert as_impedance(cospan_relation(to_lagr_cospan(dirichlet))) == eight
+    assert as_impedance(blackbox(compose_circuits(left, right))) == eight
+
+
 def test_zero_form_cospan_gives_potential_axis():
     lc = to_lagr_cospan(
         compose_dirichlet_cospans(
@@ -178,7 +203,6 @@ def test_monoidal_unit():
 def test_minimization_equals_boundary_restriction_of_the_graph():
     # Restricting Graph(dP) along the boundary inclusion equals the graph of
     # the eliminated form: the identity that licenses the fast path.
-    from blackbox.dirichlet import extended_power_functional, power_functional
     from blackbox.lagrel import (
         SymplSpace,
         compose_relations,
@@ -211,7 +235,8 @@ def test_triple_agreement_spot_checks():
     rng = random.Random(7)
     for _ in range(20):
         g = rand_circuit(rng, max_nodes=5, max_edges=6)
-        ref = blackbox(g)
+        ref = blackbox_categorical(g)
+        assert blackbox(g) == ref
         assert blackbox_fast(g) == ref
         assert oracle_behavior(g) == ref
 
@@ -244,6 +269,27 @@ def test_repeated_ports_split_currents():
     )
     assert oracle_behavior(fork) == rel
     assert blackbox_fast(fork) == rel
+
+
+def test_port_relation_splits_a_repeated_terminal():
+    # Terminal t is an input twice and an output once, behind a resistor
+    # and an interior RC node.
+    g = circuit(
+        ["t", "u", "v"],
+        [("t", "u", impedance("R", 2)), ("u", "v", impedance("L", 1)),
+         ("u", "v", impedance("C", 3))],
+        ["t", "v", "t"],
+        ["t"],
+    )
+    q = power_functional(extended_power_functional(g), g.boundary)
+    rel = port_relation(q, g.inputs, g.outputs)
+    assert rel == oracle_behavior(g)
+    assert rel == blackbox_categorical(g)
+    # On an edgeless form the portless node u carries no constraint.
+    edgeless = DirichletForm(g.graph.nodes)
+    assert port_relation(edgeless, g.inputs, g.outputs) == oracle_behavior(
+        circuit(g.graph.nodes, [], g.inputs, g.outputs)
+    )
 
 
 def test_associativity_at_behavior_level():

@@ -101,6 +101,13 @@ def test_witness_is_not_part_of_equality():
     assert a.witness != b.witness
 
 
+def test_constants_hash_like_their_values():
+    assert ONE == 1 and ONE == Fraction(1)
+    assert len({ONE, 1, Fraction(1)}) == 1
+    assert hash(from_rat(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(ZERO) == hash(0)
+
+
 @given(ratfuncs(), ratfuncs(), ratfuncs())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -9,7 +9,7 @@ from blackbox.errors import (
     ParseError,
     UnknownNode,
 )
-from blackbox.field import Witness, parse_ratfunc
+from blackbox.field import MAX_EXPONENT, Witness, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
 from util import rand_circuit
@@ -88,6 +88,20 @@ def test_raw_impedance_gate():
     assert z.witness is Witness.SAMPLED
     with pytest.raises(NonPositiveImpedance):
         parse_netlist("nodes: a b\nZ a b s-1\n", allow_raw_z=True)
+
+
+def test_raw_impedance_size_caps(tmp_path, capsys):
+    head = "nodes: a b\ninputs: a\noutputs: b\n"
+    g = parse_netlist(head + f"Z a b s^{MAX_EXPONENT}+1\n", allow_raw_z=True)
+    assert g.graph.edges[0][2].num.degree() == MAX_EXPONENT
+    over = _write(tmp_path, "over.net", head + f"Z a b s^{MAX_EXPONENT + 1}\n")
+    assert main(["blackbox", over, "--allow-raw-z"]) == 2
+    assert "exponent" in capsys.readouterr().err
+    long = _write(tmp_path, "long.net", head + "Z a b " + "7" * 5000 + "\n")
+    assert main(["blackbox", long, "--allow-raw-z"]) == 2
+    assert "digits" in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        parse_ratfunc("7" * 5000 + "*s")
 
 
 def test_print_round_trip_keeps_component_kinds():
@@ -173,6 +187,24 @@ def test_cli_check_and_corpus(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 2
     assert main(["check", str(tmp_path / "series.net")]) == 0
+
+
+def test_cli_check_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
+    import blackbox.cli as cli
+
+    series = _write(tmp_path, "series.net", SERIES)
+    wrong = cli.blackbox(parse_netlist(RLC))
+    monkeypatch.setattr(cli, "blackbox", lambda g: wrong)
+    assert main(["check", series]) == 2
+    assert "elimination route disagrees with the categorical black box" in (
+        capsys.readouterr().err
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "oracle_behavior", lambda g: wrong)
+    assert main(["check", series]) == 2
+    assert "Kirchhoff/Ohm oracle disagrees with the categorical black box" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
