@@ -10,6 +10,7 @@ grid used to validate raw impedances.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,8 +206,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except EngineError as exc:

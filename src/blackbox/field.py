@@ -1,8 +1,14 @@
 """Exact arithmetic in Q and in the rational-function field Q(s).
 
 Every scalar the engine touches is a ``RatFunc``: a quotient of polynomials
-with rational coefficients, kept in a unique canonical form (gcd-reduced,
-monic denominator) so that structural equality coincides with field equality.
+stored as two tuples of Python ints, ``n`` and ``d``, lowest degree first.
+The stored pair is canonical: ``n`` and ``d`` are coprime over Q, the gcd of
+all their coefficients together is 1, ``d`` has a positive leading
+coefficient, and zero is ``((), (1,))``.  The form is unique, so structural
+equality coincides with field equality.  Reduction to lowest terms uses the
+primitive pseudo-remainder sequence over Z[s] (``poly_gcd``); by Gauss's
+lemma, dividing by a primitive gcd stays exact over Z.  ``Poly`` is the
+rational-coefficient view (``RatFunc.num``/``.den``) for callers and tests.
 No floating point anywhere; the categorical laws downstream are checked by
 exact comparison.
 """
@@ -12,7 +18,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from math import gcd as _intgcd
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -74,91 +80,126 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
-
-    def scale(self, q):
-        if q == 0:
-            return _P_ZERO
-        return Poly([c * q for c in self.coeffs])
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree()
-        lb = other.lead
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                q = c / lb
-                quo[k - db] = q
-                for j, cb in enumerate(other.coeffs):
-                    rem[k - db + j] -= q * cb
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if self.is_zero() or self.lead == 1:
-            return self
-        return self.scale(1 / self.lead)
-
-    def __call__(self, sigma):
-        sigma = Fraction(sigma)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * sigma + c
-        return acc
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
 
-_P_ZERO = Poly(())
-_P_ONE = Poly((1,))
-_P_S = Poly((0, 1))
+# -- integer polynomials ---------------------------------------------------------
+#
+# Tuples of ints, lowest degree first, no trailing zeros; () is zero.
+
+
+def _strip(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _scale(a, k):
+    return tuple(k * x for x in a)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _strip(out)
+
+
+def _psub(a, b):
+    out = list(a)
+    if len(out) < len(b):
+        out += [0] * (len(b) - len(out))
+    for k, c in enumerate(b):
+        out[k] -= c
+    return _strip(out)
+
+
+def _pmul(a, b):
+    if len(a) == 1:
+        return _scale(b, a[0])
+    if len(b) == 1:
+        return _scale(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _primitive(a):
+    """``a`` divided by the gcd of its coefficients."""
+    c = gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of ``a`` by ``b``."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if c:
+            g = gcd(lb, c)
+            lq, cq = lb // g, c // g
+            if lq != 1:
+                r = [lq * x for x in r]
+            shift = k - db
+            for j in range(db):
+                r[shift + j] -= cq * b[j]
+    return _strip(r)
+
+
+def _pquo(a, b):
+    """The quotient ``a / b`` over Z[s]; ``b`` must divide ``a`` exactly."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        if c:
+            q[k] = c
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return tuple(q)
 
 
 def poly_gcd(a, b):
-    """Monic gcd over Q via the Euclidean algorithm."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.degree() == 0 or b.degree() == 0:
-        return _P_ONE
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """The primitive gcd of two integer polynomials, leading coefficient
+    positive; ``()`` when both are zero.
+
+    Primitive pseudo-remainder sequence: each remainder is divided by its
+    content, so coefficients stay as small as the gcd allows.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    a = _primitive(a)
+    while b:
+        if len(b) == 1:
+            return (1,)
+        b = _primitive(b)
+        a, b = b, _prem(a, b)
+    return a if a[-1] > 0 else _scale(a, -1)
+
+
+def _integer_poly(x):
+    """Integer coefficients ``p`` and a positive int ``m`` with x = p / m, for
+    a Poly, a coefficient list, or a scalar."""
+    if isinstance(x, Poly):
+        cs = x.coeffs
+    elif isinstance(x, (tuple, list)):
+        cs = [Fraction(c) for c in x]
+    else:
+        cs = (Fraction(x),)
+    m = lcm(*(c.denominator for c in cs))
+    return _strip([c.numerator * (m // c.denominator) for c in cs]), m
 
 
 class Witness(Enum):
@@ -174,75 +215,107 @@ class Witness(Enum):
     UNCHECKED = "unchecked"
 
 
+def _new(n, d, witness):
+    """A RatFunc from a pair already in canonical form."""
+    r = object.__new__(RatFunc)
+    r.n = n
+    r.d = d
+    r.witness = witness
+    return r
+
+
 class RatFunc:
     """An element of Q(s) in canonical form.
 
-    Invariants: den is nonzero and monic, gcd(num, den) = 1, and the zero
-    element is (0, 1).  Equality and hashing ignore the positivity witness,
-    which is bookkeeping, not part of the field value.
+    ``n`` and ``d`` are int tuples, lowest degree first: coprime over Q, with
+    no common factor among all their coefficients, ``d[-1] > 0``, and zero
+    stored as ``((), (1,))``.  Equality and hashing ignore the positivity
+    witness, which is bookkeeping, not part of the field value.
+
+    ``RatFunc(num, den)`` accepts a Poly, a coefficient list (ints or
+    Fractions) or a scalar for each part; ``_ints=True`` says both are
+    already int tuples without trailing zeros.
     """
 
-    __slots__ = ("num", "den", "witness")
+    __slots__ = ("n", "d", "witness")
 
-    def __init__(self, num, den=_P_ONE, witness=Witness.UNCHECKED, _canonical=False):
-        if not isinstance(num, Poly):
-            num = Poly(num) if isinstance(num, (tuple, list)) else Poly((num,))
-        if not isinstance(den, Poly):
-            den = Poly(den) if isinstance(den, (tuple, list)) else Poly((den,))
-        if not _canonical:
-            if den.is_zero():
+    def __init__(self, num, den=1, witness=Witness.UNCHECKED, _ints=False):
+        if _ints:
+            n, d = num, den
+        else:
+            n, mn = _integer_poly(num)
+            d, md = _integer_poly(den)
+            if not d:
                 raise ZeroDenominator("denominator is the zero polynomial")
-            if num.is_zero():
-                den = _P_ONE
-            else:
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num //= g
-                    den //= g
-                lc = den.lead
-                if lc != 1:
-                    num = num.scale(1 / lc)
-                    den = den.scale(1 / lc)
-        self.num = num
-        self.den = den
+            if mn != md:
+                n, d = _scale(n, md), _scale(d, mn)
+        if not n:
+            d = (1,)
+        else:
+            if len(n) > 1 and len(d) > 1:
+                g = poly_gcd(n, d)
+                if len(g) > 1:
+                    n, d = _pquo(n, g), _pquo(d, g)
+            c = gcd(*n, *d)
+            if d[-1] < 0:
+                c = -c
+            if c != 1:
+                n = tuple(x // c for x in n)
+                d = tuple(x // c for x in d)
+        self.n = n
+        self.d = d
         self.witness = witness
+
+    # -- rational-coefficient view ---------------------------------------------
+
+    @property
+    def num(self):
+        """The numerator over Q, scaled so that ``den`` is monic."""
+        lc = self.d[-1]
+        return Poly([Fraction(c, lc) for c in self.n])
+
+    @property
+    def den(self):
+        """The monic denominator over Q."""
+        lc = self.d[-1]
+        return Poly([Fraction(c, lc) for c in self.d])
 
     # -- basic protocol ------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.n
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.n == (1,) and self.d == (1,)
 
     def is_constant(self):
-        return self.num.degree() <= 0 and self.den.is_one()
+        return len(self.n) <= 1 and len(self.d) == 1
 
     def as_rat(self):
         """The value as a Fraction; requires a constant."""
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return Fraction(self.n[0], self.d[0]) if self.n else Fraction(0)
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = from_rat(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
         # A constant hashes like its Fraction value, since it compares equal
         # to it (and to an int).
         if self.is_constant():
             return hash(self.as_rat())
-        return hash((self.num, self.den))
+        return hash((self.n, self.d))
 
     def with_witness(self, witness):
-        return RatFunc(self.num, self.den, witness, _canonical=True)
+        return _new(self.n, self.d, witness)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -264,65 +337,61 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero():
+        if not self.n:
             return other
-        if other.num.is_zero():
+        if not other.n:
             return self
-        w = self._join(self, other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den, w)
-        return RatFunc(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-            w,
-        )
+        return _combine(_padd, self, other, self._join(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, Witness.UNCHECKED, _canonical=True)
+        return _new(_scale(self.n, -1), self.d, Witness.UNCHECKED)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if not other.n:
+            return self
+        if not self.n:
+            return -other
+        return _combine(_psub, self, other, Witness.UNCHECKED)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
+        if not self.n or not other.n:
             return ZERO
         w = self._join(self, other)
         if self.is_one():
             return other if other.witness is w else other.with_witness(w)
         if other.is_one():
             return self if self.witness is w else self.with_witness(w)
-        return RatFunc(self.num * other.num, self.den * other.den, w)
+        return RatFunc(_pmul(self.n, other.n), _pmul(self.d, other.d), w, _ints=True)
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.num.is_zero():
+        if not self.n:
             raise DivisionByZero("inverse of zero")
         w = Witness.STRUCTURAL if self.witness is Witness.STRUCTURAL else Witness.UNCHECKED
-        lc = self.num.lead
-        if lc == 1:
-            return RatFunc(self.den, self.num, w, _canonical=True)
-        return RatFunc(self.den.scale(1 / lc), self.num.scale(1 / lc), w, _canonical=True)
+        if self.n[-1] > 0:
+            return _new(self.d, self.n, w)
+        return _new(_scale(self.d, -1), _scale(self.n, -1), w)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero():
+        if not other.n:
             raise DivisionByZero("division by zero")
         return self * other.inv()
 
@@ -351,46 +420,48 @@ class RatFunc:
     def eval_at(self, sigma):
         """The exact value at s = sigma (a rational point)."""
         sigma = Fraction(sigma)
-        d = self.den(sigma)
+        d = _horner(self.d, sigma)
         if d == 0:
             raise PoleAtPoint(f"s = {sigma} is a pole")
-        return self.num(sigma) / d
+        return _horner(self.n, sigma) / d
 
     # -- printing --------------------------------------------------------------
 
     def as_integer_pair(self):
         """Equivalent (num, den) with integer coefficients, minimal content."""
-        denoms = [c.denominator for c in self.num.coeffs + self.den.coeffs]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // _intgcd(scale, d)
-        a = [c * scale for c in self.num.coeffs]
-        b = [c * scale for c in self.den.coeffs]
-        content = 0
-        for c in a + b:
-            content = _intgcd(content, int(c))
-        if content > 1:
-            a = [c / content for c in a]
-            b = [c / content for c in b]
-        return Poly(a), Poly(b)
+        return Poly(self.n), Poly(self.d)
 
     def __str__(self):
-        if self.num.is_zero():
+        n, d = self.n, self.d
+        if not n:
             return "0"
-        num, den = self.as_integer_pair()
-        if den.is_one():
-            return _poly_str(num)
-        if num.degree() <= 0 and den.degree() <= 0:
-            return f"{int(num.coeffs[0])}/{int(den.coeffs[0])}"
-        return f"({_poly_str(num)})/({_poly_str(den)})"
+        if d == (1,):
+            return _poly_str(n)
+        if len(n) == 1 and len(d) == 1:
+            return f"{n[0]}/{d[0]}"
+        return f"({_poly_str(n)})/({_poly_str(d)})"
 
     def __repr__(self):
         return f"RatFunc({self})"
 
 
-ZERO = RatFunc(_P_ZERO, _P_ONE, _canonical=True)
-ONE = RatFunc(_P_ONE, _P_ONE, _canonical=True)
-s = RatFunc(_P_S, _P_ONE, _canonical=True)
+def _combine(op, a, b, witness):
+    """a + b or a - b, as ``op`` is ``_padd`` or ``_psub``."""
+    if a.d == b.d:
+        return RatFunc(op(a.n, b.n), a.d, witness, _ints=True)
+    return RatFunc(op(_pmul(a.n, b.d), _pmul(b.n, a.d)), _pmul(a.d, b.d), witness, _ints=True)
+
+
+def _horner(cs, sigma):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * sigma + c
+    return acc
+
+
+ZERO = _new((), (1,), Witness.UNCHECKED)
+ONE = _new((1,), (1,), Witness.UNCHECKED)
+s = _new((0, 1), (1,), Witness.UNCHECKED)
 
 
 def from_rat(q):
@@ -398,7 +469,7 @@ def from_rat(q):
     q = Fraction(q)
     if q == 0:
         return ZERO
-    return RatFunc(Poly((q,)), _P_ONE, _canonical=True)
+    return _new((q.numerator,), (q.denominator,), Witness.UNCHECKED)
 
 
 def as_ratfunc(x):
@@ -422,12 +493,13 @@ def impedance(kind, value):
     value = Fraction(value)
     if value <= 0:
         raise NonPositiveValue(f"component value must be positive, got {value}")
+    p, q = value.numerator, value.denominator
     if kind == "R":
-        return RatFunc(Poly((value,)), _P_ONE, Witness.STRUCTURAL, _canonical=True)
+        return _new((p,), (q,), Witness.STRUCTURAL)
     if kind == "L":
-        return RatFunc(Poly((0, value)), _P_ONE, Witness.STRUCTURAL, _canonical=True)
+        return _new((0, p), (q,), Witness.STRUCTURAL)
     if kind == "C":
-        return RatFunc(Poly((1 / value,)), _P_S, Witness.STRUCTURAL, _canonical=True)
+        return _new((q,), (0, p), Witness.STRUCTURAL)
     raise ValueError(f"unknown component kind {kind!r}")
 
 
@@ -460,15 +532,12 @@ MAX_DIGITS = 1000
 
 
 def _poly_str(p):
-    """Render an integer-coefficient polynomial, highest degree first."""
-    if p.is_zero():
-        return "0"
+    """Render an integer polynomial, highest degree first."""
     parts = []
-    for k in range(p.degree(), -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
+    for k in range(len(p) - 1, -1, -1):
+        n = p[k]
+        if n == 0:
             continue
-        n = int(c)
         sign = "-" if n < 0 else "+"
         mag = abs(n)
         if k == 0:
@@ -485,6 +554,7 @@ def _poly_str(p):
 
 
 def _parse_poly(text, line=0):
+    """Parse an integer-coefficient polynomial into an int tuple."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         depth = 0
@@ -512,17 +582,17 @@ def _parse_poly(text, line=0):
             raise ParseError(line, f"bad term {chunk!r}")
         if max(len(digits or ""), len(exp or "")) > MAX_DIGITS:
             raise ParseError(line, f"number longer than {MAX_DIGITS} digits")
-        coef = Fraction(int(digits)) if digits else Fraction(1)
+        coef = int(digits) if digits else 1
         if sign == "-":
             coef = -coef
         k = 0 if svar is None else (int(exp) if exp else 1)
         if k > MAX_EXPONENT:
             raise ParseError(line, f"exponent {k} above the cap of {MAX_EXPONENT}")
-        coeffs[k] = coeffs.get(k, Fraction(0)) + coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
+        coeffs[k] = coeffs.get(k, 0) + coef
+    out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
-    return Poly(out)
+    return _strip(out)
 
 
 def parse_ratfunc(text, line=0):
@@ -550,10 +620,10 @@ def parse_ratfunc(text, line=0):
     if depth != 0:
         raise ParseError(line, "unbalanced parentheses")
     if split_at is None:
-        num, den = _parse_poly(text, line), _P_ONE
+        num, den = _parse_poly(text, line), (1,)
     else:
         num = _parse_poly(text[:split_at], line)
         den = _parse_poly(text[split_at + 1 :], line)
-    if den.is_zero():
+    if not den:
         raise ParseError(line, "zero denominator")
-    return RatFunc(num, den)
+    return RatFunc(num, den, _ints=True)

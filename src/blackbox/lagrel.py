@@ -46,7 +46,7 @@ def rref(rows, ncols):
             if i != rank and mat[i][col]:
                 f = mat[i][col]
                 row, prow = mat[i], mat[rank]
-                mat[i] = [a - f * b for a, b in zip(row, prow)]
+                mat[i] = [a - f * b if b else a for a, b in zip(row, prow)]
         rank += 1
         if rank == len(mat):
             break

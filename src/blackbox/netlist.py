@@ -13,12 +13,14 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .circuits import Circuit, LabelledGraph, merge_map
 from .errors import NonPositiveImpedance, ParseError, UnknownNode
 from .field import (
     DEFAULT_SAMPLE_POINTS,
+    MAX_DIGITS,
     Witness,
     impedance,
     is_positive_sampled,
@@ -26,7 +28,18 @@ from .field import (
 )
 
 
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_value(text, lineno):
+    # Fraction expands exponent notation into an exact integer, so the digit
+    # strings and the exponent are capped before it sees the text.
+    if max(map(len, _DIGIT_RUN.findall(text)), default=0) > MAX_DIGITS:
+        raise ParseError(lineno, f"number longer than {MAX_DIGITS} digits")
+    exp = _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1))) > MAX_DIGITS:
+        raise ParseError(lineno, f"exponent {exp.group(1)} exceeds {MAX_DIGITS} in magnitude")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -164,3 +165,89 @@ def test_parse_examples():
 @given(ratfuncs())
 def test_print_parse_round_trip(a):
     assert parse_ratfunc(str(a)) == a
+
+
+# -- the integer canonical form ------------------------------------------------
+
+
+def _q_gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q, by Euclid over Fractions."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _assert_canonical(r):
+    n, d = r.n, r.d
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    if not n:
+        assert d == (1,)
+        return
+    assert n[-1] != 0 and d[-1] > 0
+    assert math.gcd(*n, *d) == 1
+    assert _q_gcd_degree(n, d) == 0
+
+
+def _conv(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(ratfuncs(), ratfuncs())
+def test_every_result_is_canonical(a, b):
+    for r in (a, b, a + b, a - b, a * b, -a):
+        _assert_canonical(r)
+    if not b.is_zero():
+        _assert_canonical(a / b)
+        _assert_canonical(b.inv())
+
+
+@given(
+    st.lists(rats, max_size=3),
+    st.lists(rats, min_size=1, max_size=3).filter(any),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+    st.integers(-9, 9).filter(bool),
+)
+def test_common_factors_cancel(num, den, k, m):
+    r = RatFunc(num, den)
+    assert RatFunc(_conv(k, num), _conv(k, den)) == r
+    assert RatFunc([m * c for c in num], [m * c for c in den]) == r
+
+
+@given(ratfuncs())
+def test_num_den_view_rebuilds_the_value(a):
+    assert a.den.lead == 1
+    assert RatFunc(a.num, a.den) == a
+    assert a.as_integer_pair() == (Poly(a.n), Poly(a.d))
+
+
+def test_nontrivial_gcd_of_non_primitive_inputs():
+    # (2s+2)(3s-1) / ((4s+4)(s+5))
+    r = RatFunc([-2, 4, 6], [20, 24, 4])
+    assert (r.n, r.d) == ((-1, 3), (10, 2))
+    assert str(r) == "(3*s-1)/(2*s+10)"
+    assert r.num == Poly([Fraction(-1, 2), Fraction(3, 2)]) and r.den == Poly([5, 1])
+    assert r == (3 * s - 1) / (2 * s + 10)
+
+
+def test_large_coefficients():
+    big = 10**299
+    num, den = [big + 7, -3 * big, 1], [2 * big - 1, 5]
+    r = RatFunc(num, den)
+    _assert_canonical(r)
+    text = str(r)
+    assert str(big + 7) in text and parse_ratfunc(text) == r
+    assert r.eval_at(2) == Fraction(big + 7 - 6 * big + 4, 2 * big - 1 + 10)
+    assert (r * r.inv()).is_one() and r - r == ZERO

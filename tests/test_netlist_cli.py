@@ -1,15 +1,17 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from blackbox import cli
 from blackbox.cli import main
 from blackbox.errors import (
     NonPositiveImpedance,
     ParseError,
     UnknownNode,
 )
-from blackbox.field import MAX_EXPONENT, Witness, parse_ratfunc
+from blackbox.field import MAX_DIGITS, MAX_EXPONENT, Witness, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
 from util import rand_circuit
@@ -104,6 +106,23 @@ def test_raw_impedance_size_caps(tmp_path, capsys):
         parse_ratfunc("7" * 5000 + "*s")
 
 
+def test_component_value_caps(tmp_path, capsys):
+    head = "nodes: a b\ninputs: a\noutputs: b\n"
+    for value in ("1e40000", "1e-40000", "1e1_0000", "9" * 5000):
+        net = _write(tmp_path, "big.net", head + f"R a b {value}\n")
+        assert main(["blackbox", net, "--as-impedance"]) == 2
+        assert "error:" in capsys.readouterr().err
+    for value, z in (("1e3", "1000"), ("2.5", "5/2"), ("3/4", "3/4")):
+        net = _write(tmp_path, "ok.net", head + f"R a b {value}\n")
+        assert main(["blackbox", net, "--as-impedance"]) == 0
+        assert capsys.readouterr().out.strip() == z
+    g = parse_netlist(head + f"R a b 1e{MAX_DIGITS}\nR a b 1e-{MAX_DIGITS}\n")
+    assert [z.as_rat() for _, _, z in g.graph.edges] == [
+        10**MAX_DIGITS,
+        Fraction(1, 10**MAX_DIGITS),
+    ]
+
+
 def test_print_round_trip_keeps_component_kinds():
     g = parse_netlist(RLC)
     text = print_netlist(g)
@@ -178,6 +197,17 @@ def test_cli_compose_dagger_tensor(tmp_path, capsys):
     assert main(["dagger", d]) == 0
     back = parse_netlist(capsys.readouterr().out)
     assert back == parse_netlist(SERIES)
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    series = _write(tmp_path, "series.net", SERIES)
+    assert main(["blackbox", series, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"]
+    assert main(["eval", series, "--at", "1"]) == 0
+    assert capsys.readouterr().out.startswith("columns: ")
+    assert main(["blackbox", series, "--as-impedance"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_check_and_corpus(tmp_path, capsys):
