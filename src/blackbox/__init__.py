@@ -47,14 +47,11 @@ from .field import (
     ONE,
     ZERO,
     Poly,
-    Rat,
     RatFunc,
-    Witness,
     from_rat,
     impedance,
     is_positive_sampled,
     parse_ratfunc,
-    rat_func,
     s,
 )
 from .lagrel import (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import _fresh_labels, merge_map
+from .circuits import pushout
 from .corel import corel_from_cospan, dagger_corelation
 from .dirichlet import DirichletForm, extended_power_functional, power_functional
 from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
@@ -32,6 +32,7 @@ from .lagrel import (
     Subspace,
     SymplSpace,
     compose_relations,
+    embed,
     graph_of_differential,
     identity_relation,
     nullspace,
@@ -81,26 +82,11 @@ def to_lagr_cospan(dc):
     )
 
 
-def _pushout(c1_nodes, c1_out, c2_nodes, c2_in):
-    """Pushout data for gluing two cospans along matched ports.
-
-    Returns (map1, map2, merged node tuple); apexes are first made disjoint
-    by priming the right-hand labels, mirroring circuit composition.
-    """
-    rename = _fresh_labels(c1_nodes, c2_nodes)
-    pairs = [(c1_out[k], rename[c2_in[k]]) for k in range(len(c1_out))]
-    all_nodes = list(c1_nodes) + [rename[n] for n in c2_nodes]
-    j = merge_map(all_nodes, pairs)
-    map1 = {n: j[n] for n in c1_nodes}
-    map2 = {n: j[rename[n]] for n in c2_nodes}
-    return map1, map2, tuple(sorted(set(j.values())))
-
-
 def compose_dirichlet_cospans(a, b):
     """Pushout of cospans, decorations pushed forward and summed."""
     if len(a.outputs) != len(b.inputs):
         raise PortCountMismatch("port lists do not match")
-    map1, map2, nodes = _pushout(a.nodes, a.outputs, b.nodes, b.inputs)
+    map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
     coeffs = [((map1[i], map1[j]), c) for (i, j), c in a.form.coeffs.items()
               if map1[i] != map1[j]]
     coeffs += [((map2[i], map2[j]), c) for (i, j), c in b.form.coeffs.items()
@@ -117,25 +103,16 @@ def compose_lagr_cospans(a, b):
     """Pushout of cospans; the decorations' direct sum is pushed forward."""
     if len(a.outputs) != len(b.inputs):
         raise PortCountMismatch("port lists do not match")
-    map1, map2, nodes = _pushout(a.nodes, a.outputs, b.nodes, b.inputs)
-    na, nb = len(a.nodes), len(b.nodes)
-    width = 2 * (na + nb)
-    rows = []
-    for r in a.sub.rows:
-        row = [ZERO] * width
-        for k in range(na):
-            row[k] = r[k]
-            row[na + nb + k] = r[na + k]
-        rows.append(row)
-    for r in b.sub.rows:
-        row = [ZERO] * width
-        for k in range(nb):
-            row[na + k] = r[k]
-            row[na + nb + na + k] = r[nb + k]
-        rows.append(row)
-    # The disjoint union is indexed by position, so no label can collide.
+    map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
+    # The disjoint union is indexed by position, so no label can collide;
+    # its layout is [phi a, phi b, iota a, iota b].
+    na, nt = len(a.nodes), len(a.nodes) + len(b.nodes)
+    cols_a = [*range(na), *range(nt, nt + na)]
+    cols_b = [*range(na, nt), *range(nt + na, 2 * nt)]
+    rows = [embed(r, cols_a, 2 * nt) for r in a.sub.rows]
+    rows += [embed(r, cols_b, 2 * nt) for r in b.sub.rows]
     f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
-    pushed = pushforward_lagrangian(f, range(na + nb), Subspace(rows, width), nodes)
+    pushed = pushforward_lagrangian(f, range(nt), Subspace(rows, 2 * nt), nodes)
     return LagrCospan(
         tuple(map1[p] for p in a.inputs),
         tuple(map2[p] for p in b.outputs),
@@ -149,13 +126,9 @@ def compose_lagr_cospans(a, b):
 
 def _behavior_from_name(rel, m, n):
     """Reread a relation 0 -> conj(V_X) (+) V_Y as a relation V_X -> V_Y."""
-    perm = (
-        list(range(m))
-        + list(range(m + n, m + n + m))
-        + list(range(m, m + n))
-        + list(range(m + n + m, 2 * (m + n)))
-    )
-    rows = [tuple(r[p] for p in perm) for r in rel.sub.rows]
+    # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
+    cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
+    rows = [embed(r, cols, 2 * (m + n)) for r in rel.sub.rows]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
 
 

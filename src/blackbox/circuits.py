@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corel import merge_map
 from .errors import PortCountMismatch
 from .field import RatFunc
 
@@ -66,12 +67,6 @@ class Circuit:
         """The terminals i(X) | o(Y), sorted."""
         return tuple(sorted(set(self.inputs) | set(self.outputs)))
 
-    def num_inputs(self):
-        return len(self.inputs)
-
-    def num_outputs(self):
-        return len(self.outputs)
-
 
 def circuit(nodes, edges=(), inputs=(), outputs=()):
     return Circuit(LabelledGraph(nodes, edges), inputs, outputs)
@@ -96,26 +91,18 @@ def _fresh_labels(taken, labels):
     return out
 
 
-def merge_map(nodes, pairs):
-    """Quotient map for the equivalence generated by ``pairs``.
+def pushout(nodes1, outs1, nodes2, ins2):
+    """Glue two apexes along matched ports: ``outs1[k]`` meets ``ins2[k]``.
 
-    Each class is named by its lexicographically smallest member.
+    The right apex is first made disjoint by priming its colliding labels.
+    Returns the two legs into the pushout, as dicts, and its sorted nodes.
     """
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    return {n: find(n) for n in nodes}
+    rename = _fresh_labels(nodes1, nodes2)
+    pairs = [(a, rename[b]) for a, b in zip(outs1, ins2)]
+    j = merge_map([*nodes1, *rename.values()], pairs)
+    map1 = {n: j[n] for n in nodes1}
+    map2 = {n: j[rename[n]] for n in nodes2}
+    return map1, map2, tuple(sorted(set(j.values())))
 
 
 def compose_circuits(g1, g2):
@@ -124,16 +111,13 @@ def compose_circuits(g1, g2):
         raise PortCountMismatch(
             f"{len(g1.outputs)} outputs cannot meet {len(g2.inputs)} inputs"
         )
-    rename = _fresh_labels(g1.graph.nodes, g2.graph.nodes)
-    pairs = [(g1.outputs[k], rename[g2.inputs[k]]) for k in range(len(g1.outputs))]
-    all_nodes = list(g1.graph.nodes) + [rename[n] for n in g2.graph.nodes]
-    j = merge_map(all_nodes, pairs)
-    edges = [(j[s], j[t], z) for s, t, z in g1.graph.edges]
-    edges += [(j[rename[s]], j[rename[t]], z) for s, t, z in g2.graph.edges]
+    map1, map2, nodes = pushout(g1.graph.nodes, g1.outputs, g2.graph.nodes, g2.inputs)
+    edges = [(map1[s], map1[t], z) for s, t, z in g1.graph.edges]
+    edges += [(map2[s], map2[t], z) for s, t, z in g2.graph.edges]
     return Circuit(
-        LabelledGraph({j[n] for n in all_nodes}, edges),
-        [j[p] for p in g1.inputs],
-        [j[rename[p]] for p in g2.outputs],
+        LabelledGraph(nodes, edges),
+        [map1[p] for p in g1.inputs],
+        [map2[p] for p in g2.outputs],
     )
 
 

@@ -116,9 +116,12 @@ def _cmd_eval(args):
         sigma = Fraction(args.at)
     except (ValueError, ZeroDivisionError):
         raise EngineError(f"bad evaluation point {args.at!r}") from None
+    # Every entry is evaluated before anything is printed, so a pole leaves
+    # stdout empty.
+    rows = ["[" + ", ".join(str(e.eval_at(sigma)) for e in row) + "]" for row in rel.sub.rows]
     print("columns: " + " ".join(rel.column_names()))
-    for row in rel.sub.rows:
-        print("[" + ", ".join(str(e.eval_at(sigma)) for e in row) + "]")
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Corelations: partitions of X+Y, the algebra of ideal-wire interconnection.
+"""Corelations: partitions of X+Y, the algebra of ideal-wire interconnection,
+and ``merge_map``, the one union-find that every quotient in the package uses.
 
 Ports are positional, so a corelation is stored over the integer index set
 {0 .. |X|+|Y|-1}, with the first ``left_size`` indices belonging to X.
@@ -11,30 +12,26 @@ from __future__ import annotations
 from .errors import SizeMismatch
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def merge_map(nodes, pairs):
+    """Quotient map for the equivalence generated by ``pairs``.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Each class is named by its smallest member.
+    """
+    parent = {n: n for n in nodes}
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def blocks(self, indices=None):
-        groups = {}
-        for k in indices if indices is not None else range(len(self.parent)):
-            groups.setdefault(self.find(k), []).append(k)
-        return list(groups.values())
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+    return {n: find(n) for n in nodes}
 
 
 def _canonical(blocks):
@@ -118,24 +115,19 @@ def identity_corelation(n):
 
 
 def compose_corelations(a, b):
-    """Union-find over X+Y+Z seeded by both partitions, restricted to X+Z."""
+    """Merge X+Y+Z by both partitions, then restrict to X+Z."""
     if a.right_size != b.left_size:
         raise SizeMismatch(
             f"cannot compose: {a.right_size} right ports vs {b.left_size} left ports"
         )
     nx, ny, nz = a.left_size, a.right_size, b.right_size
-    uf = _UnionFind(nx + ny + nz)
-    for block in a.blocks:
-        for k in block[1:]:
-            uf.union(block[0], k)
-    for block in b.blocks:
-        shifted = [k + nx for k in block]
-        for k in shifted[1:]:
-            uf.union(shifted[0], k)
-    keep = list(range(nx)) + list(range(nx + ny, nx + ny + nz))
-    blocks = uf.blocks(keep)
-    relabel = lambda k: k if k < nx else k - ny
-    return Corelation(nx, nz, [[relabel(k) for k in b] for b in blocks])
+    pairs = [(block[0], k) for block in a.blocks for k in block[1:]]
+    pairs += [(block[0] + nx, k + nx) for block in b.blocks for k in block[1:]]
+    j = merge_map(range(nx + ny + nz), pairs)
+    blocks = {}
+    for k in [*range(nx), *range(nx + ny, nx + ny + nz)]:
+        blocks.setdefault(j[k], []).append(k if k < nx else k - ny)
+    return Corelation(nx, nz, blocks.values())
 
 
 def tensor_corelations(a, b):

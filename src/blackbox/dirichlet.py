@@ -135,12 +135,11 @@ def gradient(form, psi):
     return Covector(form.support, entries)
 
 
-def _eliminate_with_step(form, n):
-    """One-step minimization over n, plus the back-substitution recipe.
+def eliminate_node(form, n):
+    """The form on S minus {n} given by formal minimization over n.
 
-    Returns (form', step); step is (n, weights, denom) such that the
-    realizable extension satisfies phi_n = sum_k weights[k] phi_k / denom,
-    or (n, None, None) when n has no incident coefficient mass.
+    Closed form: c'_ij = c_ij + c_in c_jn / sum_k c_kn; a node with no
+    incident coefficients is simply dropped.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
@@ -160,23 +159,14 @@ def _eliminate_with_step(form, n):
     if denom.is_zero():
         # Over F+ this happens only when n is edgeless; drop it.  (With raw
         # impedances a cancellation is conceivable; the n-terms still go.)
-        return DirichletForm(new_support, rest), (n, None, None)
+        return DirichletForm(new_support, rest)
     neighbors = sorted(incident)
     inv_d = denom.inv()
     for a in range(len(neighbors)):
         for b in range(a + 1, len(neighbors)):
             i, j = neighbors[a], neighbors[b]
             rest.append(((i, j), incident[i] * incident[j] * inv_d))
-    return DirichletForm(new_support, rest), (n, incident, denom)
-
-
-def eliminate_node(form, n):
-    """The form on S minus {n} given by formal minimization over n.
-
-    Closed form: c'_ij = c_ij + c_in c_jn / sum_k c_kn; a node with no
-    incident coefficients is simply dropped.
-    """
-    return _eliminate_with_step(form, n)[0]
+    return DirichletForm(new_support, rest)
 
 
 def _interior(form, boundary):
@@ -201,26 +191,24 @@ def power_functional(form, boundary):
 def realizable_extension(form, boundary, psi):
     """Extend boundary data to the whole support so interior gradients vanish.
 
-    Interior potentials are the weighted averages recorded during
-    elimination, back-substituted in reverse; nodes with no incident mass
-    get potential zero (the vanishing convention for components that do not
-    touch the boundary).
+    Interior potentials are the weighted averages of their neighbours at the
+    moment of elimination, back-substituted in reverse; nodes with no
+    incident mass get potential zero (the vanishing convention for
+    components that do not touch the boundary).
     """
-    _ = _interior(form, boundary)
     steps = []
     out = form
     for n in _interior(form, boundary):
-        out, step = _eliminate_with_step(out, n)
-        steps.append(step)
+        incident = {j if i == n else i: c for (i, j), c in out.coeffs.items() if n in (i, j)}
+        steps.append((n, incident))
+        out = eliminate_node(out, n)
     phi = {n: as_ratfunc(psi[n]) for n in boundary}
-    for n, weights, denom in reversed(steps):
-        if weights is None:
+    for n, incident in reversed(steps):
+        denom = sum(incident.values(), ZERO)
+        if denom.is_zero():
             phi[n] = ZERO
             continue
-        acc = ZERO
-        for k, c in weights.items():
-            acc = acc + c * phi[k]
-        phi[n] = acc / denom
+        phi[n] = sum((c * phi[k] for k, c in incident.items()), ZERO) / denom
     return phi
 
 

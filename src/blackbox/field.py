@@ -16,7 +16,6 @@ exact comparison.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -28,8 +27,6 @@ from .errors import (
     PoleAtPoint,
     ZeroDenominator,
 )
-
-Rat = Fraction
 
 #: Default grid used to sample positivity of raw impedances on the
 #: positive real axis.
@@ -202,25 +199,11 @@ def _integer_poly(x):
     return _strip([c.numerator * (m // c.denominator) for c in cs]), m
 
 
-class Witness(Enum):
-    """How a rational function's membership in F+ is supported.
-
-    STRUCTURAL: built from R/L/C constructors and closed combinations.
-    SAMPLED: passed is_positive_sampled on an explicit grid.
-    UNCHECKED: no claim.
-    """
-
-    STRUCTURAL = "structural"
-    SAMPLED = "sampled"
-    UNCHECKED = "unchecked"
-
-
-def _new(n, d, witness):
+def _new(n, d):
     """A RatFunc from a pair already in canonical form."""
     r = object.__new__(RatFunc)
     r.n = n
     r.d = d
-    r.witness = witness
     return r
 
 
@@ -229,17 +212,16 @@ class RatFunc:
 
     ``n`` and ``d`` are int tuples, lowest degree first: coprime over Q, with
     no common factor among all their coefficients, ``d[-1] > 0``, and zero
-    stored as ``((), (1,))``.  Equality and hashing ignore the positivity
-    witness, which is bookkeeping, not part of the field value.
+    stored as ``((), (1,))``.
 
     ``RatFunc(num, den)`` accepts a Poly, a coefficient list (ints or
     Fractions) or a scalar for each part; ``_ints=True`` says both are
     already int tuples without trailing zeros.
     """
 
-    __slots__ = ("n", "d", "witness")
+    __slots__ = ("n", "d")
 
-    def __init__(self, num, den=1, witness=Witness.UNCHECKED, _ints=False):
+    def __init__(self, num, den=1, _ints=False):
         if _ints:
             n, d = num, den
         else:
@@ -264,7 +246,6 @@ class RatFunc:
                 d = tuple(x // c for x in d)
         self.n = n
         self.d = d
-        self.witness = witness
 
     # -- rational-coefficient view ---------------------------------------------
 
@@ -314,9 +295,6 @@ class RatFunc:
             return hash(self.as_rat())
         return hash((self.n, self.d))
 
-    def with_witness(self, witness):
-        return _new(self.n, self.d, witness)
-
     # -- arithmetic ------------------------------------------------------------
 
     @staticmethod
@@ -327,12 +305,6 @@ class RatFunc:
             return from_rat(other)
         return None
 
-    @staticmethod
-    def _join(a, b):
-        if a.witness is Witness.STRUCTURAL and b.witness is Witness.STRUCTURAL:
-            return Witness.STRUCTURAL
-        return Witness.UNCHECKED
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -341,12 +313,12 @@ class RatFunc:
             return other
         if not other.n:
             return self
-        return _combine(_padd, self, other, self._join(self, other))
+        return _combine(_padd, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(_scale(self.n, -1), self.d, Witness.UNCHECKED)
+        return _new(_scale(self.n, -1), self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -356,7 +328,7 @@ class RatFunc:
             return self
         if not self.n:
             return -other
-        return _combine(_psub, self, other, Witness.UNCHECKED)
+        return _combine(_psub, self, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -370,22 +342,20 @@ class RatFunc:
             return NotImplemented
         if not self.n or not other.n:
             return ZERO
-        w = self._join(self, other)
         if self.is_one():
-            return other if other.witness is w else other.with_witness(w)
+            return other
         if other.is_one():
-            return self if self.witness is w else self.with_witness(w)
-        return RatFunc(_pmul(self.n, other.n), _pmul(self.d, other.d), w, _ints=True)
+            return self
+        return RatFunc(_pmul(self.n, other.n), _pmul(self.d, other.d), _ints=True)
 
     __rmul__ = __mul__
 
     def inv(self):
         if not self.n:
             raise DivisionByZero("inverse of zero")
-        w = Witness.STRUCTURAL if self.witness is Witness.STRUCTURAL else Witness.UNCHECKED
         if self.n[-1] > 0:
-            return _new(self.d, self.n, w)
-        return _new(_scale(self.d, -1), _scale(self.n, -1), w)
+            return _new(self.d, self.n)
+        return _new(_scale(self.d, -1), _scale(self.n, -1))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -427,10 +397,6 @@ class RatFunc:
 
     # -- printing --------------------------------------------------------------
 
-    def as_integer_pair(self):
-        """Equivalent (num, den) with integer coefficients, minimal content."""
-        return Poly(self.n), Poly(self.d)
-
     def __str__(self):
         n, d = self.n, self.d
         if not n:
@@ -445,11 +411,11 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _combine(op, a, b, witness):
+def _combine(op, a, b):
     """a + b or a - b, as ``op`` is ``_padd`` or ``_psub``."""
     if a.d == b.d:
-        return RatFunc(op(a.n, b.n), a.d, witness, _ints=True)
-    return RatFunc(op(_pmul(a.n, b.d), _pmul(b.n, a.d)), _pmul(a.d, b.d), witness, _ints=True)
+        return RatFunc(op(a.n, b.n), a.d, _ints=True)
+    return RatFunc(op(_pmul(a.n, b.d), _pmul(b.n, a.d)), _pmul(a.d, b.d), _ints=True)
 
 
 def _horner(cs, sigma):
@@ -459,9 +425,9 @@ def _horner(cs, sigma):
     return acc
 
 
-ZERO = _new((), (1,), Witness.UNCHECKED)
-ONE = _new((1,), (1,), Witness.UNCHECKED)
-s = _new((0, 1), (1,), Witness.UNCHECKED)
+ZERO = _new((), (1,))
+ONE = _new((1,), (1,))
+s = _new((0, 1), (1,))
 
 
 def from_rat(q):
@@ -469,7 +435,7 @@ def from_rat(q):
     q = Fraction(q)
     if q == 0:
         return ZERO
-    return _new((q.numerator,), (q.denominator,), Witness.UNCHECKED)
+    return _new((q.numerator,), (q.denominator,))
 
 
 def as_ratfunc(x):
@@ -479,27 +445,21 @@ def as_ratfunc(x):
     return from_rat(x)
 
 
-def rat_func(num, den):
-    """Build the canonical element num/den of Q(s)."""
-    return RatFunc(num, den)
-
-
 def impedance(kind, value):
     """The impedance of an R, L, or C component with the given positive value.
 
-    R -> value, L -> value*s, C -> 1/(value*s); the result carries a
-    structural positivity witness.
+    R -> value, L -> value*s, C -> 1/(value*s).
     """
     value = Fraction(value)
     if value <= 0:
         raise NonPositiveValue(f"component value must be positive, got {value}")
     p, q = value.numerator, value.denominator
     if kind == "R":
-        return _new((p,), (q,), Witness.STRUCTURAL)
+        return _new((p,), (q,))
     if kind == "L":
-        return _new((0, p), (q,), Witness.STRUCTURAL)
+        return _new((0, p), (q,))
     if kind == "C":
-        return _new((q,), (0, p), Witness.STRUCTURAL)
+        return _new((q,), (0, p))
     raise ValueError(f"unknown component kind {kind!r}")
 
 

@@ -81,6 +81,14 @@ def nullspace(rows, ncols):
     return basis
 
 
+def embed(entries, cols, width):
+    """A row of ``width`` zeros with ``entries[k]`` placed at column ``cols[k]``."""
+    row = [ZERO] * width
+    for c, e in zip(cols, entries):
+        row[c] = e
+    return row
+
+
 class Subspace:
     """A linear subspace stored as its reduced row-echelon generator matrix."""
 
@@ -153,10 +161,6 @@ class SymplSpace:
     def __repr__(self):
         marks = "".join("-" if s < 0 else "+" for s in self.signs)
         return f"SymplSpace({list(self.labels)}, {marks})"
-
-    def omega(self, u, v):
-        """The symplectic product of two coordinate vectors of this space."""
-        return _omega(u, v, self.pairing())
 
     def pairing(self):
         """(phi column, iota column, sign) triples in space layout."""
@@ -231,10 +235,6 @@ class LagrangianRelation:
             )
         self.sub = sub
 
-    @property
-    def matrix(self):
-        return self.sub.rows
-
     def __eq__(self, other):
         return (
             isinstance(other, LagrangianRelation)
@@ -271,62 +271,43 @@ def subspace_as_relation(sub, space):
     return LagrangianRelation(EMPTY_SPACE, space, sub.rows, _sub=sub)
 
 
-def identity_relation(space):
-    m = space.num_ports
+def _matching_rows(m, other, shift, sign=ONE):
+    """Rows equating port x with port ``other + x`` over 4m columns: their
+    potentials at columns x and other + x, their currents ``shift`` columns
+    further on, the second current times ``sign``."""
     rows = []
     for x in range(m):
-        phi = [ZERO] * (4 * m)
-        phi[x] = ONE
-        phi[2 * m + x] = ONE
-        rows.append(phi)
-        cur = [ZERO] * (4 * m)
-        cur[m + x] = ONE
-        cur[3 * m + x] = ONE
-        rows.append(cur)
-    return LagrangianRelation(space, space, rows)
+        y = other + x
+        rows.append(embed((ONE, ONE), (x, y), 4 * m))
+        rows.append(embed((ONE, sign), (shift + x, shift + y), 4 * m))
+    return rows
+
+
+def identity_relation(space):
+    m = space.num_ports
+    return LagrangianRelation(space, space, _matching_rows(m, 2 * m, m))
 
 
 def twist(space):
-    """The symplectomorphism (phi, i) -> (phi, -i) as a relation V -> conj(V)."""
+    """The symplectomorphism (phi, i) -> (phi, -i) as a relation V -> conj(V):
+    the identity with the target current negated."""
     m = space.num_ports
-    rows = []
-    for x in range(m):
-        phi = [ZERO] * (4 * m)
-        phi[x] = ONE
-        phi[2 * m + x] = ONE
-        rows.append(phi)
-        cur = [ZERO] * (4 * m)
-        cur[m + x] = ONE
-        cur[3 * m + x] = -ONE
-        rows.append(cur)
-    return LagrangianRelation(space, space.conj(), rows)
-
-
-def _paired_copies_rows(m):
-    # Subspace {(v, v)} of a 2m-port space, whose layout is [phi(2m), iota(2m)].
-    rows = []
-    for x in range(m):
-        phi = [ZERO] * (4 * m)
-        phi[x] = ONE
-        phi[m + x] = ONE
-        rows.append(phi)
-        cur = [ZERO] * (4 * m)
-        cur[2 * m + x] = ONE
-        cur[3 * m + x] = ONE
-        rows.append(cur)
-    return rows
+    return LagrangianRelation(space, space.conj(), _matching_rows(m, 2 * m, m, -ONE))
 
 
 def cup_relation(space):
     """The unit 0 -> conj(V) (+) V spanned by pairs (v, v)."""
+    # A 2m-port space has the layout [phi(2m), iota(2m)].
+    m = space.num_ports
     tgt = space.conj().oplus(space)
-    return LagrangianRelation(EMPTY_SPACE, tgt, _paired_copies_rows(space.num_ports))
+    return LagrangianRelation(EMPTY_SPACE, tgt, _matching_rows(m, m, 2 * m))
 
 
 def cap_relation(space):
     """The counit V (+) conj(V) -> 0 spanned by pairs (v, v)."""
+    m = space.num_ports
     src = space.oplus(space.conj())
-    return LagrangianRelation(src, EMPTY_SPACE, _paired_copies_rows(space.num_ports))
+    return LagrangianRelation(src, EMPTY_SPACE, _matching_rows(m, m, 2 * m))
 
 
 def _lincomb(coeffs, rows, lo, hi):
@@ -381,22 +362,17 @@ def tensor_relations(first, second):
     s2, t2 = second.source, second.target
     src = s1.oplus(s2)
     tgt = t1.oplus(t2)
-    m1, m2 = s1.num_ports, s2.num_ports
-    n1, n2 = t1.num_ports, t2.num_ports
-    width = 2 * (m1 + m2) + 2 * (n1 + n2)
+    m1, m, n1, n = s1.num_ports, src.num_ports, t1.num_ports, tgt.num_ports
+    width = 2 * (m + n)
 
-    def embed(row, moff, mlen, noff, nlen, mtot, ntot):
-        out = [ZERO] * width
-        for k in range(mlen):
-            out[moff + k] = row[k]
-            out[mtot + moff + k] = row[mlen + k]
-        for k in range(nlen):
-            out[2 * mtot + noff + k] = row[2 * mlen + k]
-            out[2 * mtot + ntot + noff + k] = row[2 * mlen + nlen + k]
-        return out
+    def cols(xs, ys):
+        # Where a summand's columns [phi xs, iota xs, phi ys, iota ys] land.
+        return [*xs, *(m + x for x in xs), *(2 * m + y for y in ys), *(2 * m + n + y for y in ys)]
 
-    rows = [embed(r, 0, m1, 0, n1, m1 + m2, n1 + n2) for r in first.sub.rows]
-    rows += [embed(r, m1, m2, n1, n2, m1 + m2, n1 + n2) for r in second.sub.rows]
+    cols1 = cols(range(m1), range(n1))
+    cols2 = cols(range(m1, m), range(n1, n))
+    rows = [embed(r, cols1, width) for r in first.sub.rows]
+    rows += [embed(r, cols2, width) for r in second.sub.rows]
     return LagrangianRelation(src, tgt, rows)
 
 
@@ -440,37 +416,18 @@ def graph_of_differential(form):
 
 def _phi_generators(corel):
     m, n = corel.left_size, corel.right_size
-    width = 2 * (m + n)
-    rows = []
-    for block in corel.blocks:
-        row = [ZERO] * width
-        for k in block:
-            if k < m:
-                row[k] = ONE
-            else:
-                row[2 * m + (k - m)] = ONE
-        rows.append(row)
-    return rows
+    # Port k of X+Y has its potential at column k (X) or m + k (Y).
+    return [embed([ONE] * len(block), [k if k < m else m + k for k in block], 2 * (m + n))
+            for block in corel.blocks]
 
 
 def _current_generators(corel):
     m, n = corel.left_size, corel.right_size
-    width = 2 * (m + n)
-    constraint = []
-    for block in corel.blocks:
-        row = [ZERO] * (m + n)
-        for k in block:
-            row[k] = ONE if k < m else -ONE
-        constraint.append(row)
-    rows = []
-    for vec in nullspace(constraint, m + n):
-        row = [ZERO] * width
-        for k in range(m):
-            row[m + k] = vec[k]
-        for k in range(n):
-            row[2 * m + n + k] = vec[m + k]
-        rows.append(row)
-    return rows
+    constraint = [embed([ONE if k < m else -ONE for k in block], block, m + n)
+                  for block in corel.blocks]
+    # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).
+    cols = [m + k if k < m else m + n + k for k in range(m + n)]
+    return [embed(vec, cols, 2 * (m + n)) for vec in nullspace(constraint, m + n)]
 
 
 def symplectify_potentials(corel):

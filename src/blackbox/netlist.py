@@ -16,12 +16,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .circuits import Circuit, LabelledGraph, merge_map
-from .errors import NonPositiveImpedance, ParseError, UnknownNode
+from .circuits import Circuit, LabelledGraph
+from .corel import merge_map
+from .errors import NonPositiveImpedance, ParseError, PoleAtPoint, UnknownNode
 from .field import (
     DEFAULT_SAMPLE_POINTS,
     MAX_DIGITS,
-    Witness,
     impedance,
     is_positive_sampled,
     parse_ratfunc,
@@ -90,11 +90,17 @@ def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
                 raise ParseError(lineno, "raw impedance requires --allow-raw-z")
             a, b = known(rest[0], lineno), known(rest[1], lineno)
             z = parse_ratfunc(rest[2], lineno)
-            if z.is_zero() or not is_positive_sampled(z, sample_points):
+            try:
+                positive = not z.is_zero() and is_positive_sampled(z, sample_points)
+            except PoleAtPoint as exc:
+                raise NonPositiveImpedance(
+                    f"line {lineno}: impedance {rest[2]} fails the positivity sample: {exc}"
+                ) from None
+            if not positive:
                 raise NonPositiveImpedance(
                     f"line {lineno}: impedance {rest[2]} fails the positivity sample"
                 )
-            edges.append((a, b, z.with_witness(Witness.SAMPLED)))
+            edges.append((a, b, z))
         elif head == "W":
             if len(rest) != 2:
                 raise ParseError(lineno, "W needs exactly two nodes")

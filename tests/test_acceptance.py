@@ -30,7 +30,7 @@ from blackbox.corel import (
     tensor_corelations,
 )
 from blackbox.dirichlet import DirichletForm, compose_forms, eliminate_node
-from blackbox.field import ONE, ZERO, from_rat, impedance, rat_func
+from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance
 from blackbox.lagrel import (
     EMPTY_SPACE,
     Subspace,
@@ -129,7 +129,7 @@ def test_criterion_04_rlc_impedance():
             ["a"],
             ["d"],
         )
-        assert as_impedance(blackbox(rlc)) == rat_func((2, 2, 3), (0, 1))
+        assert as_impedance(blackbox(rlc)) == RatFunc((2, 2, 3), (0, 1))
 
 
 def test_criterion_05_approximate_identities():

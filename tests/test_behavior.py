@@ -27,7 +27,7 @@ from blackbox.circuits import (
 )
 from blackbox.dirichlet import DirichletForm, extended_power_functional, power_functional
 from blackbox.errors import NotAGraph
-from blackbox.field import ONE, ZERO, from_rat, impedance, rat_func
+from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance
 from blackbox.lagrel import (
     Subspace,
     compose_relations,
@@ -70,7 +70,7 @@ def test_rlc_series_impedance():
         ["d"],
     )
     rel = blackbox(rlc)
-    assert as_impedance(rel) == rat_func((2, 2, 3), (0, 1))
+    assert as_impedance(rel) == RatFunc((2, 2, 3), (0, 1))
 
 
 def test_as_impedance_rejects_non_graphs():

@@ -83,6 +83,35 @@ def test_canonicalization_is_input_order_insensitive():
     assert str(b1) == "corel 2 -> 2 : {x0 y0} {x1 y1}"
 
 
+def _composite_by_closure(a, b):
+    """Independent oracle: Warshall's transitive closure of "shares a block"
+    over X+Y+Z, restricted to X+Z."""
+    nx, ny, nz = a.left_size, a.right_size, b.right_size
+    total = nx + ny + nz
+    linked = [[i == j for j in range(total)] for i in range(total)]
+    blocks = list(a.blocks) + [[k + nx for k in block] for block in b.blocks]
+    for block in blocks:
+        for i in block:
+            for j in block:
+                linked[i][j] = True
+    for k in range(total):
+        for i in range(total):
+            if linked[i][k]:
+                for j in range(total):
+                    linked[i][j] = linked[i][j] or linked[k][j]
+    outer = [*range(nx), *range(nx + ny, total)]
+    classes = {frozenset(j for j in outer if linked[i][j]) for i in outer}
+    return Corelation(nx, nz, [[k if k < nx else k - ny for k in c] for c in classes])
+
+
+def test_compose_against_transitive_closure_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        a = rand_corel(rng, rng.randint(0, 4), rng.randint(0, 4))
+        b = rand_corel(rng, a.right_size, rng.randint(0, 4))
+        assert compose_corelations(a, b) == _composite_by_closure(a, b)
+
+
 @given(corelations(), corelations(), corelations(), st.randoms())
 def test_associativity(a, b, c, rnd):
     # Resize b and c so the composites exist.

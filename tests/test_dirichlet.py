@@ -24,7 +24,7 @@ from blackbox.errors import (
     NodeNotInSupport,
     NonConstantCoefficients,
 )
-from blackbox.field import ONE, ZERO, from_rat, impedance, rat_func, s
+from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance, s
 
 from util import rand_form, rand_rat
 
@@ -59,7 +59,7 @@ def test_extended_power_functional_examples():
     )
     p3 = extended_power_functional(rlc)
     assert p3.coefficient("a", "b") == from_rat(Fraction(1, 4))
-    assert p3.coefficient("b", "c") == rat_func((Fraction(1, 6),), (0, 1))
+    assert p3.coefficient("b", "c") == RatFunc((Fraction(1, 6),), (0, 1))
     assert p3.coefficient("c", "d") == s / 4
 
 

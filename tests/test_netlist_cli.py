@@ -11,7 +11,7 @@ from blackbox.errors import (
     ParseError,
     UnknownNode,
 )
-from blackbox.field import MAX_DIGITS, MAX_EXPONENT, Witness, parse_ratfunc
+from blackbox.field import MAX_DIGITS, MAX_EXPONENT, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
 from util import rand_circuit
@@ -87,9 +87,11 @@ def test_raw_impedance_gate():
     g = parse_netlist(text, allow_raw_z=True)
     z = g.graph.edges[0][2]
     assert z == parse_ratfunc("(s^2+1)/(s+2)")
-    assert z.witness is Witness.SAMPLED
     with pytest.raises(NonPositiveImpedance):
         parse_netlist("nodes: a b\nZ a b s-1\n", allow_raw_z=True)
+    # A pole at a sample point (s = 1) is rejected with its line, like any other Z.
+    with pytest.raises(NonPositiveImpedance, match=r"^line 2: .*s = 1 is a pole"):
+        parse_netlist("nodes: a b\nZ a b 1/(s^2-2*s+1)\n", allow_raw_z=True)
 
 
 def test_raw_impedance_size_caps(tmp_path, capsys):
@@ -171,7 +173,7 @@ def test_cli_eliminate_and_eval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[0, 1, 7, 1]" in out
     assert main(["eval", rlc, "--at", "0"]) == 2  # pole of Z
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
     assert main(["eval", rlc, "--at", "one"]) == 2
 
 
