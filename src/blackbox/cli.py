@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .behavior import (
@@ -27,7 +26,7 @@ from .behavior import (
 from .circuits import compose_circuits, dagger_circuit, tensor_circuits
 from .dirichlet import extended_power_functional, power_functional
 from .errors import EngineError
-from .field import DEFAULT_SAMPLE_POINTS
+from .field import DEFAULT_SAMPLE_POINTS, parse_rational
 from .netlist import parse_netlist, print_netlist
 
 
@@ -35,13 +34,21 @@ def _sample_points():
     raw = os.environ.get("BLACKBOX_SAMPLE_POINTS")
     if not raw:
         return DEFAULT_SAMPLE_POINTS
-    try:
-        points = tuple(Fraction(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError):
-        raise EngineError(f"bad BLACKBOX_SAMPLE_POINTS: {raw!r}") from None
+    points = []
+    for tok in raw.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            point = parse_rational(tok)
+        except ValueError as exc:
+            raise EngineError(f"bad BLACKBOX_SAMPLE_POINTS: {exc}") from None
+        if point <= 0:
+            raise EngineError(f"bad BLACKBOX_SAMPLE_POINTS: point {point} is not positive")
+        points.append(point)
     if not points:
         raise EngineError("BLACKBOX_SAMPLE_POINTS is empty")
-    return points
+    return tuple(points)
 
 
 def _read(path):
@@ -113,12 +120,16 @@ def _cmd_eval(args):
     g = _load(args.file, args)
     rel = blackbox(g)
     try:
-        sigma = Fraction(args.at)
-    except (ValueError, ZeroDivisionError):
-        raise EngineError(f"bad evaluation point {args.at!r}") from None
+        sigma = parse_rational(args.at)
+    except ValueError as exc:
+        raise EngineError(f"bad evaluation point: {exc}") from None
     # Every entry is evaluated before anything is printed, so a pole leaves
     # stdout empty.
-    rows = ["[" + ", ".join(str(e.eval_at(sigma)) for e in row) + "]" for row in rel.sub.rows]
+    try:
+        rows = ["[" + ", ".join(str(e.eval_at(sigma)) for e in row) + "]"
+                for row in rel.sub.rows]
+    except ValueError:  # str() of an int beyond the interpreter's digit limit
+        raise EngineError(f"a value at s = {args.at} has too many digits to print") from None
     print("columns: " + " ".join(rel.column_names()))
     for row in rows:
         print(row)

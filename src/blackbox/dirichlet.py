@@ -176,16 +176,39 @@ def _interior(form, boundary):
     return [n for n in form.support if n not in bset]
 
 
-def power_functional(form, boundary):
-    """Minimize the form over everything outside ``boundary``.
+def _eliminate_interior(form, boundary):
+    """Minimize the form over everything outside ``boundary``, one
+    ``eliminate_node`` per interior node, in greedy min-degree order: each
+    step takes the interior node with the fewest incident coefficients in
+    the current form, ties going to the smaller label.
 
-    Nodes are eliminated one at a time in lexicographic order; the result
+    Returns the reduced form and, per step, the node with its incident
+    coefficients at the moment of elimination.
+    """
+    interior = set(_interior(form, boundary))
+    steps = []
+    while interior:
+        incident = {n: {} for n in interior}
+        for (i, j), c in form.coeffs.items():
+            if i in incident:
+                incident[i][j] = c
+            if j in incident:
+                incident[j][i] = c
+        n = min(interior, key=lambda x: (len(incident[x]), x))
+        steps.append((n, incident[n]))
+        form = eliminate_node(form, n)
+        interior.remove(n)
+    return form, steps
+
+
+def power_functional(form, boundary):
+    """Minimize the form over everything outside ``boundary`` (Kron reduction).
+
+    Interior nodes are eliminated in greedy min-degree order, which keeps
+    the fill low: on a ladder it creates at most one new pair.  The result
     is independent of the order.
     """
-    out = form
-    for n in _interior(form, boundary):
-        out = eliminate_node(out, n)
-    return out
+    return _eliminate_interior(form, boundary)[0]
 
 
 def realizable_extension(form, boundary, psi):
@@ -196,12 +219,7 @@ def realizable_extension(form, boundary, psi):
     incident mass get potential zero (the vanishing convention for
     components that do not touch the boundary).
     """
-    steps = []
-    out = form
-    for n in _interior(form, boundary):
-        incident = {j if i == n else i: c for (i, j), c in out.coeffs.items() if n in (i, j)}
-        steps.append((n, incident))
-        out = eliminate_node(out, n)
+    _, steps = _eliminate_interior(form, boundary)
     phi = {n: as_ratfunc(psi[n]) for n in boundary}
     for n, incident in reversed(steps):
         denom = sum(incident.values(), ZERO)

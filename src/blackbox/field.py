@@ -7,7 +7,12 @@ all their coefficients together is 1, ``d`` has a positive leading
 coefficient, and zero is ``((), (1,))``.  The form is unique, so structural
 equality coincides with field equality.  Reduction to lowest terms uses the
 primitive pseudo-remainder sequence over Z[s] (``poly_gcd``); by Gauss's
-lemma, dividing by a primitive gcd stays exact over Z.  ``Poly`` is the
+lemma, dividing by a primitive gcd stays exact over Z.  Sums, differences
+and products of canonical operands use Henrici's cross-cancellation: a sum
+takes the gcd of the two denominators and then cancels the new numerator
+against that gcd alone, and a product cancels each numerator against the
+other denominator, so no gcd of a full result is ever taken, and none at
+all where one side is a constant.  ``Poly`` is the
 rational-coefficient view (``RatFunc.num``/``.den``) for callers and tests.
 No floating point anywhere; the categorical laws downstream are checked by
 exact comparison.
@@ -215,14 +220,17 @@ class RatFunc:
     stored as ``((), (1,))``.
 
     ``RatFunc(num, den)`` accepts a Poly, a coefficient list (ints or
-    Fractions) or a scalar for each part; ``_ints=True`` says both are
-    already int tuples without trailing zeros.
+    Fractions) or a scalar for each part and reduces the quotient to lowest
+    terms.  ``_coprime=True`` says both are int tuples without trailing
+    zeros that are already coprime over Q: only the content and the sign are
+    normalized.  Every arithmetic result is built that way, so this
+    normalization is the one shared by all paths.
     """
 
     __slots__ = ("n", "d")
 
-    def __init__(self, num, den=1, _ints=False):
-        if _ints:
+    def __init__(self, num, den=1, _coprime=False):
+        if _coprime:
             n, d = num, den
         else:
             n, mn = _integer_poly(num)
@@ -231,13 +239,11 @@ class RatFunc:
                 raise ZeroDenominator("denominator is the zero polynomial")
             if mn != md:
                 n, d = _scale(n, md), _scale(d, mn)
+            if len(n) > 1 and len(d) > 1:
+                n, d = _cancel(n, d)
         if not n:
             d = (1,)
         else:
-            if len(n) > 1 and len(d) > 1:
-                g = poly_gcd(n, d)
-                if len(g) > 1:
-                    n, d = _pquo(n, g), _pquo(d, g)
             c = gcd(*n, *d)
             if d[-1] < 0:
                 c = -c
@@ -271,6 +277,10 @@ class RatFunc:
 
     def is_constant(self):
         return len(self.n) <= 1 and len(self.d) == 1
+
+    def size(self):
+        """The number of stored coefficients, numerator plus denominator."""
+        return len(self.n) + len(self.d)
 
     def as_rat(self):
         """The value as a Fraction; requires a constant."""
@@ -346,7 +356,14 @@ class RatFunc:
             return other
         if other.is_one():
             return self
-        return RatFunc(_pmul(self.n, other.n), _pmul(self.d, other.d), _ints=True)
+        # Henrici: each numerator is already coprime to its own denominator,
+        # so cancelling it against the other one leaves a coprime product.
+        an, ad, bn, bd = self.n, self.d, other.n, other.d
+        if len(an) > 1 and len(bd) > 1:
+            an, bd = _cancel(an, bd)
+        if len(bn) > 1 and len(ad) > 1:
+            bn, ad = _cancel(bn, ad)
+        return RatFunc(_pmul(an, bn), _pmul(ad, bd), _coprime=True)
 
     __rmul__ = __mul__
 
@@ -411,11 +428,40 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def _cancel(a, b):
+    """``a`` and ``b`` divided by their primitive gcd, both nonconstant."""
+    g = poly_gcd(a, b)
+    if len(g) == 1:
+        return a, b
+    return _pquo(a, g), _pquo(b, g)
+
+
 def _combine(op, a, b):
-    """a + b or a - b, as ``op`` is ``_padd`` or ``_psub``."""
+    """a + b or a - b, as ``op`` is ``_padd`` or ``_psub``.
+
+    Henrici: with g = gcd(a.d, b.d), the sum is t / (a.d * b.d / g) where
+    t = a.n * (b.d / g) + b.n * (a.d / g), and a common factor of t and that
+    denominator can only divide g.  So t is cancelled against g alone, and
+    not at all when g is a constant.
+    """
     if a.d == b.d:
-        return RatFunc(op(a.n, b.n), a.d, _ints=True)
-    return RatFunc(op(_pmul(a.n, b.d), _pmul(b.n, a.d)), _pmul(a.d, b.d), _ints=True)
+        g = d = a.d
+        t = op(a.n, b.n)
+    else:
+        g, ad, bd = (1,), a.d, b.d
+        if len(ad) > 1 and len(bd) > 1:
+            g = poly_gcd(ad, bd)
+            if len(g) > 1:
+                ad, bd = _pquo(ad, g), _pquo(bd, g)
+        t = op(_pmul(a.n, bd), _pmul(b.n, ad))
+        d = _pmul(a.d, bd)
+    if not t:
+        return ZERO
+    if len(t) > 1 and len(g) > 1:
+        h = poly_gcd(t, g)
+        if len(h) > 1:
+            t, d = _pquo(t, h), _pquo(d, h)
+    return RatFunc(t, d, _coprime=True)
 
 
 def _horner(cs, sigma):
@@ -489,6 +535,30 @@ _TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
 MAX_EXPONENT = 1000
 #: Longest digit string accepted for a coefficient or an exponent.
 MAX_DIGITS = 1000
+
+
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def parse_rational(text):
+    """The exact rational written in ``text``: an integer, a ratio, a
+    decimal or exponent notation, as ``Fraction`` reads it.
+
+    ``Fraction`` expands exponent notation into an exact integer, so digit
+    runs longer than ``MAX_DIGITS`` and exponents larger than ``MAX_DIGITS``
+    in magnitude are refused before it sees the text.  Raises ``ValueError``
+    with the reason.
+    """
+    if max(map(len, _DIGIT_RUN.findall(text)), default=0) > MAX_DIGITS:
+        raise ValueError(f"number longer than {MAX_DIGITS} digits")
+    exp = _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1))) > MAX_DIGITS:
+        raise ValueError(f"exponent {exp.group(1)} exceeds {MAX_DIGITS} in magnitude")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational value {text!r}") from None
 
 
 def _poly_str(p):
@@ -586,4 +656,4 @@ def parse_ratfunc(text, line=0):
         den = _parse_poly(text[split_at + 1 :], line)
     if not den:
         raise ParseError(line, "zero denominator")
-    return RatFunc(num, den, _ints=True)
+    return RatFunc(num, den)

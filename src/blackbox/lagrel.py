@@ -26,17 +26,23 @@ from .field import ONE, ZERO
 
 
 def rref(rows, ncols):
-    """Unique reduced row-echelon form; zero rows dropped."""
+    """Unique reduced row-echelon form; zero rows dropped.
+
+    The pivot of each column is the row whose entry there is simplest (the
+    fewest stored coefficients), ties going to the row with the fewest
+    nonzeros.  Any nonzero pivot gives the same result: the pivot columns
+    are those where the rank of the leading columns grows, and each output
+    row is the unique vector of the row space with a 1 in its own pivot
+    column and 0 in the others.  The choice only decides how large the
+    intermediate entries get.
+    """
     mat = [list(r) for r in rows if any(r)]
     rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
+        candidates = [i for i in range(rank, len(mat)) if mat[i][col]]
+        if not candidates:
             continue
+        piv = min(candidates, key=lambda i: (mat[i][col].size(), sum(map(bool, mat[i]))))
         mat[rank], mat[piv] = mat[piv], mat[rank]
         lead = mat[rank][col]
         if not lead.is_one():
@@ -171,7 +177,9 @@ class SymplSpace:
 def _omega(u, v, pairing):
     acc = ZERO
     for phi, iota, sgn in pairing:
-        t = v[iota] * u[phi] - u[iota] * v[phi]
+        t = v[iota] * u[phi] if v[iota] and u[phi] else ZERO
+        if u[iota] and v[phi]:
+            t = t - u[iota] * v[phi]
         if t:
             acc = acc + (t if sgn > 0 else -t)
     return acc
@@ -197,8 +205,9 @@ def _isotropic_half(sub, pairing, half):
     if sub.dim != half:
         return False
     rows = sub.rows
+    # omega(u, u) = 0 for every u, so only distinct pairs are checked.
     for a in range(len(rows)):
-        for b in range(a, len(rows)):
+        for b in range(a + 1, len(rows)):
             if _omega(rows[a], rows[b], pairing):
                 return False
     return True

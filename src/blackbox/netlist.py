@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .circuits import Circuit, LabelledGraph
@@ -21,29 +20,18 @@ from .corel import merge_map
 from .errors import NonPositiveImpedance, ParseError, PoleAtPoint, UnknownNode
 from .field import (
     DEFAULT_SAMPLE_POINTS,
-    MAX_DIGITS,
     impedance,
     is_positive_sampled,
+    parse_rational,
     parse_ratfunc,
 )
 
 
-_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
-
-
 def _parse_value(text, lineno):
-    # Fraction expands exponent notation into an exact integer, so the digit
-    # strings and the exponent are capped before it sees the text.
-    if max(map(len, _DIGIT_RUN.findall(text)), default=0) > MAX_DIGITS:
-        raise ParseError(lineno, f"number longer than {MAX_DIGITS} digits")
-    exp = _EXPONENT.search(text)
-    if exp and abs(int(exp.group(1))) > MAX_DIGITS:
-        raise ParseError(lineno, f"exponent {exp.group(1)} exceeds {MAX_DIGITS} in magnitude")
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"bad rational value {text!r}") from None
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
     if value <= 0:
         raise NonPositiveImpedance(f"line {lineno}: value {value} is not positive")
     return value

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blackbox import dirichlet
 from blackbox.circuits import circuit, compose_circuits
 from blackbox.dirichlet import (
     DirichletForm,
@@ -186,6 +187,42 @@ def test_elimination_order_independence():
             for n in order:
                 out = eliminate_node(out, n)
             assert out == reference
+
+
+def _ladder_form(rungs):
+    """The power functional of n0 - n1 - ... - nN in series, each of n1..nN
+    shunted to gnd; the terminals are n0 and gnd."""
+    labels = ["gnd"] + [f"n{k}" for k in range(rungs + 1)]
+    edges = [(f"n{k}", f"n{k + 1}", impedance("R", 1)) for k in range(rungs)]
+    edges += [(f"n{k + 1}", "gnd", impedance("C", 1)) for k in range(rungs)]
+    return extended_power_functional(circuit(labels, edges, ["n0"], ["gnd"]))
+
+
+def _fill(before, after):
+    return sum(1 for pair in after.coeffs if pair not in before.coeffs)
+
+
+def test_min_degree_order_keeps_ladder_fill_low(monkeypatch):
+    for rungs in (2, 5, 9):
+        p = _ladder_form(rungs)
+        fills = []
+
+        def counted(form, n, eliminate=eliminate_node):
+            out = eliminate(form, n)
+            fills.append(_fill(form, out))
+            return out
+
+        monkeypatch.setattr(dirichlet, "eliminate_node", counted)
+        q = power_functional(p, ["n0", "gnd"])
+        monkeypatch.undo()
+        assert len(fills) == rungs and sum(fills) <= 1
+        # Lexicographic order joins n0 to every later rung: N new pairs.
+        lex, lex_fill = p, 0
+        for n in sorted(f"n{k}" for k in range(1, rungs + 1)):
+            out = eliminate_node(lex, n)
+            lex_fill += _fill(lex, out)
+            lex = out
+        assert lex_fill == rungs and lex == q
 
 
 def test_realizable_extension_minimizes_over_rational_scalars():

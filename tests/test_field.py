@@ -245,3 +245,55 @@ def test_large_coefficients():
     assert str(big + 7) in text and parse_ratfunc(text) == r
     assert r.eval_at(2) == Fraction(big + 7 - 6 * big + 4, 2 * big - 1 + 10)
     assert (r * r.inv()).is_one() and r - r == ZERO
+
+
+# -- Henrici cross-cancellation -----------------------------------------------
+
+
+def _check_against_fractions(result, op, a, b):
+    _assert_canonical(result)
+    for sigma in (Fraction(1, 3), Fraction(2), Fraction(-5, 2)):
+        assert result.eval_at(sigma) == op(a.eval_at(sigma), b.eval_at(sigma))
+
+
+def test_henrici_shared_denominator_factors():
+    p1, p2, pm1 = s + 1, s + 2, s - 1
+    add, sub, mul = (lambda x, y: x + y), (lambda x, y: x - y), (lambda x, y: x * y)
+    # gcd of the denominators is s + 1; the new numerator s + 3 is coprime to it.
+    a, b = 1 / p1, 1 / (p1 * p2)
+    r = a + b
+    assert r == RatFunc([3, 1], [2, 3, 1])
+    _check_against_fractions(r, add, a, b)
+    # gcd s; the new numerator is the constant 1, so no second gcd is taken.
+    a, b = 1 / (s * p1), 1 / (s * p2)
+    r = a - b
+    assert r == RatFunc([1], [0, 2, 3, 1])
+    _check_against_fractions(r, sub, a, b)
+    # gcd s, and the new numerator 2s cancels against it: the second gcd.
+    a, b = 1 / (s * p1), 1 / (s * pm1)
+    r = a + b
+    assert r == RatFunc([2], [-1, 0, 1])
+    _check_against_fractions(r, add, a, b)
+    # Each numerator cancels the other denominator completely.
+    a, b = p1 / p2, p2 / p1
+    r = a * b
+    assert r == ONE and r.is_one()
+    _check_against_fractions(r, mul, a, b)
+
+
+@given(ratfuncs(), ratfuncs(), st.lists(rats, min_size=2, max_size=3).filter(lambda c: c[-1]))
+def test_henrici_matches_full_reduction(a, b, f):
+    # Give both operands the common denominator factor f, then compare with
+    # the result reduced by one gcd of its full numerator and denominator.
+    f = RatFunc(f)
+    a, b = a / f, b / f
+    an, ad, bn, bd = a.num.coeffs, a.den.coeffs, b.num.coeffs, b.den.coeffs
+    x, y = _conv(an, bd), _conv(bn, ad)
+    width = max(len(x), len(y))
+    x, y = x + [0] * (width - len(x)), y + [0] * (width - len(y))
+    den = _conv(ad, bd)
+    assert a + b == RatFunc([p + q for p, q in zip(x, y)], den)
+    assert a - b == RatFunc([p - q for p, q in zip(x, y)], den)
+    assert a * b == RatFunc(_conv(an, bn), den)
+    for r in (a + b, a - b, a * b):
+        _assert_canonical(r)

@@ -37,7 +37,7 @@ from blackbox.lagrel import (
     twist,
 )
 
-from util import rand_corel, rand_form
+from util import gauss_jordan, rand_corel, rand_degenerate_matrix, rand_form
 
 
 def F(x):
@@ -75,6 +75,19 @@ def test_rref_canonical_under_row_mixing():
             c = F(rng.randint(1, 3))
             mixed[a] = [x + c * y for x, y in zip(mixed[a], mixed[b])]
         assert Subspace(m, cols) == Subspace(mixed, cols)
+
+
+def test_rref_matches_first_nonzero_pivot_reference():
+    # rref picks the simplest pivot; the reduced form is unique, so it must
+    # equal plain Gauss-Jordan's, whatever the row order.
+    rng = random.Random(12)
+    for _ in range(60):
+        cols = rng.randint(1, 6)
+        m = rand_degenerate_matrix(rng, rng.randint(1, 4), cols)
+        expected = gauss_jordan(m, cols)
+        assert rref(m, cols) == expected
+        rng.shuffle(m)
+        assert rref(m, cols) == expected
 
 
 def test_nullspace_solves():

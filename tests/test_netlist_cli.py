@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,36 @@ def test_cli_sample_point_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("BLACKBOX_SAMPLE_POINTS", "not a number")
     assert main(["blackbox", net, "--allow-raw-z"]) == 2
+
+
+def test_cli_rejects_bad_sample_points(tmp_path, capsys, monkeypatch):
+    net = _write(tmp_path, "z.net", "nodes: a b\ninputs: a\noutputs: b\nZ a b s+1\n")
+    for raw in ("-1", "0", "1e5000"):
+        monkeypatch.setenv("BLACKBOX_SAMPLE_POINTS", raw)
+        assert main(["blackbox", net, "--allow-raw-z"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "BLACKBOX_SAMPLE_POINTS" in captured.err
+
+
+def test_cli_eval_point_caps(tmp_path, capsys):
+    rlc = _write(tmp_path, "rlc.net", "nodes: a b c\ninputs: a\noutputs: c\n"
+                 "R a b 1\nL b c 2\nC a c 1/3\n")
+    assert main(["eval", rlc, "--at", "1e5000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exponent" in captured.err
+    assert main(["eval", rlc, "--at", "1e3"]) == 0
+    assert capsys.readouterr().out.startswith("columns: ")
+    # A point inside the caps can still give a value with more digits than
+    # the interpreter prints: a degree-6 entry at 10^1000.
+    lines = ["nodes: gnd " + " ".join(f"n{k}" for k in range(7)), "inputs: n0", "outputs: gnd"]
+    lines += [f"R n{k} n{k + 1} 1\nC n{k + 1} gnd 1" for k in range(6)]
+    ladder = _write(tmp_path, "ladder.net", "\n".join(lines) + "\n")
+    code = main(["eval", ladder, "--at", "1e1000"])
+    captured = capsys.readouterr()
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000:
+        assert code == 2 and captured.out == "" and "digits" in captured.err
+    else:
+        assert code == 0 and captured.out.startswith("columns: ")
 
 
 def test_equiv_is_an_equivalence_on_the_corpus(tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation
 from blackbox.dirichlet import DirichletForm
-from blackbox.field import from_rat, impedance
+from blackbox.field import ZERO, from_rat, impedance
 
 
 def rand_rat(rng, lo=1, hi=4):
@@ -80,3 +80,51 @@ def rand_cospan(rng, m, n, apex):
     i_images = [rng.randrange(apex) for _ in range(m)]
     o_images = [rng.randrange(apex) for _ in range(n)]
     return i_images, o_images
+
+
+def gauss_jordan(rows, ncols):
+    """Reduced row-echelon form by plain Gauss-Jordan, taking the first
+    nonzero entry of each column as its pivot; zero rows dropped.  The
+    reference that ``lagrel.rref`` must reproduce exactly."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inv()
+        mat[rank] = [e * inv for e in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return [tuple(r) for r in mat[:rank]]
+
+
+def rand_entry(rng):
+    """Zero, an impedance, or a sum or product of two (degree up to 2)."""
+    pick = rng.random()
+    if pick < 0.3:
+        return ZERO
+    if pick < 0.6:
+        return rand_impedance(rng)
+    if pick < 0.8:
+        return rand_impedance(rng) + rand_impedance(rng)
+    return rand_impedance(rng) * rand_impedance(rng)
+
+
+def rand_degenerate_matrix(rng, rows, cols):
+    """A random matrix over Q(s) with nonconstant entries, made rank
+    deficient by extra combinations of its rows, zero rows and duplicate
+    rows, in shuffled order."""
+    mat = [[rand_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(mat), rng.choice(mat)
+        ca, cb = rand_impedance(rng), rand_entry(rng)
+        mat.append([ca * x + cb * y for x, y in zip(a, b)])
+    mat += [[ZERO] * cols for _ in range(rng.randint(0, 1))]
+    mat += [list(rng.choice(mat)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(mat)
+    return mat
