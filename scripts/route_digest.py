@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""One sha256 per black-box route over the benchmark's circuits.
+
+Every circuit of the three benchmark workloads (``bench/gen.py``), every
+block of their chains and the flat composite of each chain that the
+benchmark also checks goes through the four routes: ``blackbox``,
+``blackbox_categorical``, ``oracle_behavior`` and ``blackbox_fast``.  Each
+route's printed relations, in a fixed order, feed one digest.  A fifth
+digest covers the compositional analysis of every chain: its blocks'
+behaviors folded with ``compose_relations`` (``tensor_relations`` side by
+side, and a mirrored chain composed with its dagger).  Two checkouts whose
+digests agree print byte-identical behaviors on all of it.
+
+    PYTHONPATH=src python3 scripts/route_digest.py --seeds 1,5,7
+"""
+
+import argparse
+import hashlib
+import sys
+from functools import reduce
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
+
+from blackbox import (  # noqa: E402
+    blackbox,
+    blackbox_categorical,
+    blackbox_fast,
+    compose_circuits,
+    compose_relations,
+    dagger_circuit,
+    dagger_relation,
+    oracle_behavior,
+    parse_netlist,
+    tensor_circuits,
+    tensor_relations,
+)
+
+ROUTES = {
+    "blackbox": blackbox,
+    "blackbox_categorical": blackbox_categorical,
+    "oracle_behavior": oracle_behavior,
+    "blackbox_fast": blackbox_fast,
+}
+
+
+def fold(combinator, rels):
+    if combinator == "parallel":
+        return reduce(tensor_relations, rels)
+    rel = reduce(compose_relations, rels)
+    if combinator == "mirror":
+        rel = compose_relations(rel, dagger_relation(rel))
+    return rel
+
+
+def flatten(combinator, blocks):
+    if combinator == "parallel":
+        return reduce(tensor_circuits, blocks)
+    g = reduce(compose_circuits, blocks)
+    if combinator == "mirror":
+        g = compose_circuits(g, dagger_circuit(g))
+    return g
+
+
+def circuits(workload):
+    """(name, circuit) for every circuit, block and checked flat composite."""
+    out = [(net.name, parse_netlist(gen.netlist_text(net))) for net in workload.circuits]
+    for chain in workload.chains:
+        blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
+        out += [(f"{chain.name}/{k}", g) for k, g in enumerate(blocks)]
+        if chain.flat_verbs:
+            out.append((f"{chain.name}/flat", flatten(chain.combinator, blocks)))
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", default="1,5,7", help="comma-separated workload seeds")
+    args = ap.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    digests = {name: hashlib.sha256() for name in [*ROUTES, "compose_folds"]}
+    for seed in seeds:
+        for wname, make in gen.WORKLOADS.items():
+            workload = make(seed)
+            for name, g in circuits(workload):
+                for route, fn in ROUTES.items():
+                    digests[route].update(f"{wname} {seed} {name}\n{fn(g).pretty()}\n".encode())
+            for chain in workload.chains:
+                blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
+                rel = fold(chain.combinator, [blackbox(g) for g in blocks])
+                digests["compose_folds"].update(
+                    f"{wname} {seed} {chain.name}\n{rel.pretty()}\n".encode())
+    for name, h in digests.items():
+        print(f"{name} {h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -159,9 +159,11 @@ def port_relation(form, inputs, outputs):
     then the potentials on the support.  Each support node b contributes the
     Kirchhoff row  sum_{ports p at b} share_p - sum_j 2 c_bj (phi_b - phi_j)
     = 0: the shares of a repeated terminal split the current dQ_b that leaves
-    it, and a node without ports passes no current.  With the shares first,
-    each row of a terminal already leads with a unit pivot, so the one
-    nullspace costs no elimination.  Each basis vector is read as
+    it, and a node without ports passes no current.  A share's column holds
+    a single 1, the simplest entry with a Markowitz product of 0, and the
+    shares take the first columns, so the nullspace's pivot search takes
+    every unit share pivot before any other and a terminal's row costs no
+    elimination.  Each basis vector is read as
     [phi_in, -share_in, phi_out, share_out].
     """
     nodes = form.support

@@ -1,8 +1,9 @@
 """Circuits as cospans of finite sets decorated with impedance-labelled graphs.
 
-Node labels are nonempty whitespace-free strings ordered lexicographically;
-that order fixes canonical representatives everywhere (pushout classes are
-named by their smallest member, so composite circuits are deterministic).
+Node labels are nonempty strings without whitespace or ``#``, ordered
+lexicographically; that order fixes canonical representatives everywhere
+(pushout classes are named by their smallest member, so composite circuits
+are deterministic).
 Ports are positional lists of node labels and may repeat or omit nodes.
 """
 
@@ -16,7 +17,8 @@ from .field import RatFunc
 
 
 def _check_label(label):
-    if not label or any(ch.isspace() for ch in label):
+    # '#' would start a comment in the printed netlist.
+    if not label or "#" in label or any(ch.isspace() for ch in label):
         raise ValueError(f"bad node label {label!r}")
 
 

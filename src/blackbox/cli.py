@@ -136,15 +136,28 @@ def _cmd_eval(args):
     return 0
 
 
+def _first_difference(rel, ref):
+    """Where a behavior first departs from the categorical one: both
+    dimensions if they differ, else the first differing entry."""
+    if rel.sub.dim != ref.sub.dim:
+        return f"dimension {rel.sub.dim}, categorical {ref.sub.dim}"
+    for k, (row, ref_row) in enumerate(zip(rel.sub.rows, ref.sub.rows)):
+        for name, e, ref_e in zip(ref.column_names(), row, ref_row):
+            if e != ref_e:
+                return f"row {k}, column {name}: {e}, categorical {ref_e}"
+    return "port signs"
+
+
 def _check_one(path, args):
     g = _load(path, args)
     ref = blackbox_categorical(g)
-    if blackbox(g) != ref:
-        raise EngineError(f"{path}: elimination route disagrees with the categorical black box")
-    if oracle_behavior(g) != ref:
-        raise EngineError(
-            f"{path}: Kirchhoff/Ohm oracle disagrees with the categorical black box"
-        )
+    for route, name in ((blackbox, "elimination route"), (oracle_behavior, "Kirchhoff/Ohm oracle")):
+        rel = route(g)
+        if rel != ref:
+            raise EngineError(
+                f"{path}: {name} disagrees with the categorical black box "
+                f"({_first_difference(rel, ref)})"
+            )
     half = ref.source.num_ports + ref.target.num_ports
     if ref.sub.dim != half:
         raise EngineError(f"{path}: behavior dimension {ref.sub.dim} != {half}")

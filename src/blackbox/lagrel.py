@@ -17,12 +17,56 @@ Conventions fixed once and for all:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import chain, repeat
+
 from .corel import corel_from_function
 from .dirichlet import gradient
 from .errors import InterfaceMismatch
 from .field import ONE, ZERO
 
 # -- matrices over Q(s) ---------------------------------------------------------
+#
+# Elimination works on sparse rows, {column: entry} dicts holding only the
+# nonzeros; results leave as dense tuples, the form every Subspace stores.
+
+
+def _sparse(rows):
+    """The nonzero rows of a matrix as {column: entry} dicts."""
+    out = []
+    for r in rows:
+        row = {c: e for c, e in enumerate(r) if e}
+        if row:
+            out.append(row)
+    return out
+
+
+def _normalized(row, col):
+    """The row scaled to a 1 at ``col``, with that entry left out."""
+    lead = row.pop(col)
+    if lead.is_one():
+        return row
+    inv = lead.inv()
+    return {c: e * inv for c, e in row.items()}
+
+
+def _add_multiple(row, f, prow):
+    """row += f * prow in place, dropping the entries that cancel; returns
+    the columns where row gained or lost a nonzero."""
+    changed = []
+    for c, b in prow.items():
+        a = row.get(c)
+        if a is None:
+            row[c] = f * b
+            changed.append(c)
+        else:
+            a = a + f * b
+            if a:
+                row[c] = a
+            else:
+                del row[c]
+                changed.append(c)
+    return changed
 
 
 def rref(rows, ncols):
@@ -36,54 +80,90 @@ def rref(rows, ncols):
     column and 0 in the others.  The choice only decides how large the
     intermediate entries get.
     """
-    mat = [list(r) for r in rows if any(r)]
-    rank = 0
+    todo = _sparse(rows)
+    done = []
     for col in range(ncols):
-        candidates = [i for i in range(rank, len(mat)) if mat[i][col]]
-        if not candidates:
-            continue
-        piv = min(candidates, key=lambda i: (mat[i][col].size(), sum(map(bool, mat[i]))))
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        if not lead.is_one():
-            inv = lead.inv()
-            mat[rank] = [e * inv for e in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                row, prow = mat[i], mat[rank]
-                mat[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-        rank += 1
-        if rank == len(mat):
+        if not todo:
             break
-    return [tuple(r) for r in mat[:rank]]
-
-
-def _pivots(rows):
-    out = []
-    for r in rows:
-        for k, e in enumerate(r):
-            if e:
-                out.append(k)
-                break
-    return out
+        live = [i for i, r in enumerate(todo) if col in r]
+        if not live:
+            continue
+        piv = min(live, key=lambda i: (todo[i][col].size(), len(todo[i])))
+        prow = _normalized(todo.pop(piv), col)
+        for row in chain(done, todo):
+            if col in row:
+                _add_multiple(row, -row.pop(col), prow)
+        prow[col] = ONE
+        done.append(prow)
+    return [tuple(map(r.get, range(ncols), repeat(ZERO, ncols))) for r in done]
 
 
 def nullspace(rows, ncols):
-    """A canonical basis of {x : M x = 0} for the matrix with the given rows."""
-    red = rref(rows, ncols)
-    piv = _pivots(red)
-    piv_set = set(piv)
+    """A basis of {x : M x = 0} for the matrix with the given rows.
+
+    One sparse Gauss-Jordan loop.  Each step takes as its pivot, among all
+    entries of the rows not yet pivoted, the one that minimizes (stored
+    coefficients, Markowitz product (r - 1)(c - 1), column).  Here r counts
+    the nonzeros of the entry's row and c those of its column in all rows,
+    finished ones included, since Gauss-Jordan updates those too; the
+    product bounds the fill the step can create.  The basis depends on these
+    choices, the subspace does not; every caller canonicalizes it through
+    ``Subspace``.
+    """
+    mat = _sparse(rows)
+    holders = [set() for _ in range(ncols)]  # the rows with a nonzero there
+    for i, row in enumerate(mat):
+        for c in row:
+            holders[c].add(i)
+    # Each unpivoted row keeps its best pivot key in the heap.  A row's key
+    # is recomputed, and the old heap entry made stale, whenever the row or
+    # the count of one of its columns changes.
+    stamp = [0] * len(mat)
+    heap = []
+
+    def push(i):
+        stamp[i] += 1
+        row = mat[i]
+        if row:
+            r = len(row) - 1
+            key = min((e.size(), r * (len(holders[c]) - 1), c) for c, e in row.items())
+            heappush(heap, (key, i, stamp[i]))
+
+    for i in range(len(mat)):
+        push(i)
+    pivot_of = {}  # finished row -> its pivot column
+    while heap:
+        (_, _, col), p, st = heappop(heap)
+        if st != stamp[p]:
+            continue
+        prow = mat[p] = _normalized(mat[p], col)
+        touched = holders[col]
+        touched.discard(p)
+        recount = set()  # columns whose count changed
+        for i in touched:
+            row = mat[i]
+            for c in _add_multiple(row, -row.pop(col), prow):
+                if c in row:
+                    holders[c].add(i)
+                else:
+                    holders[c].discard(i)
+                recount.add(c)
+        dirty = touched.union(*(holders[c] for c in recount))
+        prow[col] = ONE
+        holders[col] = {p}
+        pivot_of[p] = col
+        for i in dirty:
+            if i not in pivot_of:
+                push(i)
+    pivots = set(pivot_of.values())
     basis = []
     for free in range(ncols):
-        if free in piv_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, p in zip(red, piv):
-            if r[free]:
-                vec[p] = -r[free]
-        basis.append(tuple(vec))
+        if free not in pivots:
+            vec = [ZERO] * ncols
+            vec[free] = ONE
+            for i in holders[free]:
+                vec[pivot_of[i]] = -mat[i][free]
+            basis.append(tuple(vec))
     return basis
 
 

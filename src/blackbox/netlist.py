@@ -9,6 +9,8 @@
     Z a b (s^2+1)/(s+2)   raw impedance; needs allow_raw_z and must sample
                           positive on the grid
     W a b                 ideal wire: merges the two nodes (not an edge)
+
+Node labels cannot contain ``#``, so every printed netlist parses back.
 """
 
 from __future__ import annotations

@@ -37,7 +37,14 @@ from blackbox.lagrel import (
     twist,
 )
 
-from util import gauss_jordan, rand_corel, rand_degenerate_matrix, rand_form
+from util import (
+    gauss_jordan,
+    rand_corel,
+    rand_degenerate_matrix,
+    rand_form,
+    rand_oracle_matrix,
+    reference_nullspace,
+)
 
 
 def F(x):
@@ -88,6 +95,13 @@ def test_rref_matches_first_nonzero_pivot_reference():
         assert rref(m, cols) == expected
         rng.shuffle(m)
         assert rref(m, cols) == expected
+    # Wide and very sparse, as the oracle's systems are.
+    for _ in range(30):
+        m = rand_oracle_matrix(rng)
+        cols = len(m[0])
+        expected = gauss_jordan(m, cols)
+        assert rref(m, cols) == expected
+        assert rref(m[::-1], cols) == expected
 
 
 def test_nullspace_solves():
@@ -103,6 +117,28 @@ def test_nullspace_solves():
                 for a, b in zip(row, vec):
                     acc = acc + a * b
                 assert acc == ZERO
+
+
+def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
+    # nullspace picks its pivots over rows and columns, so its basis may
+    # differ from the canonical one; the solution space may not.
+    rng = random.Random(21)
+    for _ in range(30):
+        m = rand_oracle_matrix(rng)
+        cols = len(m[0])
+        rank = len(gauss_jordan(m, cols))
+        expected = Subspace(reference_nullspace(m, cols), cols)
+        for rows in (m, m[::-1]):
+            basis = nullspace(rows, cols)
+            assert len(basis) == cols - rank
+            for vec in basis:
+                for row in m:
+                    acc = ZERO
+                    for a, b in zip(row, vec):
+                        if a and b:
+                            acc = acc + a * b
+                    assert acc == ZERO
+            assert Subspace(basis, cols) == expected
 
 
 def test_is_lagrangian_examples():

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blackbox import cli
 from blackbox.cli import main
@@ -12,7 +14,8 @@ from blackbox.errors import (
     ParseError,
     UnknownNode,
 )
-from blackbox.field import MAX_DIGITS, MAX_EXPONENT, parse_ratfunc
+from blackbox.circuits import circuit
+from blackbox.field import MAX_DIGITS, MAX_EXPONENT, impedance, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
 from util import rand_circuit
@@ -140,6 +143,30 @@ def test_print_round_trip_random():
         assert parse_netlist(print_netlist(g)) == g
 
 
+def test_a_label_with_a_comment_mark_is_rejected():
+    # Printed, "a#b" would cut its netlist line short at the comment.
+    with pytest.raises(ValueError, match="bad node label 'a#b'"):
+        circuit(["a#b", "z"], [("a#b", "z", impedance("R", 1))], ["a#b"], ["z"])
+
+
+@given(st.data())
+def test_print_parse_round_trip_of_odd_labels(data):
+    labels = data.draw(st.lists(st.text("abzXY09'~:-éΩ#", min_size=1, max_size=4),
+                                min_size=1, max_size=5, unique=True))
+    node = st.sampled_from(labels)
+    edges = [(a, b, impedance(kind, Fraction(num, den))) for a, b, kind, num, den in data.draw(
+        st.lists(st.tuples(node, node, st.sampled_from("RLC"), st.integers(1, 4),
+                           st.integers(1, 3)), max_size=4))]
+    inputs = data.draw(st.lists(node, max_size=2))
+    outputs = data.draw(st.lists(node, max_size=2))
+    if any("#" in lab for lab in labels):
+        with pytest.raises(ValueError, match="bad node label"):
+            circuit(labels, edges, inputs, outputs)
+    else:
+        g = circuit(labels, edges, inputs, outputs)
+        assert parse_netlist(print_netlist(g)) == g
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -237,6 +264,24 @@ def test_cli_check_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     assert main(["check", series]) == 2
     assert "Kirchhoff/Ohm oracle disagrees with the categorical black box" in (
         capsys.readouterr().err
+    )
+
+
+def test_cli_check_names_the_first_differing_entry(tmp_path, capsys, monkeypatch):
+    resistor = _write(tmp_path, "r2.net", RESISTOR_2)
+    three_ohms = cli.blackbox(parse_netlist(RESISTOR_2.replace("R a c 2", "R a c 3")))
+    monkeypatch.setattr(cli, "oracle_behavior", lambda g: three_ohms)
+    assert main(["check", resistor]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {resistor}: Kirchhoff/Ohm oracle disagrees with the categorical "
+        "black box (row 1, column phi(y0): 3, categorical 2)\n"
+    )
+    two_inputs = cli.blackbox(parse_netlist(RESISTOR_2.replace("inputs: a", "inputs: a a")))
+    monkeypatch.setattr(cli, "oracle_behavior", lambda g: two_inputs)
+    assert main(["check", resistor]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {resistor}: Kirchhoff/Ohm oracle disagrees with the categorical "
+        "black box (dimension 3, categorical 2)\n"
     )
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation
 from blackbox.dirichlet import DirichletForm
-from blackbox.field import ZERO, from_rat, impedance
+from blackbox.field import ONE, ZERO, from_rat, impedance
 
 
 def rand_rat(rng, lo=1, hi=4):
@@ -101,6 +101,60 @@ def gauss_jordan(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return [tuple(r) for r in mat[:rank]]
+
+
+def reference_nullspace(rows, ncols):
+    """The canonical nullspace basis read off ``gauss_jordan``: one vector
+    per free column, with a 1 there and minus that column of the reduced
+    rows at their pivots."""
+    red = gauss_jordan(rows, ncols)
+    pivots = [next(k for k, e in enumerate(r) if e) for r in red]
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [ZERO] * ncols
+            vec[free] = ONE
+            for r, p in zip(red, pivots):
+                vec[p] = -r[free]
+            basis.append(vec)
+    return basis
+
+
+def rand_oracle_matrix(rng):
+    """A wide, very sparse matrix shaped like the Kirchhoff/Ohm oracle's,
+    with 10-40 columns: node potentials, edge currents and port shares.
+    Each edge gives an Ohm row (its impedance and +-1 at its two ends),
+    each node a current-law row of +-1 incidences.  Zero rows and duplicate
+    rows make it more rank deficient, and the rows come shuffled."""
+    while True:
+        nn, ne, np_ = rng.randint(2, 12), rng.randint(1, 24), rng.randint(0, 3)
+        if 10 <= nn + ne + np_ <= 40:
+            break
+    width = nn + ne + np_
+    ends = [(rng.randrange(nn), rng.randrange(nn)) for _ in range(ne)]
+    ports = [rng.randrange(nn) for _ in range(np_)]
+    mat = []
+    for k, (a, b) in enumerate(ends):
+        row = [ZERO] * width
+        row[nn + k] = rand_impedance(rng)
+        row[a] = row[a] + ONE
+        row[b] = row[b] - ONE
+        mat.append(row)
+    for x in range(nn):
+        row = [ZERO] * width
+        for k, (a, b) in enumerate(ends):
+            if b == x:
+                row[nn + k] = row[nn + k] + ONE
+            if a == x:
+                row[nn + k] = row[nn + k] - ONE
+        for p, at in enumerate(ports):
+            if at == x:
+                row[nn + ne + p] = -ONE
+        mat.append(row)
+    mat += [[ZERO] * width for _ in range(rng.randint(0, 2))]
+    mat += [list(rng.choice(mat)) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(mat)
+    return mat
 
 
 def rand_entry(rng):
