@@ -109,8 +109,8 @@ def compose_lagr_cospans(a, b):
     na, nt = len(a.nodes), len(a.nodes) + len(b.nodes)
     cols_a = [*range(na), *range(nt, nt + na)]
     cols_b = [*range(na, nt), *range(nt + na, 2 * nt)]
-    rows = [embed(r, cols_a, 2 * nt) for r in a.sub.rows]
-    rows += [embed(r, cols_b, 2 * nt) for r in b.sub.rows]
+    rows = [embed(r, cols_a) for r in a.sub.sparse]
+    rows += [embed(r, cols_b) for r in b.sub.sparse]
     f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
     pushed = pushforward_lagrangian(f, range(nt), Subspace(rows, 2 * nt), nodes)
     return LagrCospan(
@@ -128,7 +128,7 @@ def _behavior_from_name(rel, m, n):
     """Reread a relation 0 -> conj(V_X) (+) V_Y as a relation V_X -> V_Y."""
     # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
-    rows = [embed(r, cols, 2 * (m + n)) for r in rel.sub.rows]
+    rows = [embed(r, cols) for r in rel.sub.sparse]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
 
 
@@ -168,27 +168,32 @@ def port_relation(form, inputs, outputs):
     """
     nodes = form.support
     m, n = len(inputs), len(outputs)
-    width = m + n + len(nodes)
     col = {lab: m + n + x for x, lab in enumerate(nodes)}
-    rows = {lab: [ZERO] * width for lab in nodes}
+    rows = {lab: {} for lab in nodes}
     for (i, j), c in form.coeffs.items():
         a, b, t = col[i], col[j], 2 * c
-        rows[i][a] = rows[i][a] - t
-        rows[i][b] = rows[i][b] + t
-        rows[j][b] = rows[j][b] - t
-        rows[j][a] = rows[j][a] + t
+        rows[i][a] = rows[i].get(a, ZERO) - t
+        rows[i][b] = rows[i].get(b, ZERO) + t
+        rows[j][b] = rows[j].get(b, ZERO) - t
+        rows[j][a] = rows[j].get(a, ZERO) + t
     for p, lab in enumerate(tuple(inputs) + tuple(outputs)):
         if lab not in rows:
             raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
         rows[lab][p] = ONE
-    out_rows = []
-    for vec in nullspace(list(rows.values()), width):
-        out_rows.append(
-            [vec[col[p]] for p in inputs]
-            + [-vec[p] for p in range(m)]
-            + [vec[col[p]] for p in outputs]
-            + [vec[m + p] for p in range(n)]
-        )
+    cols = [col[p] for p in inputs] + [col[p] for p in outputs]
+    vecs = nullspace(list(rows.values()), m + n + len(nodes))
+    return _port_behavior(vecs, cols, range(m + n), m)
+
+
+def _port_behavior(vecs, phi_cols, cur_cols, m):
+    """The relation V_X -> V_Y spanned by the rows
+    [phi in, -current in, phi out, current out] read off solution vectors:
+    the potential of port k at ``phi_cols[k]``, its current at
+    ``cur_cols[k]``, inputs (the first m) first."""
+    n = len(phi_cols) - m
+    src = [*phi_cols[:m], *cur_cols[:m], *phi_cols[m:], *cur_cols[m:]]
+    out_rows = [{k: -vec[c] if m <= k < 2 * m else vec[c] for k, c in enumerate(src) if vec[c]}
+                for vec in vecs]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), out_rows)
 
 
@@ -224,40 +229,24 @@ def oracle_behavior(g):
     nodes = g.graph.nodes
     edges = g.graph.edges
     ports = list(g.inputs) + list(g.outputs)
-    boundary = set(g.boundary)
-    nn, ne, np_ = len(nodes), len(edges), len(ports)
+    nn, ne = len(nodes), len(edges)
     node_at = {lab: k for k, lab in enumerate(nodes)}
-    width = nn + ne + np_
 
-    rows = []
+    ohm = []
+    kcl = {lab: {} for lab in nodes}
     for k, (src, tgt, z) in enumerate(edges):
-        row = [ZERO] * width
-        row[nn + k] = z
-        row[node_at[src]] = row[node_at[src]] + ONE
-        row[node_at[tgt]] = row[node_at[tgt]] - ONE
-        rows.append(row)
-    for lab in nodes:
-        row = [ZERO] * width
-        for k, (src, tgt, _) in enumerate(edges):
-            if tgt == lab:
-                row[nn + k] = row[nn + k] + ONE
-            if src == lab:
-                row[nn + k] = row[nn + k] - ONE
-        if lab in boundary:
-            for p, plab in enumerate(ports):
-                if plab == lab:
-                    row[nn + ne + p] = row[nn + ne + p] - ONE
-        rows.append(row)
+        a, b, c = node_at[src], node_at[tgt], nn + k
+        row = {c: z, a: ONE}
+        row[b] = row.get(b, ZERO) - ONE
+        ohm.append(row)
+        kcl[tgt][c] = ONE
+        kcl[src][c] = kcl[src].get(c, ZERO) - ONE
+    for p, lab in enumerate(ports):
+        kcl[lab][nn + ne + p] = -ONE
 
-    m, n = len(g.inputs), len(g.outputs)
-    out_rows = []
-    for vec in nullspace(rows, width):
-        phi_in = [vec[node_at[p]] for p in g.inputs]
-        cur_in = [-vec[nn + ne + k] for k in range(m)]
-        phi_out = [vec[node_at[p]] for p in g.outputs]
-        cur_out = [vec[nn + ne + m + k] for k in range(n)]
-        out_rows.append(phi_in + cur_in + phi_out + cur_out)
-    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), out_rows)
+    vecs = nullspace(ohm + list(kcl.values()), nn + ne + len(ports))
+    cols = [node_at[p] for p in ports]
+    return _port_behavior(vecs, cols, range(nn + ne, nn + ne + len(ports)), len(g.inputs))
 
 
 def equivalent(g1, g2):

@@ -12,7 +12,9 @@ Conventions fixed once and for all:
   [phi source, iota source, phi target, iota target]; isotropy is checked
   against -omega_1 + omega_2.
 * Subspaces are kept in reduced row-echelon form, which is unique, so
-  structural equality is subspace equality.
+  structural equality is subspace equality.  Its rows are stored sparse, as
+  {column: entry} dicts holding only the nonzeros; ``Subspace.rows`` is the
+  dense tuple view, built on first use.
 """
 
 from __future__ import annotations
@@ -27,15 +29,20 @@ from .field import ONE, ZERO
 
 # -- matrices over Q(s) ---------------------------------------------------------
 #
-# Elimination works on sparse rows, {column: entry} dicts holding only the
-# nonzeros; results leave as dense tuples, the form every Subspace stores.
+# Rows are sparse, {column: entry} dicts holding only the nonzeros; a row
+# may also arrive as a dense sequence.  Only ``nullspace`` returns dense rows.
+
+
+def _items(row):
+    """The (column, entry) pairs of a sparse or dense row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def _sparse(rows):
-    """The nonzero rows of a matrix as {column: entry} dicts."""
+    """The nonzero rows of a matrix as fresh {column: entry} dicts."""
     out = []
     for r in rows:
-        row = {c: e for c, e in enumerate(r) if e}
+        row = {c: e for c, e in _items(r) if e}
         if row:
             out.append(row)
     return out
@@ -70,7 +77,8 @@ def _add_multiple(row, f, prow):
 
 
 def rref(rows, ncols):
-    """Unique reduced row-echelon form; zero rows dropped.
+    """Unique reduced row-echelon form of dense or sparse rows, as sparse
+    rows in pivot order, each holding its pivot 1; zero rows dropped.
 
     The pivot of each column is the row whose entry there is simplest (the
     fewest stored coefficients), ties going to the row with the fewest
@@ -95,7 +103,7 @@ def rref(rows, ncols):
                 _add_multiple(row, -row.pop(col), prow)
         prow[col] = ONE
         done.append(prow)
-    return [tuple(map(r.get, range(ncols), repeat(ZERO, ncols))) for r in done]
+    return done
 
 
 def nullspace(rows, ncols):
@@ -167,32 +175,39 @@ def nullspace(rows, ncols):
     return basis
 
 
-def embed(entries, cols, width):
-    """A row of ``width`` zeros with ``entries[k]`` placed at column ``cols[k]``."""
-    row = [ZERO] * width
-    for c, e in zip(cols, entries):
-        row[c] = e
-    return row
+def embed(row, cols):
+    """The sparse row with the nonzero entry of a sparse or dense ``row``
+    at column k moved to column ``cols[k]``."""
+    return {cols[c]: e for c, e in _items(row) if e}
 
 
 class Subspace:
-    """A linear subspace stored as its reduced row-echelon generator matrix."""
+    """A linear subspace stored as its reduced row-echelon generator matrix:
+    ``sparse`` holds the rows as {column: entry} dicts, ``rows`` as tuples."""
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("ncols", "sparse", "_rows")
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
-        self.rows = tuple(rref(rows, ncols))
+        self.sparse = rref(rows, ncols)
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            n = self.ncols
+            self._rows = tuple(tuple(map(r.get, range(n), repeat(ZERO, n))) for r in self.sparse)
+        return self._rows
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.sparse)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
@@ -254,17 +269,6 @@ class SymplSpace:
         return [(x, n + x, self.signs[x]) for x in range(n)]
 
 
-def _omega(u, v, pairing):
-    acc = ZERO
-    for phi, iota, sgn in pairing:
-        t = v[iota] * u[phi] if v[iota] and u[phi] else ZERO
-        if u[iota] and v[phi]:
-            t = t - u[iota] * v[phi]
-        if t:
-            acc = acc + (t if sgn > 0 else -t)
-    return acc
-
-
 def _relation_pairing(source, target):
     """Column pairing for [phi src, iota src, phi tgt, iota tgt] layout,
     with source signs flipped (the conjugate side of the ambient)."""
@@ -284,11 +288,23 @@ def port_space(count, prefix="x"):
 def _isotropic_half(sub, pairing, half):
     if sub.dim != half:
         return False
-    rows = sub.rows
-    # omega(u, u) = 0 for every u, so only distinct pairs are checked.
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if _omega(rows[a], rows[b], pairing):
+    # omega(u, v) sums sign * u[c] * v[partner of c] over the nonzeros c of u,
+    # the sign being that of the port for a potential, the opposite for a
+    # current.  omega(u, u) = 0 for every u, so only distinct pairs are checked.
+    partner = {}
+    for phi, iota, sgn in pairing:
+        partner[phi] = (iota, sgn > 0)
+        partner[iota] = (phi, sgn < 0)
+    rows = sub.sparse
+    for a, u in enumerate(rows):
+        terms = [(e, *partner[c]) for c, e in u.items()]
+        for v in rows[a + 1:]:
+            acc = ZERO
+            for e, p, plus in terms:
+                f = v.get(p)
+                if f is not None:
+                    acc = acc + e * f if plus else acc - e * f
+            if acc:
                 return False
     return True
 
@@ -357,7 +373,7 @@ class LagrangianRelation:
 
 def subspace_as_relation(sub, space):
     """Read a Lagrangian subspace of V as its name, a relation 0 -> V."""
-    return LagrangianRelation(EMPTY_SPACE, space, sub.rows, _sub=sub)
+    return LagrangianRelation(EMPTY_SPACE, space, sub.sparse, _sub=sub)
 
 
 def _matching_rows(m, other, shift, sign=ONE):
@@ -367,8 +383,8 @@ def _matching_rows(m, other, shift, sign=ONE):
     rows = []
     for x in range(m):
         y = other + x
-        rows.append(embed((ONE, ONE), (x, y), 4 * m))
-        rows.append(embed((ONE, sign), (shift + x, shift + y), 4 * m))
+        rows.append({x: ONE, y: ONE})
+        rows.append({shift + x: ONE, shift + y: sign})
     return rows
 
 
@@ -399,19 +415,6 @@ def cap_relation(space):
     return LagrangianRelation(src, EMPTY_SPACE, _matching_rows(m, m, 2 * m))
 
 
-def _lincomb(coeffs, rows, lo, hi):
-    width = hi - lo
-    acc = [ZERO] * width
-    for c, row in zip(coeffs, rows):
-        if not c:
-            continue
-        for k in range(width):
-            e = row[lo + k]
-            if e:
-                acc[k] = acc[k] + c * e
-    return acc
-
-
 def compose_relations(first, second):
     """The relational composite, via an exact solve on the shared coordinates.
 
@@ -426,22 +429,33 @@ def compose_relations(first, second):
         )
     a2 = first.source.dim
     b2 = first.target.dim
-    c2 = second.target.dim
-    g = first.sub.rows
-    h = second.sub.rows
     # Columns of the constraint matrix: one per stacked generator; rows: one
     # per shared coordinate.  Solve x . vstack(G|shared, -H|shared) = 0.
-    constraint = []
-    for k in range(b2):
-        row = [grow[a2 + k] for grow in g]
-        row += [-hrow[k] if hrow[k] else ZERO for hrow in h]
-        constraint.append(row)
+    # The rest of each generator, moved to the composite's columns, is what
+    # the solutions combine.
+    constraint = [{} for _ in range(b2)]
+    outer = []
+    for j, grow in enumerate(first.sub.sparse):
+        outer.append({})
+        for c, e in grow.items():
+            if c < a2:
+                outer[j][c] = e
+            else:
+                constraint[c - a2][j] = e
+    for j, hrow in enumerate(second.sub.sparse, len(outer)):
+        outer.append({})
+        for c, e in hrow.items():
+            if c < b2:
+                constraint[c][j] = -e
+            else:
+                outer[j][a2 - b2 + c] = e
     out_rows = []
-    for vec in nullspace(constraint, len(g) + len(h)):
-        alpha, beta = vec[: len(g)], vec[len(g) :]
-        out_rows.append(
-            _lincomb(alpha, g, 0, a2) + _lincomb(beta, h, b2, b2 + c2)
-        )
+    for vec in nullspace(constraint, len(outer)):
+        row = {}
+        for f, part in zip(vec, outer):
+            if f:
+                _add_multiple(row, f, part)
+        out_rows.append(row)
     return LagrangianRelation(first.source, second.target, out_rows)
 
 
@@ -452,7 +466,6 @@ def tensor_relations(first, second):
     src = s1.oplus(s2)
     tgt = t1.oplus(t2)
     m1, m, n1, n = s1.num_ports, src.num_ports, t1.num_ports, tgt.num_ports
-    width = 2 * (m + n)
 
     def cols(xs, ys):
         # Where a summand's columns [phi xs, iota xs, phi ys, iota ys] land.
@@ -460,8 +473,8 @@ def tensor_relations(first, second):
 
     cols1 = cols(range(m1), range(n1))
     cols2 = cols(range(m1, m), range(n1, n))
-    rows = [embed(r, cols1, width) for r in first.sub.rows]
-    rows += [embed(r, cols2, width) for r in second.sub.rows]
+    rows = [embed(r, cols1) for r in first.sub.sparse]
+    rows += [embed(r, cols2) for r in second.sub.sparse]
     return LagrangianRelation(src, tgt, rows)
 
 
@@ -474,13 +487,11 @@ def dagger_relation(rel):
     would not match the behavior of the reversed circuit.
     """
     m, n = rel.source.num_ports, rel.target.num_ports
-    rows = [
-        r[2 * m : 2 * m + n]
-        + tuple(-e if e else e for e in r[2 * m + n :])
-        + r[:m]
-        + tuple(-e if e else e for e in r[m : 2 * m])
-        for r in rel.sub.rows
-    ]
+    # [phi src, iota src, phi tgt, iota tgt] -> [phi tgt, iota tgt, phi src, iota src]
+    cols = [*range(2 * n, 2 * (n + m)), *range(2 * n)]
+    currents = {*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))}
+    rows = [{cols[c]: -e if c in currents else e for c, e in r.items()}
+            for r in rel.sub.sparse]
     return LagrangianRelation(rel.target, rel.source, rows)
 
 
@@ -504,19 +515,17 @@ def graph_of_differential(form):
 
 
 def _phi_generators(corel):
-    m, n = corel.left_size, corel.right_size
+    m = corel.left_size
     # Port k of X+Y has its potential at column k (X) or m + k (Y).
-    return [embed([ONE] * len(block), [k if k < m else m + k for k in block], 2 * (m + n))
-            for block in corel.blocks]
+    return [{k if k < m else m + k: ONE for k in block} for block in corel.blocks]
 
 
 def _current_generators(corel):
     m, n = corel.left_size, corel.right_size
-    constraint = [embed([ONE if k < m else -ONE for k in block], block, m + n)
-                  for block in corel.blocks]
+    constraint = [{k: ONE if k < m else -ONE for k in block} for block in corel.blocks]
     # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).
     cols = [m + k if k < m else m + n + k for k in range(m + n)]
-    return [embed(vec, cols, 2 * (m + n)) for vec in nullspace(constraint, m + n)]
+    return [embed(vec, cols) for vec in nullspace(constraint, m + n)]
 
 
 def symplectify_potentials(corel):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blackbox.behavior import blackbox
 from blackbox.corel import (
     Corelation,
     cap_corelation,
@@ -38,11 +39,15 @@ from blackbox.lagrel import (
 )
 
 from util import (
+    dense,
     gauss_jordan,
+    rand_circuit,
     rand_corel,
     rand_degenerate_matrix,
+    rand_entry,
     rand_form,
     rand_oracle_matrix,
+    reference_lagrangian,
     reference_nullspace,
 )
 
@@ -60,14 +65,15 @@ def _rand_matrix(rng, rows, cols):
 
 def test_rref_examples():
     ident = [[ONE, ZERO], [ZERO, ONE]]
-    assert rref(ident, 2) == [tuple(r) for r in ident]
+    assert dense(rref(ident, 2), 2) == [tuple(r) for r in ident]
     proportional = [[F(2), F(4)], [F(3), F(6)]]
-    assert rref(proportional, 2) == [(ONE, F(2))]
+    assert dense(rref(proportional, 2), 2) == [(ONE, F(2))]
     rng = random.Random(1)
     for _ in range(20):
         m = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        once = rref(m, len(m[0]))
-        assert rref(once, len(m[0])) == once
+        cols = len(m[0])
+        once = dense(rref(m, cols), cols)
+        assert dense(rref(once, cols), cols) == once
 
 
 def test_rref_canonical_under_row_mixing():
@@ -82,6 +88,21 @@ def test_rref_canonical_under_row_mixing():
             c = F(rng.randint(1, 3))
             mixed[a] = [x + c * y for x, y in zip(mixed[a], mixed[b])]
         assert Subspace(m, cols) == Subspace(mixed, cols)
+        assert hash(Subspace(m, cols)) == hash(Subspace(mixed, cols))
+
+
+def test_explicit_zeros_in_sparse_rows_are_dropped():
+    # A zero stored in a sparse row must not be taken for a pivot or kept as
+    # an entry: the subspace is the one the dense rows give.
+    rng = random.Random(22)
+    for _ in range(30):
+        cols = rng.randint(1, 5)
+        m = rand_degenerate_matrix(rng, rng.randint(1, 4), cols)
+        as_dicts = [{c: e for c, e in enumerate(r) if e or rng.random() < 0.5} for r in m]
+        sub = Subspace(as_dicts, cols)
+        assert sub == Subspace(m, cols)
+        assert sub.rows == tuple(gauss_jordan(m, cols))
+        assert all(e for r in sub.sparse for e in r.values())
 
 
 def test_rref_matches_first_nonzero_pivot_reference():
@@ -92,16 +113,16 @@ def test_rref_matches_first_nonzero_pivot_reference():
         cols = rng.randint(1, 6)
         m = rand_degenerate_matrix(rng, rng.randint(1, 4), cols)
         expected = gauss_jordan(m, cols)
-        assert rref(m, cols) == expected
+        assert dense(rref(m, cols), cols) == expected
         rng.shuffle(m)
-        assert rref(m, cols) == expected
+        assert dense(rref(m, cols), cols) == expected
     # Wide and very sparse, as the oracle's systems are.
     for _ in range(30):
         m = rand_oracle_matrix(rng)
         cols = len(m[0])
         expected = gauss_jordan(m, cols)
-        assert rref(m, cols) == expected
-        assert rref(m[::-1], cols) == expected
+        assert dense(rref(m, cols), cols) == expected
+        assert dense(rref(m[::-1], cols), cols) == expected
 
 
 def test_nullspace_solves():
@@ -156,6 +177,105 @@ def test_is_lagrangian_examples():
         labels = [f"q{k}" for k in range(rng.randint(1, 4))]
         q = rand_form(rng, labels)
         assert is_lagrangian(graph_of_differential(q), SymplSpace(labels))
+
+
+def _accepted(source, target, rows):
+    try:
+        LagrangianRelation(source, target, rows)
+    except ValueError:
+        return False
+    return True
+
+
+def _relation_pairing(source, target):
+    # [phi src, iota src, phi tgt, iota tgt], source signs flipped.
+    m, n = source.num_ports, target.num_ports
+    return ([(k, m + k, -s) for k, s in enumerate(source.signs)]
+            + [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target.signs)])
+
+
+def _negate_columns(rows, cols):
+    # Negating a port's current column maps a port space to its conjugate
+    # at that port.
+    out = [list(r) for r in rows]
+    for r in out:
+        for c in cols:
+            r[c] = -r[c]
+    return out
+
+
+def test_isotropy_check_matches_the_dense_reference():
+    # The rows phi_k + sum_j sign_j S_kj iota_j are already reduced, and
+    # omega(row_k, row_l) = S_lk - S_kl whatever the signs, so they are
+    # isotropic iff S is symmetric.  Breaking the symmetry at (a, b) with
+    # b >= a + 2 leaves one offending pair of rows, and not an adjacent one.
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(40):
+        d = rng.randint(3, 5)
+        signs = [rng.choice((1, -1)) for _ in range(d)]
+        space = SymplSpace([f"p{k}" for k in range(d)], signs)
+        pairing = [(k, d + k, s) for k, s in enumerate(signs)]
+        sym = {}
+        for k in range(d):
+            for j in range(k, d):
+                sym[k, j] = sym[j, k] = rand_entry(rng)
+        a = rng.randrange(d - 2)
+        b = rng.randrange(a + 2, d)
+        broken = dict(sym)
+        broken[a, b] = broken[a, b] + ONE
+        for s_mat in (sym, broken):
+            rows = [[ONE if j == k else ZERO for j in range(d)]
+                    + [signs[j] * s_mat[k, j] for j in range(d)] for k in range(d)]
+            mixed = [list(r) for r in rows]
+            rng.shuffle(mixed)
+            c = rand_entry(rng)
+            mixed[0] = [x + c * y for x, y in zip(mixed[0], mixed[-1])]
+            extra = [ONE if j == d + rng.randrange(d) else ZERO for j in range(2 * d)]
+            for cand in (rows, mixed, rows[:-1], rows + [extra]):
+                expected = reference_lagrangian(cand, 2 * d, pairing)
+                assert is_lagrangian(Subspace(cand, 2 * d), space) == expected
+                seen.add((s_mat is sym, len(cand) == d, expected))
+            # The same rows as a relation: the first m ports are the
+            # source, whose signs the relation's ambient flips.
+            m = rng.randint(0, d)
+            src = SymplSpace([f"x{k}" for k in range(m)], [-s for s in signs[:m]])
+            tgt = SymplSpace([f"y{k}" for k in range(d - m)], signs[m:])
+            order = [*range(m), *range(d, d + m), *range(m, d), *range(d + m, 2 * d)]
+            rel_rows = [[r[c] for c in order] for r in mixed]
+            expected = reference_lagrangian(rel_rows, 2 * d, _relation_pairing(src, tgt))
+            assert _accepted(src, tgt, rel_rows) == expected
+            assert expected == (s_mat is sym)
+    # Graphs of differentials and black-box relations, under random port
+    # signs, with the currents of the flipped ports negated or not.
+    for _ in range(40):
+        if rng.random() < 0.5:
+            labels = [f"q{k}" for k in range(rng.randint(1, 4))]
+            d = len(labels)
+            sub = graph_of_differential(rand_form(rng, labels))
+            signs = [rng.choice((1, -1)) for _ in range(d)]
+            flips = [s < 0 and rng.random() < 0.7 for s in signs]
+            rows = _negate_columns(sub.rows, [d + x for x, f in enumerate(flips) if f])
+            expected = reference_lagrangian(rows, 2 * d, [(k, d + k, s) for k, s in enumerate(signs)])
+            assert is_lagrangian(Subspace(rows, 2 * d), SymplSpace(labels, signs)) == expected
+            seen.add(("graph", all(s > 0 or f for s, f in zip(signs, flips)), expected))
+        else:
+            rel = blackbox(rand_circuit(rng, max_nodes=4, max_edges=4))
+            m, n = rel.source.num_ports, rel.target.num_ports
+            src_signs = [rng.choice((1, -1)) for _ in range(m)]
+            tgt_signs = [rng.choice((1, -1)) for _ in range(n)]
+            flips = [s < 0 and rng.random() < 0.7 for s in src_signs + tgt_signs]
+            at = [*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
+            rows = _negate_columns(rel.sub.rows, [c for c, f in zip(at, flips) if f])
+            src, tgt = SymplSpace(rel.source.labels, src_signs), SymplSpace(rel.target.labels, tgt_signs)
+            expected = reference_lagrangian(rows, 2 * (m + n), _relation_pairing(src, tgt))
+            assert _accepted(src, tgt, rows) == expected
+            seen.add(("behavior", all(s > 0 or f for s, f in zip(src_signs + tgt_signs, flips)), expected))
+    # Every kind of case came up: isotropic of half dimension, broken at one
+    # non-adjacent pair, of the wrong dimension, and the conjugated ones.
+    assert {(True, True, True), (False, True, False), (True, False, False)} <= seen
+    assert {("graph", True, True), ("graph", False, False)} <= seen
+    assert {("behavior", True, True), ("behavior", False, False)} <= seen
 
 
 def test_graph_of_differential_examples():
@@ -215,6 +335,42 @@ def test_construction_rejects_non_lagrangian_generators():
     ]
     with pytest.raises(ValueError):
         LagrangianRelation(v, v, non_isotropic)
+
+
+def test_compose_with_a_projected_entry_that_cancels():
+    # An open port x and a wire pair y0-y1 that carries current t out of y0
+    # and -t out of y1, fed into a node joining both inputs to the output:
+    # its current t - t cancels, leaving open ports on both sides.
+    first = LagrangianRelation(port_space(1, "x"), port_space(2, "y"), [
+        [ONE, ZERO, ZERO, ZERO, ZERO, ZERO],
+        [ZERO, ZERO, ONE, ONE, ZERO, ZERO],
+        [ZERO, ZERO, ZERO, ZERO, ONE, -ONE],
+    ])
+    second = LagrangianRelation(port_space(2, "x"), port_space(1, "y"), [
+        [ONE, ONE, ZERO, ZERO, ONE, ZERO],
+        [ZERO, ZERO, ONE, ZERO, ZERO, ONE],
+        [ZERO, ZERO, ZERO, ONE, ZERO, ONE],
+    ])
+    out = compose_relations(first, second)
+    open_ports = LagrangianRelation(port_space(1, "x"), port_space(1, "y"), [
+        [ONE, ZERO, ZERO, ZERO],
+        [ZERO, ZERO, ONE, ZERO],
+    ])
+    assert out == open_ports
+    assert out.sub.sparse == [{0: ONE}, {2: ONE}]
+
+
+def test_equal_relations_from_reordered_generators_hash_alike():
+    rng = random.Random(23)
+    for _ in range(10):
+        rel = blackbox(rand_circuit(rng, max_nodes=4, max_edges=4))
+        rows = [list(r) for r in rel.sub.rows]
+        rng.shuffle(rows)
+        if len(rows) > 1:
+            rows[0] = [x + F(2) * y for x, y in zip(rows[0], rows[1])]
+        again = LagrangianRelation(rel.source, rel.target, rows[::-1])
+        assert again == rel
+        assert hash(again) == hash(rel)
 
 
 def test_compose_interface_mismatch():

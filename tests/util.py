@@ -103,6 +103,31 @@ def gauss_jordan(rows, ncols):
     return [tuple(r) for r in mat[:rank]]
 
 
+def dense(rows, ncols):
+    """Sparse {column: entry} rows as dense tuples of ``ncols`` entries."""
+    return [tuple(r.get(c, ZERO) for c in range(ncols)) for r in rows]
+
+
+def omega(u, v, pairing):
+    """The symplectic form on two dense rows, port by port, for a pairing of
+    (phi column, iota column, sign) triples:
+    sum_x sign_x (v[iota_x] u[phi_x] - u[iota_x] v[phi_x]).  The reference
+    for the sparse isotropy check in ``lagrel``."""
+    acc = ZERO
+    for phi, iota, sgn in pairing:
+        t = v[iota] * u[phi] - u[iota] * v[phi]
+        acc = acc + t if sgn > 0 else acc - t
+    return acc
+
+
+def reference_lagrangian(rows, ncols, pairing):
+    """True iff the rows span a subspace of half the dimension ``ncols`` on
+    which ``omega`` vanishes for every pair of rows of its ``gauss_jordan``
+    form."""
+    red = gauss_jordan(rows, ncols)
+    return 2 * len(red) == ncols and not any(omega(u, v, pairing) for u in red for v in red)
+
+
 def reference_nullspace(rows, ncols):
     """The canonical nullspace basis read off ``gauss_jordan``: one vector
     per free column, with a 1 there and minus that column of the reduced
