@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, summarized per end-to-end metric.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload corpus \\
+        --seeds 901,902,903 --seconds 30 --out BENCH_8.json
+
+For each seed, ``bench/run.py --workload W --seed S --seconds T`` runs once in
+each checkout, one process at a time, each from its own directory so that it
+builds from that checkout's sources.  The order alternates: the parent runs
+first in the first pair, the change in the second, and so on.  Each run's last
+stdout line is its JSON result.
+
+For every end-to-end metric named in ``BENCHMARK.json`` the summary holds the
+parent's and the change's medians and quartiles, the pairs the change won
+(strictly better in the metric's direction) and the raw values in seed order.
+With ``--out`` the summary is stored under ``workloads[W]`` of that JSON file,
+so one file can collect several workloads; other workloads in it are kept, and
+``--note`` sets its ``note``.
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end_metrics():
+    """{metric: "lower" or "higher"} for the end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def last_json(stdout):
+    """The JSON object on the last non-empty line of a run's stdout."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, third quartile), each equal to the value if only one."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarize(pairs, metrics):
+    """Per-metric summary of (parent result, change result) pairs, each the
+    JSON object a ``bench/run.py`` run printed last."""
+    out = {}
+    for name, better in metrics.items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        out[name] = {
+            "unit": pairs[0][0]["metrics"][name]["unit"],
+            "better": better,
+            "parent_median": statistics.median(parent),
+            "parent_quartiles": quartiles(parent),
+            "change_median": statistics.median(change),
+            "change_quartiles": quartiles(change),
+            "pairs_won": won,
+            "pairs": len(pairs),
+            "parent": parent,
+            "change": change,
+        }
+    return {
+        "all_correct": all(p["correct"] and c["correct"] for p, c in pairs),
+        "failed": sum(p["failed"] + c["failed"] for p, c in pairs),
+        "metrics": out,
+    }
+
+
+def run(checkout, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/run.py failed in {checkout} (seed {seed}):\n{proc.stderr}")
+    return last_json(proc.stdout)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", type=Path, help="JSON file to store the summary in")
+    ap.add_argument("--note", help="what is compared, stored as the file's note")
+    args = ap.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        got = {side: run(getattr(args, side), args.workload, seed, args.seconds) for side in order}
+        pairs.append((got["parent"], got["change"]))
+        print(f"seed {seed} ({' first, '.join(order)} second): " + ", ".join(
+            f"{name} {got['parent']['metrics'][name]['value']:.4g} -> "
+            f"{got['change']['metrics'][name]['value']:.4g}"
+            for name in ("check_p50_ms", "behavior_p50_ms", "compose_p50_ms")), flush=True)
+
+    summary = summarize(pairs, end_to_end_metrics())
+    summary.update(seeds=seeds, seconds=args.seconds, python=platform.python_version())
+    print(json.dumps(summary["metrics"]["check_p50_ms"]))
+    if args.out:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        if args.note:
+            doc["note"] = args.note
+        doc.setdefault("workloads", {})[args.workload] = summary
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,8 +14,8 @@ and are cross-checked against it by the tests and by ``check``:
 * ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
                               and node and solve the linear system outright.
 
-Input ports report current flowing inward (sign flipped by the twist);
-output ports report current flowing outward.
+Input ports report current flowing inward (the twist, applied to the
+generators, flips their sign); output ports report current flowing outward.
 """
 
 from __future__ import annotations
@@ -34,14 +34,11 @@ from .lagrel import (
     compose_relations,
     embed,
     graph_of_differential,
-    identity_relation,
     nullspace,
     port_space,
     pushforward_lagrangian,
     subspace_as_relation,
     symplectify,
-    tensor_relations,
-    twist,
 )
 
 # -- decorated cospans -------------------------------------------------------
@@ -125,16 +122,18 @@ def compose_lagr_cospans(a, b):
 
 
 def _behavior_from_name(rel, m, n):
-    """Reread a relation 0 -> conj(V_X) (+) V_Y as a relation V_X -> V_Y."""
+    """Reread a relation 0 -> V_X (+) V_Y as V_X -> V_Y, applying the twist
+    V_X -> conj(V_X) to the generators: the input currents are negated."""
     # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
-    rows = [embed(r, cols) for r in rel.sub.sparse]
+    rows = [{cols[c]: -e if m + n <= c < 2 * m + n else e for c, e in r.items()}
+            for r in rel.sub.sparse]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
 
 
 def cospan_relation(lc):
-    """Black-box a Lagrangian cospan: compose with the symplectified boundary
-    and flip the sign of input currents."""
+    """Black-box a Lagrangian cospan: compose its name with the symplectified
+    boundary, then apply the twist to the generators of the result."""
     nodes = lc.nodes
     m, n = len(lc.inputs), len(lc.outputs)
     index = {lab: k for k, lab in enumerate(nodes)}
@@ -148,8 +147,7 @@ def cospan_relation(lc):
         port_space(m + n, "p"),
     )
     onto_ports = compose_relations(subspace_as_relation(lc.sub, SymplSpace(nodes)), s_boundary)
-    tw = tensor_relations(twist(port_space(m, "x")), identity_relation(port_space(n, "y")))
-    return _behavior_from_name(compose_relations(onto_ports, tw), m, n)
+    return _behavior_from_name(onto_ports, m, n)
 
 
 def port_relation(form, inputs, outputs):
@@ -192,7 +190,7 @@ def _port_behavior(vecs, phi_cols, cur_cols, m):
     ``cur_cols[k]``, inputs (the first m) first."""
     n = len(phi_cols) - m
     src = [*phi_cols[:m], *cur_cols[:m], *phi_cols[m:], *cur_cols[m:]]
-    out_rows = [{k: -vec[c] if m <= k < 2 * m else vec[c] for k, c in enumerate(src) if vec[c]}
+    out_rows = [{k: -vec[c] if m <= k < 2 * m else vec[c] for k, c in enumerate(src) if c in vec}
                 for vec in vecs]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), out_rows)
 

@@ -30,7 +30,7 @@ from .field import ONE, ZERO
 # -- matrices over Q(s) ---------------------------------------------------------
 #
 # Rows are sparse, {column: entry} dicts holding only the nonzeros; a row
-# may also arrive as a dense sequence.  Only ``nullspace`` returns dense rows.
+# may also arrive as a dense sequence.
 
 
 def _items(row):
@@ -107,7 +107,8 @@ def rref(rows, ncols):
 
 
 def nullspace(rows, ncols):
-    """A basis of {x : M x = 0} for the matrix with the given rows.
+    """A basis of {x : M x = 0} for the matrix with the given rows, as sparse
+    {column: entry} vectors: one per free column, with a 1 there.
 
     One sparse Gauss-Jordan loop.  Each step takes as its pivot, among all
     entries of the rows not yet pivoted, the one that minimizes (stored
@@ -167,11 +168,10 @@ def nullspace(rows, ncols):
     basis = []
     for free in range(ncols):
         if free not in pivots:
-            vec = [ZERO] * ncols
-            vec[free] = ONE
+            vec = {free: ONE}
             for i in holders[free]:
                 vec[pivot_of[i]] = -mat[i][free]
-            basis.append(tuple(vec))
+            basis.append(vec)
     return basis
 
 
@@ -452,9 +452,8 @@ def compose_relations(first, second):
     out_rows = []
     for vec in nullspace(constraint, len(outer)):
         row = {}
-        for f, part in zip(vec, outer):
-            if f:
-                _add_multiple(row, f, part)
+        for j, f in vec.items():
+            _add_multiple(row, f, outer[j])
         out_rows.append(row)
     return LagrangianRelation(first.source, second.target, out_rows)
 
@@ -522,10 +521,11 @@ def _phi_generators(corel):
 
 def _current_generators(corel):
     m, n = corel.left_size, corel.right_size
-    constraint = [{k: ONE if k < m else -ONE for k in block} for block in corel.blocks]
-    # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).
-    cols = [m + k if k < m else m + n + k for k in range(m + n)]
-    return [embed(vec, cols) for vec in nullspace(constraint, m + n)]
+    # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).  Each
+    # further port k of a block balances against the block's first port h.
+    col = [m + k if k < m else m + n + k for k in range(m + n)]
+    return [{col[k]: ONE, col[h]: -ONE if (h < m) == (k < m) else ONE}
+            for h, *rest in corel.blocks for k in rest]
 
 
 def symplectify_potentials(corel):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blackbox.behavior import (
+    LagrCospan,
     as_impedance,
     behavior_to_json,
     blackbox,
@@ -32,12 +33,13 @@ from blackbox.lagrel import (
     Subspace,
     compose_relations,
     dagger_relation,
+    graph_of_differential,
     identity_relation,
     port_space,
     tensor_relations,
 )
 
-from util import rand_circuit, rand_composable_pair
+from util import composed_cospan_relation, rand_circuit, rand_composable_pair
 
 
 def resistor(r, labels=("a", "b")):
@@ -102,6 +104,29 @@ def test_factored_pipeline_is_blackbox():
     for _ in range(10):
         g = rand_circuit(rng, max_nodes=4, max_edges=4)
         assert cospan_relation(to_lagr_cospan(to_dirichlet_cospan(g))) == blackbox(g)
+
+
+def test_cospan_relation_matches_the_composed_definition():
+    # cospan_relation applies the twist to its generators; the reference
+    # composes with twist (x) id.  Both must give one relation.
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(60):
+        g = rand_circuit(rng, max_nodes=7, max_edges=8)
+        m, n = len(g.inputs), len(g.outputs)
+        ports = [*g.inputs, *g.outputs]
+        touched = {x for e in g.graph.edges for x in e[:2]}
+        seen |= {kind for kind, hit in [
+            ("m = 0", m == 0), ("n = 0", n == 0), ("both sides", m and n),
+            ("repeated port", len(set(ports)) < len(ports)),
+            ("isolated node", any(x not in touched for x in g.graph.nodes)),
+        ] if hit}
+        q = power_functional(extended_power_functional(g), g.boundary)
+        for lc in (to_lagr_cospan(to_dirichlet_cospan(g)),
+                   LagrCospan(tuple(g.inputs), tuple(g.outputs), g.boundary,
+                              graph_of_differential(q))):
+            assert cospan_relation(lc) == composed_cospan_relation(lc)
+    assert seen == {"m = 0", "n = 0", "both sides", "repeated port", "isolated node"}
 
 
 def test_dirichlet_cospan_functor():

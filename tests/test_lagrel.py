@@ -47,6 +47,7 @@ from util import (
     rand_entry,
     rand_form,
     rand_oracle_matrix,
+    reference_current_generators,
     reference_lagrangian,
     reference_nullspace,
 )
@@ -130,7 +131,7 @@ def test_nullspace_solves():
     for _ in range(20):
         rows, cols = rng.randint(1, 3), rng.randint(1, 5)
         m = _rand_matrix(rng, rows, cols)
-        basis = nullspace(m, cols)
+        basis = dense(nullspace(m, cols), cols)
         assert len(basis) == cols - len(rref(m, cols))
         for vec in basis:
             for row in m:
@@ -150,7 +151,7 @@ def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
         rank = len(gauss_jordan(m, cols))
         expected = Subspace(reference_nullspace(m, cols), cols)
         for rows in (m, m[::-1]):
-            basis = nullspace(rows, cols)
+            basis = dense(nullspace(rows, cols), cols)
             assert len(basis) == cols - rank
             for vec in basis:
                 for row in m:
@@ -440,6 +441,32 @@ def test_symplectify_dimension_law():
         assert symplectify(alpha).sub.dim == m + n
 
 
+def test_current_generators_match_the_constraint_nullspace():
+    # symplectify pairs each further port of a block with the block's first
+    # port; the reference solves the block constraints.
+    rng = random.Random(31)
+    cases = [Corelation(0, 0, [])]
+    cases += [rand_corel(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(80)]
+    seen = set()
+    for corel in cases:
+        m, n = corel.left_size, corel.right_size
+        if m == 0 or n == 0:
+            seen.add("empty side")
+        for block in corel.blocks:
+            if len(block) == 1:
+                seen.add("singleton")
+            elif block[-1] < m:
+                seen.add("all X")
+            elif block[0] >= m:
+                seen.add("all Y")
+            else:
+                seen.add("mixed")
+        expected = Subspace(reference_current_generators(corel), 2 * (m + n))
+        assert symplectify_currents(corel) == expected
+        assert expected.dim == m + n - len(corel.blocks)
+    assert seen == {"empty side", "singleton", "all X", "all Y", "mixed"}
+
+
 def _compose_linear(a_rows, b_rows, m, k, n):
     """Oracle composition of plain linear relations given as generators."""
     constraint = []
@@ -448,7 +475,8 @@ def _compose_linear(a_rows, b_rows, m, k, n):
         row += [-h[col] if h[col] else ZERO for h in b_rows]
         constraint.append(row)
     out = []
-    for vec in nullspace(constraint, len(a_rows) + len(b_rows)):
+    width = len(a_rows) + len(b_rows)
+    for vec in dense(nullspace(constraint, width), width):
         alpha, beta = vec[: len(a_rows)], vec[len(a_rows) :]
         row = []
         for c in range(m):

@@ -7,9 +7,22 @@ so cases are reproducible and independent of execution order.
 from fractions import Fraction
 
 from blackbox.circuits import circuit
-from blackbox.corel import Corelation
+from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
 from blackbox.dirichlet import DirichletForm
 from blackbox.field import ONE, ZERO, from_rat, impedance
+from blackbox.lagrel import (
+    LagrangianRelation,
+    SymplSpace,
+    compose_relations,
+    embed,
+    identity_relation,
+    nullspace,
+    port_space,
+    subspace_as_relation,
+    symplectify,
+    tensor_relations,
+    twist,
+)
 
 
 def rand_rat(rng, lo=1, hi=4):
@@ -207,3 +220,37 @@ def rand_degenerate_matrix(rng, rows, cols):
     mat += [list(rng.choice(mat)) for _ in range(rng.randint(0, 2))]
     rng.shuffle(mat)
     return mat
+
+
+def reference_current_generators(corel):
+    """The current generators of ``symplectify`` as the nullspace of the block
+    constraints: in each block the currents entering from X sum to those
+    leaving into Y.  The reference for the generators that ``lagrel`` builds
+    directly, one per further port of a block."""
+    m, n = corel.left_size, corel.right_size
+    constraint = [{k: ONE if k < m else -ONE for k in block} for block in corel.blocks]
+    # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).
+    cols = [m + k if k < m else m + n + k for k in range(m + n)]
+    return [embed(vec, cols) for vec in nullspace(constraint, m + n)]
+
+
+def composed_cospan_relation(lc):
+    """``behavior.cospan_relation`` by its composed definition: the name of the
+    cospan's decoration, composed with the symplectified boundary and then
+    with twist(V_X) (x) id(V_Y), is a relation 0 -> conj(V_X) (+) V_Y, reread
+    as V_X -> V_Y with no sign changed.  The reference for the twist that
+    ``cospan_relation`` applies to its generators."""
+    nodes = lc.nodes
+    m, n = len(lc.inputs), len(lc.outputs)
+    index = {lab: k for k, lab in enumerate(nodes)}
+    boundary = corel_from_cospan([index[p] for p in (*lc.inputs, *lc.outputs)],
+                                 list(range(len(nodes))))
+    s_boundary = symplectify(dagger_corelation(boundary), SymplSpace(nodes),
+                             port_space(m + n, "p"))
+    onto_ports = compose_relations(subspace_as_relation(lc.sub, SymplSpace(nodes)), s_boundary)
+    tw = tensor_relations(twist(port_space(m, "x")), identity_relation(port_space(n, "y")))
+    name = compose_relations(onto_ports, tw)
+    # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
+    cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
+    rows = [embed(r, cols) for r in name.sub.sparse]
+    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
