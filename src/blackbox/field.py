@@ -478,6 +478,8 @@ s = _new((0, 1), (1,))
 
 def from_rat(q):
     """Embed a rational number into Q(s)."""
+    if type(q) is int:
+        return _new((q,), (1,)) if q else ZERO
     q = Fraction(q)
     if q == 0:
         return ZERO

@@ -86,7 +86,9 @@ def rref(rows, ncols):
     are those where the rank of the leading columns grows, and each output
     row is the unique vector of the row space with a 1 in its own pivot
     column and 0 in the others.  The choice only decides how large the
-    intermediate entries get.
+    intermediate entries get.  It stays Gauss-Jordan: on the d x 2d
+    matrices it reduces, a forward pass plus a backward pass moved end-to-end
+    times by a few percent, faster on some workloads and slower on others.
     """
     todo = _sparse(rows)
     done = []
@@ -110,14 +112,17 @@ def nullspace(rows, ncols):
     """A basis of {x : M x = 0} for the matrix with the given rows, as sparse
     {column: entry} vectors: one per free column, with a 1 there.
 
-    One sparse Gauss-Jordan loop.  Each step takes as its pivot, among all
-    entries of the rows not yet pivoted, the one that minimizes (stored
-    coefficients, Markowitz product (r - 1)(c - 1), column).  Here r counts
-    the nonzeros of the entry's row and c those of its column in all rows,
-    finished ones included, since Gauss-Jordan updates those too; the
-    product bounds the fill the step can create.  The basis depends on these
-    choices, the subspace does not; every caller canonicalizes it through
-    ``Subspace``.
+    Sparse forward elimination, then one backward pass.  Each step takes as
+    its pivot, among all entries of the rows not yet pivoted, the one that
+    minimizes (stored coefficients, Markowitz product (r - 1)(c - 1),
+    column).  Here r counts the nonzeros of the entry's row and c those of
+    its column in all rows, a finished row counted as it stood when it was
+    pivoted; the product bounds the fill the step can create.  A step
+    updates only the rows not yet pivoted and records the finished rows
+    holding its column.  Once every row is pivoted, the pivots are walked
+    latest first, each row being final by then, and clear their columns
+    from the recorded rows.  The basis depends on the pivot choices, the
+    subspace does not; every caller canonicalizes it through ``Subspace``.
     """
     mat = _sparse(rows)
     holders = [set() for _ in range(ncols)]  # the rows with a nonzero there
@@ -126,7 +131,7 @@ def nullspace(rows, ncols):
             holders[c].add(i)
     # Each unpivoted row keeps its best pivot key in the heap.  A row's key
     # is recomputed, and the old heap entry made stale, whenever the row or
-    # the count of one of its columns changes.
+    # the count of one of its columns changes.  A pivoted row's stamp is -1.
     stamp = [0] * len(mat)
     heap = []
 
@@ -140,39 +145,41 @@ def nullspace(rows, ncols):
 
     for i in range(len(mat)):
         push(i)
-    pivot_of = {}  # finished row -> its pivot column
+    pivots = []  # (pivot row without its 1, column, finished rows holding it)
     while heap:
         (_, _, col), p, st = heappop(heap)
         if st != stamp[p]:
             continue
+        stamp[p] = -1
         prow = mat[p] = _normalized(mat[p], col)
         touched = holders[col]
         touched.discard(p)
+        finished = []
         recount = set()  # columns whose count changed
         for i in touched:
             row = mat[i]
+            if stamp[i] < 0:
+                finished.append(row)
+                continue
             for c in _add_multiple(row, -row.pop(col), prow):
                 if c in row:
                     holders[c].add(i)
                 else:
                     holders[c].discard(i)
                 recount.add(c)
-        dirty = touched.union(*(holders[c] for c in recount))
-        prow[col] = ONE
-        holders[col] = {p}
-        pivot_of[p] = col
-        for i in dirty:
-            if i not in pivot_of:
+        pivots.append((prow, col, finished))
+        for i in touched.union(*(holders[c] for c in recount)):
+            if stamp[i] >= 0:
                 push(i)
-    pivots = set(pivot_of.values())
-    basis = []
-    for free in range(ncols):
-        if free not in pivots:
-            vec = {free: ONE}
-            for i in holders[free]:
-                vec[pivot_of[i]] = -mat[i][free]
-            basis.append(vec)
-    return basis
+    for prow, col, finished in reversed(pivots):
+        for row in finished:
+            _add_multiple(row, -row.pop(col), prow)
+    basis = {f: {f: ONE} for f in range(ncols)}
+    for prow, col, _ in pivots:
+        del basis[col]
+        for f, e in prow.items():
+            basis[f][col] = -e
+    return list(basis.values())
 
 
 def embed(row, cols):

@@ -39,7 +39,13 @@ from blackbox.lagrel import (
     tensor_relations,
 )
 
-from util import composed_cospan_relation, rand_circuit, rand_composable_pair
+from util import (
+    composed_cospan_relation,
+    ladder_circuit,
+    mesh_circuit,
+    rand_circuit,
+    rand_composable_pair,
+)
 
 
 def resistor(r, labels=("a", "b")):
@@ -264,6 +270,26 @@ def test_triple_agreement_spot_checks():
         assert blackbox(g) == ref
         assert blackbox_fast(g) == ref
         assert oracle_behavior(g) == ref
+
+
+def test_routes_agree_on_large_circuits():
+    # Ladders and meshes larger than the acceptance distribution, where the
+    # reference routes' nullspaces eliminate many interior columns.
+    rng = random.Random(31)
+    circuits = [
+        ladder_circuit(rng, 8),
+        ladder_circuit(rng, 8, "RL", "C", two_node=True),
+        ladder_circuit(rng, 16, two_node=True),
+        ladder_circuit(rng, 16, "RL", "C"),
+        mesh_circuit(rng, 3, two_node=True),
+        mesh_circuit(rng, 4),
+        mesh_circuit(rng, 4, two_node=True),
+    ]
+    for g in circuits:
+        ref = blackbox(g)
+        assert blackbox_categorical(g) == ref
+        assert oracle_behavior(g) == ref
+        assert blackbox_fast(g) == ref
 
 
 def test_floating_component_is_invisible():

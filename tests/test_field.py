@@ -105,6 +105,23 @@ def test_constants_hash_like_their_values():
     assert hash(ZERO) == hash(0)
 
 
+def test_int_embeds_like_its_fraction():
+    # An int takes a shortcut past Fraction; it must give the same element.
+    for q in (0, 1, -1, 7, -7, -2**70, 10**30):
+        fast, slow = from_rat(q), from_rat(Fraction(q))
+        assert (fast.n, fast.d) == (slow.n, slow.d)
+        assert hash(fast) == hash(slow) == hash(q)
+        assert str(fast) == str(slow)
+        assert fast == Fraction(q) and slow == Fraction(q)
+    assert from_rat(0) is ZERO
+    assert (from_rat(True).n, from_rat(False).n) == ((1,), ())
+    rng = random.Random(9)
+    for _ in range(50):
+        c = impedance(rng.choice("RLC"), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        assert 2 * c == c + c and c * 2 == c + c
+        assert -3 * c == -(c + c + c) and 0 * c == ZERO
+
+
 @given(ratfuncs(), ratfuncs(), ratfuncs())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -13,7 +13,7 @@ from blackbox.corel import (
 )
 from blackbox.dirichlet import DirichletForm, pushforward_form
 from blackbox.errors import InterfaceMismatch
-from blackbox.field import ONE, ZERO, from_rat
+from blackbox.field import ONE, ZERO, from_rat, impedance
 from blackbox.lagrel import (
     EMPTY_SPACE,
     LagrangianRelation,
@@ -39,8 +39,11 @@ from blackbox.lagrel import (
 )
 
 from util import (
+    circuit_kirchhoff_matrix,
     dense,
     gauss_jordan,
+    ladder_circuit,
+    mesh_circuit,
     rand_circuit,
     rand_corel,
     rand_degenerate_matrix,
@@ -141,6 +144,21 @@ def test_nullspace_solves():
                 assert acc == ZERO
 
 
+def _assert_nullspace(rows, cols, expected):
+    # The basis solves every row, has one vector per free column (cols minus
+    # the rank: the dimension of the reference's nullspace) and spans it.
+    basis = nullspace(rows, cols)
+    assert len(basis) == expected.dim
+    for vec in basis:
+        for row in rows:
+            acc = ZERO
+            for c, e in vec.items():
+                if row[c]:
+                    acc = acc + row[c] * e
+            assert acc == ZERO
+    assert Subspace(basis, cols) == expected
+
+
 def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
     # nullspace picks its pivots over rows and columns, so its basis may
     # differ from the canonical one; the solution space may not.
@@ -148,19 +166,54 @@ def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
     for _ in range(30):
         m = rand_oracle_matrix(rng)
         cols = len(m[0])
-        rank = len(gauss_jordan(m, cols))
         expected = Subspace(reference_nullspace(m, cols), cols)
         for rows in (m, m[::-1]):
-            basis = dense(nullspace(rows, cols), cols)
-            assert len(basis) == cols - rank
-            for vec in basis:
-                for row in m:
-                    acc = ZERO
-                    for a, b in zip(row, vec):
-                        if a and b:
-                            acc = acc + a * b
-                    assert acc == ZERO
-            assert Subspace(basis, cols) == expected
+            _assert_nullspace(rows, cols, expected)
+
+
+def test_nullspace_backward_pass_on_kirchhoff_systems():
+    # Ladders and meshes with many interior nodes: forward elimination leaves
+    # later pivot columns in finished rows, and the backward pass must clear
+    # every one of them.  The reference reduces the reversed rows, the order
+    # in which its first-nonzero pivots stay cheapest; any order gives the
+    # same nullspace.
+    rng = random.Random(33)
+    circuits = [
+        ladder_circuit(rng, 8),
+        ladder_circuit(rng, 8, "RL", "C", two_node=True),
+        ladder_circuit(rng, 12, "L", "C"),
+        ladder_circuit(rng, 16, two_node=True),
+        ladder_circuit(rng, 16, "RL", "C"),
+        mesh_circuit(rng, 3),
+        mesh_circuit(rng, 3, two_node=True),
+        mesh_circuit(rng, 4),
+    ]
+    for g in circuits:
+        m = circuit_kirchhoff_matrix(g)
+        cols = len(m[0])
+        expected = Subspace(reference_nullspace(m[::-1], cols), cols)
+        for rows in (m, m[::-1]):
+            _assert_nullspace(rows, cols, expected)
+    for _ in range(40):
+        cols = rng.randint(2, 7)
+        m = rand_degenerate_matrix(rng, rng.randint(1, 5), cols)
+        expected = Subspace(reference_nullspace(m, cols), cols)
+        for rows in (m, m[::-1]):
+            _assert_nullspace(rows, cols, expected)
+
+
+def test_nullspace_edge_cases():
+    assert nullspace([], 0) == [] and nullspace([[]], 0) == []
+    units = [{0: ONE}, {1: ONE}, {2: ONE}]
+    assert nullspace([], 3) == units
+    assert nullspace([[ZERO] * 3, {}, {1: ZERO}], 3) == units
+    ls = impedance("L", 3)
+    assert nullspace([[ONE, ZERO], [ONE, ls], [ZERO, ls]], 2) == []
+    # Row 0 takes column 0 first (Markowitz product 0) and is finished;
+    # row 1 then takes column 1, which only the finished row 0 also holds.
+    # The backward pass must clear it there, leaving row 0 = e0 and the
+    # single solution e2 - e1.
+    assert nullspace([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: ONE}], 3) == [{2: ONE, 1: -ONE}]
 
 
 def test_is_lagrangian_examples():

@@ -158,29 +158,24 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
-def rand_oracle_matrix(rng):
-    """A wide, very sparse matrix shaped like the Kirchhoff/Ohm oracle's,
-    with 10-40 columns: node potentials, edge currents and port shares.
-    Each edge gives an Ohm row (its impedance and +-1 at its two ends),
-    each node a current-law row of +-1 incidences.  Zero rows and duplicate
-    rows make it more rank deficient, and the rows come shuffled."""
-    while True:
-        nn, ne, np_ = rng.randint(2, 12), rng.randint(1, 24), rng.randint(0, 3)
-        if 10 <= nn + ne + np_ <= 40:
-            break
-    width = nn + ne + np_
-    ends = [(rng.randrange(nn), rng.randrange(nn)) for _ in range(ne)]
-    ports = [rng.randrange(nn) for _ in range(np_)]
+def kirchhoff_matrix(nn, edges, ports):
+    """The dense rows of the Kirchhoff/Ohm oracle's system for nn nodes,
+    edges (a, b, impedance) between node indices and ports at node indices,
+    over columns [node potentials, edge currents, port shares]: one Ohm row
+    per edge (its impedance and +-1 at its two ends), then one current-law
+    row of +-1 incidences per node."""
+    ne = len(edges)
+    width = nn + ne + len(ports)
     mat = []
-    for k, (a, b) in enumerate(ends):
+    for k, (a, b, z) in enumerate(edges):
         row = [ZERO] * width
-        row[nn + k] = rand_impedance(rng)
+        row[nn + k] = z
         row[a] = row[a] + ONE
         row[b] = row[b] - ONE
         mat.append(row)
     for x in range(nn):
         row = [ZERO] * width
-        for k, (a, b) in enumerate(ends):
+        for k, (a, b, _) in enumerate(edges):
             if b == x:
                 row[nn + k] = row[nn + k] + ONE
             if a == x:
@@ -189,10 +184,62 @@ def rand_oracle_matrix(rng):
             if at == x:
                 row[nn + ne + p] = -ONE
         mat.append(row)
+    return mat
+
+
+def circuit_kirchhoff_matrix(g):
+    """``kirchhoff_matrix`` for a circuit, its inputs before its outputs."""
+    at = {lab: k for k, lab in enumerate(g.graph.nodes)}
+    edges = [(at[a], at[b], z) for a, b, z in g.graph.edges]
+    return kirchhoff_matrix(len(at), edges, [at[p] for p in (*g.inputs, *g.outputs)])
+
+
+def rand_oracle_matrix(rng):
+    """A wide, very sparse ``kirchhoff_matrix`` with 10-40 columns on random
+    edges and ports.  Zero rows and duplicate rows make it more rank
+    deficient, and the rows come shuffled."""
+    while True:
+        nn, ne, np_ = rng.randint(2, 12), rng.randint(1, 24), rng.randint(0, 3)
+        if 10 <= nn + ne + np_ <= 40:
+            break
+    ends = [(rng.randrange(nn), rng.randrange(nn)) for _ in range(ne)]
+    ports = [rng.randrange(nn) for _ in range(np_)]
+    mat = kirchhoff_matrix(nn, [(a, b, rand_impedance(rng)) for a, b in ends], ports)
+    width = nn + ne + np_
     mat += [[ZERO] * width for _ in range(rng.randint(0, 2))]
     mat += [list(rng.choice(mat)) for _ in range(rng.randint(1, 3))]
     rng.shuffle(mat)
     return mat
+
+
+def ladder_circuit(rng, rungs, series="R", shunt="C", two_node=False):
+    """n0 -[series]- n1 - ... - nN with a shunt element from each nk to gnd,
+    the series kinds cycling through ``series``, random values.  Driven from
+    n0 to nN, or with ``two_node`` from (n0, gnd) to (nN, gnd)."""
+    nodes = [f"n{k}" for k in range(rungs + 1)] + ["gnd"]
+    edges = []
+    for k in range(1, rungs + 1):
+        kind = series[(k - 1) % len(series)]
+        edges.append((f"n{k - 1}", f"n{k}", impedance(kind, rand_rat(rng))))
+        edges.append((f"n{k}", "gnd", impedance(shunt, rand_rat(rng))))
+    ends = ["gnd"] if two_node else []
+    return circuit(nodes, edges, ["n0", *ends], [f"n{rungs}", *ends])
+
+
+def mesh_circuit(rng, side, two_node=False):
+    """A side x side grid of random R/L/C edges, driven corner to corner, or
+    with ``two_node`` from the first column's two ends to the last's."""
+    cell = [[f"r{i}c{j}" for j in range(side)] for i in range(side)]
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            for a, b in ((i + 1, j), (i, j + 1)):
+                if a < side and b < side:
+                    edges.append((cell[i][j], cell[a][b], rand_impedance(rng)))
+    first, last = [cell[0][0]], [cell[-1][-1]]
+    if two_node:
+        first, last = [cell[0][0], cell[-1][0]], [cell[0][-1], cell[-1][-1]]
+    return circuit([x for row in cell for x in row], edges, first, last)
 
 
 def rand_entry(rng):
