@@ -8,8 +8,10 @@ benchmark also checks goes through the four routes: ``blackbox``,
 route's printed relations, in a fixed order, feed one digest.  A fifth
 digest covers the compositional analysis of every chain: its blocks'
 behaviors folded with ``compose_relations`` (``tensor_relations`` side by
-side, and a mirrored chain composed with its dagger).  Two checkouts whose
-digests agree print byte-identical behaviors on all of it.
+side, and a mirrored chain composed with its dagger).  A sixth digest,
+``netlists``, covers ``print_netlist`` of every circuit, block and flat
+composite.  Two checkouts whose digests agree print byte-identical
+behaviors and netlists on all of it.
 
     PYTHONPATH=src python3 scripts/route_digest.py --seeds 1,5,7
 """
@@ -34,6 +36,7 @@ from blackbox import (  # noqa: E402
     dagger_relation,
     oracle_behavior,
     parse_netlist,
+    print_netlist,
     tensor_circuits,
     tensor_relations,
 )
@@ -81,13 +84,14 @@ def main():
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    digests = {name: hashlib.sha256() for name in [*ROUTES, "compose_folds"]}
+    digests = {name: hashlib.sha256() for name in [*ROUTES, "compose_folds", "netlists"]}
     for seed in seeds:
         for wname, make in gen.WORKLOADS.items():
             workload = make(seed)
             for name, g in circuits(workload):
                 for route, fn in ROUTES.items():
                     digests[route].update(f"{wname} {seed} {name}\n{fn(g).pretty()}\n".encode())
+                digests["netlists"].update(f"{wname} {seed} {name}\n{print_netlist(g)}".encode())
             for chain in workload.chains:
                 blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
                 rel = fold(chain.combinator, [blackbox(g) for g in blocks])

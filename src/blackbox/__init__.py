@@ -31,7 +31,6 @@ from .corel import (
     tensor_corelations,
 )
 from .dirichlet import (
-    Covector,
     DirichletForm,
     compose_forms,
     eliminate_node,
@@ -46,7 +45,6 @@ from .dirichlet import (
 from .field import (
     ONE,
     ZERO,
-    Poly,
     RatFunc,
     from_rat,
     impedance,

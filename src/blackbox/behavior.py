@@ -3,8 +3,10 @@ between potentials and currents at its ports.
 
 ``blackbox`` is the production route: Kron-reduce the power functional onto
 the terminals, then solve for the port relation in one nullspace
-(``port_relation``).  Three independent references compute the same relation
-and are cross-checked against it by the tests and by ``check``:
+(``port_relation``).  Three references compute the same relation and are
+cross-checked against it by the tests and by ``check``.  They share the field
+and ``nullspace``; ``blackbox_fast`` also shares Kron reduction with
+``blackbox`` and ``cospan_relation`` with ``blackbox_categorical``:
 
 * ``blackbox_categorical`` -- the categorical composite, factored through
                               cospans decorated by Dirichlet forms and

@@ -54,7 +54,10 @@ def _sample_points():
 def _read(path):
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load(path, args):

@@ -8,7 +8,6 @@ exactly the boundary current, with no stray factor of two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -84,17 +83,6 @@ class DirichletForm:
         ]
 
 
-@dataclass(frozen=True)
-class Covector:
-    """An element of the dual space, e.g. a boundary current."""
-
-    support: tuple
-    entries: dict
-
-    def __getitem__(self, n):
-        return self.entries[n]
-
-
 def extended_power_functional(g):
     """The form on all nodes of a circuit: each edge adds 1/(2Z) to its pair."""
     coeffs = []
@@ -123,7 +111,7 @@ def evaluate(form, psi):
 
 
 def gradient(form, psi):
-    """The formal differential at psi: entry n is sum_j 2 c_nj (psi_n - psi_j)."""
+    """The formal differential at psi as a dict: node n -> sum_j 2 c_nj (psi_n - psi_j)."""
     _require_assignment(form, psi)
     entries = {n: ZERO for n in form.support}
     for (i, j), c in form.coeffs.items():
@@ -132,7 +120,7 @@ def gradient(form, psi):
             t = 2 * c * d
             entries[i] = entries[i] + t
             entries[j] = entries[j] - t
-    return Covector(form.support, entries)
+    return entries
 
 
 def eliminate_node(form, n):

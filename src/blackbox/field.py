@@ -12,10 +12,8 @@ and products of canonical operands use Henrici's cross-cancellation: a sum
 takes the gcd of the two denominators and then cancels the new numerator
 against that gcd alone, and a product cancels each numerator against the
 other denominator, so no gcd of a full result is ever taken, and none at
-all where one side is a constant.  ``Poly`` is the
-rational-coefficient view (``RatFunc.num``/``.den``) for callers and tests.
-No floating point anywhere; the categorical laws downstream are checked by
-exact comparison.
+all where one side is a constant.  No floating point anywhere; the
+categorical laws downstream are checked by exact comparison.
 """
 
 from __future__ import annotations
@@ -43,47 +41,6 @@ DEFAULT_SAMPLE_POINTS = (
     Fraction(3),
     Fraction(7),
 )
-
-
-class Poly:
-    """Polynomial in ``s`` over Q, coefficients stored lowest degree first.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def lead(self):
-        return self.coeffs[-1]
-
-    def is_one(self):
-        return self.coeffs == (Fraction(1),)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
 
 
 # -- integer polynomials ---------------------------------------------------------
@@ -193,10 +150,8 @@ def poly_gcd(a, b):
 
 def _integer_poly(x):
     """Integer coefficients ``p`` and a positive int ``m`` with x = p / m, for
-    a Poly, a coefficient list, or a scalar."""
-    if isinstance(x, Poly):
-        cs = x.coeffs
-    elif isinstance(x, (tuple, list)):
+    a coefficient list or a scalar."""
+    if isinstance(x, (tuple, list)):
         cs = [Fraction(c) for c in x]
     else:
         cs = (Fraction(x),)
@@ -219,11 +174,11 @@ class RatFunc:
     no common factor among all their coefficients, ``d[-1] > 0``, and zero
     stored as ``((), (1,))``.
 
-    ``RatFunc(num, den)`` accepts a Poly, a coefficient list (ints or
-    Fractions) or a scalar for each part and reduces the quotient to lowest
-    terms.  ``_coprime=True`` says both are int tuples without trailing
-    zeros that are already coprime over Q: only the content and the sign are
-    normalized.  Every arithmetic result is built that way, so this
+    ``RatFunc(num, den)`` accepts a coefficient list (ints or Fractions,
+    lowest degree first) or a scalar for each part and reduces the quotient
+    to lowest terms.  ``_coprime=True`` says both are int tuples without
+    trailing zeros that are already coprime over Q: only the content and the
+    sign are normalized.  Every arithmetic result is built that way, so this
     normalization is the one shared by all paths.
     """
 
@@ -252,20 +207,6 @@ class RatFunc:
                 d = tuple(x // c for x in d)
         self.n = n
         self.d = d
-
-    # -- rational-coefficient view ---------------------------------------------
-
-    @property
-    def num(self):
-        """The numerator over Q, scaled so that ``den`` is monic."""
-        lc = self.d[-1]
-        return Poly([Fraction(c, lc) for c in self.n])
-
-    @property
-    def den(self):
-        """The monic denominator over Q."""
-        lc = self.d[-1]
-        return Poly([Fraction(c, lc) for c in self.d])
 
     # -- basic protocol ------------------------------------------------------
 
@@ -509,6 +450,19 @@ def impedance(kind, value):
     if kind == "C":
         return _new((q,), (0, p))
     raise ValueError(f"unknown component kind {kind!r}")
+
+
+def component(z):
+    """The inverse of ``impedance``: the (kind, value) pair whose impedance is
+    ``z``, or None when ``z`` is not that of an R, L or C."""
+    match z.n, z.d:
+        case (p,), (q,) if p > 0:
+            return "R", Fraction(p, q)
+        case (0, p), (q,) if p > 0:
+            return "L", Fraction(p, q)
+        case (q,), (0, p) if q > 0:
+            return "C", Fraction(p, q)
+    return None
 
 
 def is_positive_sampled(f, points=DEFAULT_SAMPLE_POINTS):

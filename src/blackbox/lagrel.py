@@ -19,7 +19,6 @@ Conventions fixed once and for all:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import chain, repeat
 
 from .corel import corel_from_function
@@ -129,28 +128,19 @@ def nullspace(rows, ncols):
     for i, row in enumerate(mat):
         for c in row:
             holders[c].add(i)
-    # Each unpivoted row keeps its best pivot key in the heap.  A row's key
-    # is recomputed, and the old heap entry made stale, whenever the row or
-    # the count of one of its columns changes.  A pivoted row's stamp is -1.
-    stamp = [0] * len(mat)
-    heap = []
 
-    def push(i):
-        stamp[i] += 1
-        row = mat[i]
-        if row:
-            r = len(row) - 1
-            key = min((e.size(), r * (len(holders[c]) - 1), c) for c, e in row.items())
-            heappush(heap, (key, i, stamp[i]))
+    def key(row):
+        r = len(row) - 1
+        return min((e.size(), r * (len(holders[c]) - 1), c) for c, e in row.items())
 
-    for i in range(len(mat)):
-        push(i)
+    # One current pivot key per unpivoted nonzero row, recomputed whenever the
+    # row or the count of one of its columns changes.  The dict keeps the rows
+    # in ascending order, so ties on the key go to the lower row.
+    keys = {i: key(row) for i, row in enumerate(mat)}
     pivots = []  # (pivot row without its 1, column, finished rows holding it)
-    while heap:
-        (_, _, col), p, st = heappop(heap)
-        if st != stamp[p]:
-            continue
-        stamp[p] = -1
+    while keys:
+        p = min(keys, key=keys.__getitem__)
+        col = keys.pop(p)[2]
         prow = mat[p] = _normalized(mat[p], col)
         touched = holders[col]
         touched.discard(p)
@@ -158,7 +148,7 @@ def nullspace(rows, ncols):
         recount = set()  # columns whose count changed
         for i in touched:
             row = mat[i]
-            if stamp[i] < 0:
+            if i not in keys:
                 finished.append(row)
                 continue
             for c in _add_multiple(row, -row.pop(col), prow):
@@ -167,10 +157,12 @@ def nullspace(rows, ncols):
                 else:
                     holders[c].discard(i)
                 recount.add(c)
+            if not row:
+                del keys[i]
         pivots.append((prow, col, finished))
         for i in touched.union(*(holders[c] for c in recount)):
-            if stamp[i] >= 0:
-                push(i)
+            if i in keys:
+                keys[i] = key(mat[i])
     for prow, col, finished in reversed(pivots):
         for row in finished:
             _add_multiple(row, -row.pop(col), prow)

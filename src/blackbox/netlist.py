@@ -15,13 +15,12 @@ Node labels cannot contain ``#``, so every printed netlist parses back.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .circuits import Circuit, LabelledGraph
 from .corel import merge_map
 from .errors import NonPositiveImpedance, ParseError, PoleAtPoint, UnknownNode
 from .field import (
     DEFAULT_SAMPLE_POINTS,
+    component,
     impedance,
     is_positive_sampled,
     parse_rational,
@@ -104,17 +103,6 @@ def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
     return Circuit(graph, [j[p] for p in inputs], [j[p] for p in outputs])
 
 
-def _component_line(src, tgt, z):
-    num, den = z.num, z.den
-    if den.is_one() and num.degree() == 0 and num.lead > 0:
-        return f"R {src} {tgt} {num.lead}"
-    if den.is_one() and num.degree() == 1 and num.coeffs[0] == 0 and num.lead > 0:
-        return f"L {src} {tgt} {num.lead}"
-    if num.degree() == 0 and num.lead > 0 and den.coeffs == (Fraction(0), Fraction(1)):
-        return f"C {src} {tgt} {1 / num.lead}"
-    return f"Z {src} {tgt} {z}"
-
-
 def print_netlist(g):
     """Render a circuit back to netlist text; R/L/C edges keep their kind."""
     lines = ["nodes: " + " ".join(g.graph.nodes)]
@@ -123,5 +111,6 @@ def print_netlist(g):
     if g.outputs:
         lines.append("outputs: " + " ".join(g.outputs))
     for src, tgt, z in g.graph.edges:
-        lines.append(_component_line(src, tgt, z))
+        kind, value = component(z) or ("Z", z)
+        lines.append(f"{kind} {src} {tgt} {value}")
     return "\n".join(lines) + "\n"

@@ -101,7 +101,7 @@ def test_raw_impedance_gate():
 def test_raw_impedance_size_caps(tmp_path, capsys):
     head = "nodes: a b\ninputs: a\noutputs: b\n"
     g = parse_netlist(head + f"Z a b s^{MAX_EXPONENT}+1\n", allow_raw_z=True)
-    assert g.graph.edges[0][2].num.degree() == MAX_EXPONENT
+    assert len(g.graph.edges[0][2].n) - 1 == MAX_EXPONENT
     over = _write(tmp_path, "over.net", head + f"Z a b s^{MAX_EXPONENT + 1}\n")
     assert main(["blackbox", over, "--allow-raw-z"]) == 2
     assert "exponent" in capsys.readouterr().err
@@ -134,6 +134,14 @@ def test_print_round_trip_keeps_component_kinds():
     text = print_netlist(g)
     assert "R a b 2" in text and "L b c 3" in text and "C c d 1/2" in text
     assert parse_netlist(text) == g
+    # Each kind at 30-digit numerators and denominators, and below 1.
+    p, q, tiny = "123456789012345678901234567891", "987654321098765432109876543211", "1" + "0" * 25
+    for kind in "RLC":
+        for value in (f"{p}/{q}", f"{q}/{p}", q, f"3/{tiny}"):
+            g = circuit(["a", "b"], [("a", "b", impedance(kind, Fraction(value)))], ["a"], ["b"])
+            text = print_netlist(g)
+            assert text.splitlines()[-1] == f"{kind} a b {value}"
+            assert parse_netlist(text) == g
 
 
 def test_print_round_trip_random():
@@ -297,6 +305,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     series = _write(tmp_path, "series.net", SERIES)
     assert main(["compose", two_out, series]) == 2
     assert "error:" in capsys.readouterr().err
+    # A file that is not UTF-8 is refused by name, not with a traceback.
+    latin = tmp_path / "latin.net"
+    latin.write_bytes(b"nodes: a b\xff\ninputs: a\noutputs: b\nR a b 1\n")
+    for verb in ("blackbox", "check"):
+        assert main([verb, str(latin)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {latin}: not UTF-8 text at byte 10\n"
 
 
 def test_cli_sample_point_override(tmp_path, capsys, monkeypatch):
