@@ -12,10 +12,17 @@ stdout line is its JSON result.
 
 For every end-to-end metric named in ``BENCHMARK.json`` the summary holds the
 parent's and the change's medians and quartiles, the pairs the change won
-(strictly better in the metric's direction) and the raw values in seed order.
-With ``--out`` the summary is stored under ``workloads[W]`` of that JSON file,
-so one file can collect several workloads; other workloads in it are kept, and
-``--note`` sets its ``note``.
+(strictly better in the metric's direction), the raw values in seed order and
+two verdicts:
+
+* ``gain``: the change won at least nine in ten pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+* ``within_bound``: the change's median is no worse than the parent's by more
+  than the metric's ``bound``, read as a fraction of the parent's median.
+
+One line per metric prints these.  With ``--out`` the summary is stored under
+``workloads[W]`` of that JSON file, so one file can collect several workloads;
+other workloads in it are kept, and ``--note`` sets its ``note``.
 """
 
 import argparse
@@ -30,9 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def end_to_end_metrics():
-    """{metric: "lower" or "higher"} for the end-to-end metrics."""
+    """{metric: ("lower" or "higher", bound)} for the end-to-end metrics."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def last_json(stdout):
@@ -55,19 +62,25 @@ def summarize(pairs, metrics):
     """Per-metric summary of (parent result, change result) pairs, each the
     JSON object a ``bench/run.py`` run printed last."""
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        pmed, cmed = statistics.median(parent), statistics.median(change)
+        q1, q3 = quartiles(parent)
+        gap = pmed - cmed if better == "lower" else cmed - pmed  # > 0 when the change is better
         out[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
             "better": better,
-            "parent_median": statistics.median(parent),
-            "parent_quartiles": quartiles(parent),
-            "change_median": statistics.median(change),
+            "bound": bound,
+            "parent_median": pmed,
+            "parent_quartiles": (q1, q3),
+            "change_median": cmed,
             "change_quartiles": quartiles(change),
             "pairs_won": won,
             "pairs": len(pairs),
+            "gain": 10 * won >= 9 * len(pairs) and gap > q3 - q1,
+            "within_bound": -gap <= bound * abs(pmed),
             "parent": parent,
             "change": change,
         }
@@ -76,6 +89,16 @@ def summarize(pairs, metrics):
         "failed": sum(p["failed"] + c["failed"] for p, c in pairs),
         "metrics": out,
     }
+
+
+def report(name, m):
+    """One line: parent median [quartiles] -> change median, pairs won, verdicts."""
+    q1, q3 = m["parent_quartiles"]
+    pmed, cmed = m["parent_median"], m["change_median"]
+    rel = f" ({(cmed - pmed) / pmed:+.1%})" if pmed else ""
+    return (f"{name}: {pmed:.4g} [{q1:.4g}, {q3:.4g}] -> {cmed:.4g} {m['unit']}{rel}, "
+            f"{m['pairs_won']} of {m['pairs']} pairs won, gain {'yes' if m['gain'] else 'no'}, "
+            f"within bound {m['bound']:g}: {'yes' if m['within_bound'] else 'NO'}")
 
 
 def run(checkout, workload, seed, seconds):
@@ -113,7 +136,8 @@ def main():
 
     summary = summarize(pairs, end_to_end_metrics())
     summary.update(seeds=seeds, seconds=args.seconds, python=platform.python_version())
-    print(json.dumps(summary["metrics"]["check_p50_ms"]))
+    for name, m in summary["metrics"].items():
+        print(report(name, m))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         if args.note:

@@ -52,12 +52,16 @@ def _sample_points():
 
 
 def _read(path):
+    """The netlist text of a file, or of standard input for "-", decoded
+    strictly as UTF-8 whatever the locale."""
     if path == "-":
-        return sys.stdin.read()
+        name, data = "standard input", sys.stdin.buffer.read()
+    else:
+        name, data = path, Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EngineError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise EngineError(f"{name}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load(path, args):

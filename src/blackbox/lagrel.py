@@ -415,12 +415,20 @@ def cap_relation(space):
 
 
 def compose_relations(first, second):
-    """The relational composite, via an exact solve on the shared coordinates.
+    """The relational composite V1 -> V3 of ``first``: V1 -> V2 and
+    ``second``: V2 -> V3.
 
-    Generators of both relations are stacked over unknown coefficient rows
-    (a, b); the constraint a*G restricted to the shared space equals b*H
-    restricted to it is solved exactly, and the solutions are projected to
-    the outer coordinates.
+    When ``second`` is the graph of a map V2 -> V3 (its canonical rows pivot
+    on the shared V2 columns, one row each), row c is e_c + S_c with S_c in
+    V3, and the composite is spanned by (x, sum_c y_c S_c) over the
+    generators (x, y) of ``first``: a sparse product, the chain matrix of
+    two-port theory.  When ``first`` is a graph too, these rows are already
+    canonical.
+
+    Otherwise generators of both relations are stacked over unknown
+    coefficient rows (a, b); the constraint a*G restricted to the shared
+    space equals b*H restricted to it is solved exactly, and the solutions
+    are projected to the outer coordinates.
     """
     if not first.target.same_shape(second.source):
         raise InterfaceMismatch(
@@ -428,6 +436,20 @@ def compose_relations(first, second):
         )
     a2 = first.source.dim
     b2 = first.target.dim
+    hrows = second.sub.sparse
+    if len(hrows) == b2 and all(min(h) == c for c, h in enumerate(hrows)):
+        # S_c moved to the composite's columns; rref left no V2 entry but the 1.
+        tails = [{a2 - b2 + k: e for k, e in h.items() if k >= b2} for h in hrows]
+        out_rows = []
+        for grow in first.sub.sparse:
+            row = {}
+            for c, e in grow.items():
+                if c < a2:
+                    row[c] = e
+                else:
+                    _add_multiple(row, e, tails[c - a2])
+            out_rows.append(row)
+        return LagrangianRelation(first.source, second.target, out_rows)
     # Columns of the constraint matrix: one per stacked generator; rows: one
     # per shared coordinate.  Solve x . vstack(G|shared, -H|shared) = 0.
     # The rest of each generator, moved to the composite's columns, is what
@@ -441,7 +463,7 @@ def compose_relations(first, second):
                 outer[j][c] = e
             else:
                 constraint[c - a2][j] = e
-    for j, hrow in enumerate(second.sub.sparse, len(outer)):
+    for j, hrow in enumerate(hrows, len(outer)):
         outer.append({})
         for c, e in hrow.items():
             if c < b2:

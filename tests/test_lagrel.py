@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from blackbox import lagrel
 from blackbox.behavior import blackbox
+from blackbox.circuits import compose_circuits
 from blackbox.corel import (
     Corelation,
     cap_corelation,
@@ -44,15 +47,18 @@ from util import (
     gauss_jordan,
     ladder_circuit,
     mesh_circuit,
+    mesh_columns,
     rand_circuit,
     rand_corel,
     rand_degenerate_matrix,
     rand_entry,
     rand_form,
     rand_oracle_matrix,
+    reference_compose,
     reference_current_generators,
     reference_lagrangian,
     reference_nullspace,
+    rung_sections,
 )
 
 
@@ -444,6 +450,98 @@ def test_random_composites_stay_lagrangian():
         out = compose_relations(symplectify(a), symplectify(b))
         half = out.source.num_ports + out.target.num_ports
         assert out.sub.dim == half
+
+
+LADDER_KINDS = [("R", "C"), ("L", "R"), ("RL", "C")]
+
+
+def _fold_cases(rels, graphs):
+    """(first, second, second is a graph) along a fold of the relations,
+    each composite taken from ``reference_compose``."""
+    acc = rels[0]
+    for rel, graph in zip(rels[1:], graphs):
+        yield acc, rel, graph
+        acc = reference_compose(acc, rel)
+
+
+def composition_cases():
+    """Seeded (name, first, second, graph) cases, ``graph`` saying whether
+    ``second`` is the graph of a map out of the shared space."""
+    rng = random.Random(41)
+    cases = []
+    sections = []
+    for series, shunt in LADDER_KINDS:
+        rels = [blackbox(g) for g in rung_sections(
+            ladder_circuit(rng, 5, series, shunt, two_node=True))]
+        sections.append(rels[0])
+        for k, (a, b, graph) in enumerate(_fold_cases(rels, [True] * 4)):
+            cases.append((f"ladder {series}{shunt} {k}", a, b, graph))
+        whole = reduce(reference_compose, rels)
+        cases.append((f"ladder {series}{shunt} mirror", whole, dagger_relation(whole), True))
+    for side in (3, 4):
+        rels = [blackbox(g) for g in mesh_columns(mesh_circuit(rng, side), side)]
+        # The middle columns map side ports onto side ports; the last narrows to one.
+        graphs = [True] * (side - 2) + [False]
+        for k, (a, b, graph) in enumerate(_fold_cases(rels, graphs)):
+            cases.append((f"mesh {side} {k}", a, b, graph))
+    for k, sec in enumerate(sections):
+        v = sec.target
+        cases.append((f"identity {k}", sec, identity_relation(v), True))
+        cases.append((f"twist {k}", sec, twist(v), True))
+    for k in range(6):
+        # Names 0 -> V, which are not graphs, and random relations, into a section.
+        name = blackbox(rand_circuit(rng, max_nodes=4, n_in=0, n_out=2))
+        cases.append((f"name {k}", name, sections[k % 3], True))
+        other = blackbox(rand_circuit(rng, max_nodes=4, n_out=2))
+        cases.append((f"random first {k}", other, sections[k % 3], True))
+        cases.append((f"name twist {k}", name, twist(name.target), True))
+        # Nothing shared: into the empty relation, or into a name.
+        closed = blackbox(rand_circuit(rng, max_nodes=4, n_out=0))
+        cases.append((f"b2 = 0, empty {k}", closed, LagrangianRelation(
+            EMPTY_SPACE, EMPTY_SPACE, []), True))
+        cases.append((f"b2 = 0, name {k}", closed, blackbox(
+            rand_circuit(rng, max_nodes=4, n_in=0, n_out=1 + k % 2)), False))
+    # b2 rows, but x1 is cut off and y1 is open: one pivot lies in V3.
+    near = symplectify(Corelation(2, 2, [[0, 2], [1], [3]]))
+    assert len(near.sub.sparse) == 4 and max(map(min, near.sub.sparse)) >= 4
+    for k, sec in enumerate(sections):
+        cases.append((f"near miss {k}", sec, near, False))
+    cases.append(("near miss from a name", name, near, False))
+    cases.append(("open into near miss", symplectify(Corelation(2, 2, [[0], [1], [2], [3]])),
+                  near, False))
+    return cases
+
+
+CASES = composition_cases()
+
+
+@pytest.mark.parametrize("name, first, second, graph", CASES, ids=[c[0] for c in CASES])
+def test_compose_matches_the_constraint_nullspace(name, first, second, graph):
+    assert compose_relations(first, second) == reference_compose(first, second)
+
+
+def test_compose_through_a_graph_solves_nothing(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(lagrel, "nullspace", refuse)
+    assert sum(graph for *_, graph in CASES) >= 40
+    for name, first, second, graph in CASES:
+        if graph:
+            assert compose_relations(first, second) == reference_compose(first, second), name
+        else:
+            with pytest.raises(AssertionError, match="nullspace called"):
+                compose_relations(first, second)
+
+
+def test_blackbox_is_a_functor_on_rung_sections():
+    rng = random.Random(43)
+    for series, shunt in LADDER_KINDS:
+        secs = rung_sections(ladder_circuit(rng, 4, series, shunt, two_node=True))
+        rels = [blackbox(g) for g in secs]
+        for g1, g2, r1, r2 in zip(secs, secs[1:], rels, rels[1:]):
+            assert blackbox(compose_circuits(g1, g2)) == compose_relations(r1, r2)
+        assert blackbox(reduce(compose_circuits, secs)) == reduce(compose_relations, rels)
 
 
 def test_tensor_and_dagger_units():

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -313,6 +316,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {latin}: not UTF-8 text at byte 10\n"
+
+
+def _piped(argv, data):
+    """Run the CLI in a subprocess under the C locale with ``data`` on stdin."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+    env.pop("PYTHONIOENCODING", None)
+    env.pop("PYTHONUTF8", None)
+    return subprocess.run([sys.executable, "-m", "blackbox.cli", *argv], input=data,
+                          env=env, capture_output=True, timeout=60)
+
+
+def test_piped_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    latin = b"nodes: a b\xff\ninputs: a\noutputs: b\xff\nR a b\xff 1\n"
+    for verb in ("blackbox", "check"):
+        proc = _piped([verb, "-"], latin)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: standard input: not UTF-8 text at byte 10\n"
+    text = "nodes: a n\u0153ud\ninputs: a\noutputs: n\u0153ud\nR a n\u0153ud 2\n"
+    path = tmp_path / "noeud.net"
+    path.write_bytes(text.encode("utf-8"))
+    piped = _piped(["blackbox", "-", "--json"], text.encode("utf-8"))
+    from_file = _piped(["blackbox", str(path), "--json"], b"")
+    assert piped.returncode == from_file.returncode == 0
+    assert piped.stdout == from_file.stdout
+    assert json.loads(piped.stdout)["outputs"] == ["n\u0153ud"]
 
 
 def test_cli_sample_point_override(tmp_path, capsys, monkeypatch):

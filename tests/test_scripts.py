@@ -66,7 +66,7 @@ def test_bench_pairs_summarizes_canned_runs():
     change = [1.5, 1.6, 1.4, 1.9, 1.5]
     pairs = [(bp.last_json(_canned_run(p, 10)), bp.last_json(_canned_run(c, 9 + k % 3)))
              for k, (p, c) in enumerate(zip(parent, change))]
-    summary = bp.summarize(pairs, {"check_p50_ms": "lower", "rounds": "higher"})
+    summary = bp.summarize(pairs, {"check_p50_ms": ("lower", 0.25), "rounds": ("higher", 0.1)})
     check = summary["metrics"]["check_p50_ms"]
     assert check["parent_median"] == 2.0 and check["change_median"] == 1.5
     assert check["parent_quartiles"] == pytest.approx((1.85, 2.15))
@@ -81,7 +81,7 @@ def test_bench_pairs_summarizes_canned_runs():
     assert summary["all_correct"] and summary["failed"] == 0
 
     pairs[2] = (pairs[2][0], bp.last_json(_canned_run(1.4, 11, correct=False)))
-    summary = bp.summarize(pairs, {"check_p50_ms": "lower"})
+    summary = bp.summarize(pairs, {"check_p50_ms": ("lower", 0.25)})
     assert not summary["all_correct"] and summary["failed"] == 1
     assert bp.quartiles([3.0]) == (3.0, 3.0)
     with pytest.raises(ValueError):
@@ -92,4 +92,42 @@ def test_bench_pairs_reads_the_end_to_end_metrics():
     bp = _load_script("bench_pairs")
     metrics = bp.end_to_end_metrics()
     assert "check_p50_ms" in metrics and "peak_rss_mb" in metrics
-    assert set(metrics.values()) <= {"lower", "higher"}
+    assert {better for better, _ in metrics.values()} <= {"lower", "higher"}
+    assert all(0 < bound < 1 for _, bound in metrics.values())
+
+
+def _verdicts(parent, change, better="lower", bound=0.25):
+    """The summary of canned pairs with these ``check_p50_ms`` values."""
+    bp = _load_script("bench_pairs")
+    pairs = [(bp.last_json(_canned_run(p, 10)), bp.last_json(_canned_run(c, 10)))
+             for p, c in zip(parent, change)]
+    m = bp.summarize(pairs, {"check_p50_ms": (better, bound)})["metrics"]["check_p50_ms"]
+    return m, bp.report("check_p50_ms", m)
+
+
+def test_bench_pairs_flags_a_gain_and_a_bound():
+    parent = [2.0, 2.1, 1.9, 2.05, 1.95, 2.0, 2.02, 1.98, 2.1, 1.9]
+    # A met gain: 10 of 10 pairs, a gap of 0.5 against a parent IQR of 0.125.
+    m, line = _verdicts(parent, [p - 0.5 for p in parent])
+    assert m["pairs_won"] == 10 and m["gain"] and m["within_bound"]
+    assert m["parent_quartiles"][1] - m["parent_quartiles"][0] == pytest.approx(0.125)
+    assert line.startswith("check_p50_ms: 2 [1.938, 2.062] -> 1.5 ms (-25.0%), 10 of 10 pairs won")
+    assert line.endswith("gain yes, within bound 0.25: yes")
+    # The same gap won in only 8 of 10 pairs is no gain.
+    change = [p - 0.5 for p in parent[:8]] + [p + 0.01 for p in parent[8:]]
+    m, _ = _verdicts(parent, change)
+    assert m["pairs_won"] == 8 and not m["gain"]
+    # Every pair won, but by a median gap of 0.05, inside the parent's IQR.
+    m, line = _verdicts(parent, [p - 0.05 for p in parent])
+    assert m["pairs_won"] == 10 and not m["gain"] and m["within_bound"]
+    assert "gain no" in line
+    # 30% worse exceeds a 0.25 bound; 20% worse does not.
+    m, line = _verdicts(parent, [p * 1.3 for p in parent])
+    assert not m["within_bound"] and line.endswith("within bound 0.25: NO")
+    m, _ = _verdicts(parent, [p * 1.2 for p in parent])
+    assert m["within_bound"] and not m["gain"]
+    # Where higher is better, a fall is what the bound limits.
+    m, _ = _verdicts(parent, [p * 0.85 for p in parent], better="higher", bound=0.1)
+    assert m["pairs_won"] == 0 and not m["within_bound"]
+    m, _ = _verdicts(parent, [p * 1.2 for p in parent], better="higher", bound=0.1)
+    assert m["gain"] and m["within_bound"]

@@ -301,3 +301,53 @@ def composed_cospan_relation(lc):
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
     rows = [embed(r, cols) for r in name.sub.sparse]
     return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
+
+
+def reference_compose(first, second):
+    """``compose_relations`` by the constraint nullspace alone: the stacked
+    generators' coefficients (a, b) with a*G equal to b*H on the shared
+    coordinates, each solution projected to the outer coordinates.  The
+    reference for the sparse product through a graph."""
+    a2, b2 = first.source.dim, first.target.dim
+    constraint = [{} for _ in range(b2)]
+    outer = []
+    for j, grow in enumerate(first.sub.sparse):
+        outer.append({c: e for c, e in grow.items() if c < a2})
+        for c, e in grow.items():
+            if c >= a2:
+                constraint[c - a2][j] = e
+    for j, hrow in enumerate(second.sub.sparse, len(outer)):
+        outer.append({a2 - b2 + c: e for c, e in hrow.items() if c >= b2})
+        for c, e in hrow.items():
+            if c < b2:
+                constraint[c][j] = -e
+    rows = []
+    for vec in nullspace(constraint, len(outer)):
+        row = {}
+        for j, f in vec.items():
+            for c, e in outer[j].items():
+                row[c] = row.get(c, ZERO) + f * e
+        rows.append(row)
+    return LagrangianRelation(first.source, second.target, rows)
+
+
+def rung_sections(g):
+    """A ``ladder_circuit`` cut into its rungs: two-ports with a series edge
+    a-b and a shunt edge b-g, inputs (a, g) and outputs (b, g)."""
+    edges = g.graph.edges
+    return [circuit(["a", "b", "g"], [("a", "b", edges[k][2]), ("b", "g", edges[k + 1][2])],
+                    ["a", "g"], ["b", "g"])
+            for k in range(0, len(edges), 2)]
+
+
+def mesh_columns(g, side):
+    """A ``mesh_circuit`` cut into columns: block j holds the edges leaving
+    column j and meets its neighbours on whole columns; the first block's
+    input and the last block's output are the mesh's own ports."""
+    blocks = []
+    for j in range(side):
+        col = [f"r{i}c{j}" for i in range(side)]
+        nxt = [f"r{i}c{j + 1}" for i in range(side)] if j + 1 < side else []
+        mine = [e for e in g.graph.edges if e[0] in col]
+        blocks.append(circuit(col + nxt, mine, g.inputs if j == 0 else col, nxt or g.outputs))
+    return blocks
