@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 from .circuits import pushout
 from .corel import corel_from_cospan, dagger_corelation
-from .dirichlet import DirichletForm, extended_power_functional, power_functional
+from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
 from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
 from .field import ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
     Subspace,
-    SymplSpace,
     compose_relations,
     embed,
     graph_of_differential,
@@ -86,11 +85,9 @@ def compose_dirichlet_cospans(a, b):
     if len(a.outputs) != len(b.inputs):
         raise PortCountMismatch("port lists do not match")
     map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
-    coeffs = [((map1[i], map1[j]), c) for (i, j), c in a.form.coeffs.items()
-              if map1[i] != map1[j]]
-    coeffs += [((map2[i], map2[j]), c) for (i, j), c in b.form.coeffs.items()
-               if map2[i] != map2[j]]
-    form = DirichletForm(nodes, coeffs)
+    qa = pushforward_form(map1, a.form, nodes)
+    qb = pushforward_form(map2, b.form, nodes)
+    form = DirichletForm(nodes, [*qa.coeffs.items(), *qb.coeffs.items()])
     return DirichletCospan(
         tuple(map1[p] for p in a.inputs),
         tuple(map2[p] for p in b.outputs),
@@ -130,7 +127,7 @@ def _behavior_from_name(rel, m, n):
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
     rows = [{cols[c]: -e if m + n <= c < 2 * m + n else e for c, e in r.items()}
             for r in rel.sub.sparse]
-    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
+    return LagrangianRelation(port_space(m), port_space(n), rows)
 
 
 def cospan_relation(lc):
@@ -143,12 +140,8 @@ def cospan_relation(lc):
         [index[p] for p in lc.inputs] + [index[p] for p in lc.outputs],
         list(range(len(nodes))),
     )
-    s_boundary = symplectify(
-        dagger_corelation(boundary_corel),
-        SymplSpace(nodes),
-        port_space(m + n, "p"),
-    )
-    onto_ports = compose_relations(subspace_as_relation(lc.sub, SymplSpace(nodes)), s_boundary)
+    name = subspace_as_relation(lc.sub, port_space(len(nodes)))
+    onto_ports = compose_relations(name, symplectify(dagger_corelation(boundary_corel)))
     return _behavior_from_name(onto_ports, m, n)
 
 
@@ -194,7 +187,7 @@ def _port_behavior(vecs, phi_cols, cur_cols, m):
     src = [*phi_cols[:m], *cur_cols[:m], *phi_cols[m:], *cur_cols[m:]]
     out_rows = [{k: -vec[c] if m <= k < 2 * m else vec[c] for k, c in enumerate(src) if c in vec}
                 for vec in vecs]
-    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), out_rows)
+    return LagrangianRelation(port_space(m), port_space(n), out_rows)
 
 
 def blackbox(g):

@@ -21,6 +21,7 @@ from .behavior import (
     behavior_to_json,
     blackbox,
     blackbox_categorical,
+    equivalent,
     oracle_behavior,
 )
 from .circuits import compose_circuits, dagger_circuit, tensor_circuits
@@ -120,7 +121,7 @@ def _cmd_eliminate(args):
 def _cmd_equiv(args):
     g1 = _load(args.first, args)
     g2 = _load(args.second, args)
-    return 0 if blackbox(g1) == blackbox(g2) else 1
+    return 0 if equivalent(g1, g2) else 1
 
 
 def _cmd_eval(args):

@@ -3,11 +3,12 @@ symplectification of corelations.
 
 Conventions fixed once and for all:
 
-* The space generated by a port list has coordinates
+* A space of m ports is its tuple of m signs, nothing more: coordinates
   [phi_0 .. phi_{m-1}, iota_0 .. iota_{m-1}] and symplectic form
   omega((phi,i),(phi',i')) = sum_x sign_x (i'_x phi_x - i_x phi'_x).
   Conjugation flips the per-port sign; it is metadata, never a coordinate
-  change.
+  change.  Ports are named by position: source port k is x<k>, target
+  port k is y<k>.
 * A relation V1 -> V2 stores a subspace of conj(V1) (+) V2 with columns
   [phi source, iota source, phi target, iota target]; isotropy is checked
   against -omega_1 + omega_2.
@@ -221,51 +222,38 @@ class Subspace:
 
 
 class SymplSpace:
-    """The symplectic space generated by an ordered port list, with signs."""
+    """The symplectic space F^{2n} of n ports, given by their n signs."""
 
-    __slots__ = ("labels", "signs")
+    __slots__ = ("signs",)
 
-    def __init__(self, labels, signs=None):
-        self.labels = tuple(labels)
-        self.signs = tuple(signs) if signs is not None else (1,) * len(self.labels)
-        if len(self.signs) != len(self.labels) or any(s not in (1, -1) for s in self.signs):
+    def __init__(self, signs):
+        self.signs = tuple(signs)
+        if any(s not in (1, -1) for s in self.signs):
             raise ValueError("need one sign of +/-1 per port")
 
     @property
     def num_ports(self):
-        return len(self.labels)
+        return len(self.signs)
 
     @property
     def dim(self):
-        return 2 * len(self.labels)
+        return 2 * len(self.signs)
 
     def conj(self):
-        return SymplSpace(self.labels, tuple(-s for s in self.signs))
+        return SymplSpace(-s for s in self.signs)
 
     def oplus(self, other):
-        return SymplSpace(self.labels + other.labels, self.signs + other.signs)
-
-    def same_shape(self, other):
-        return self.signs == other.signs
+        return SymplSpace(self.signs + other.signs)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymplSpace)
-            and self.labels == other.labels
-            and self.signs == other.signs
-        )
+        return isinstance(other, SymplSpace) and self.signs == other.signs
 
     def __hash__(self):
-        return hash((self.labels, self.signs))
+        return hash(self.signs)
 
     def __repr__(self):
         marks = "".join("-" if s < 0 else "+" for s in self.signs)
-        return f"SymplSpace({list(self.labels)}, {marks})"
-
-    def pairing(self):
-        """(phi column, iota column, sign) triples in space layout."""
-        n = self.num_ports
-        return [(x, n + x, self.signs[x]) for x in range(n)]
+        return f"SymplSpace({marks})"
 
 
 def _relation_pairing(source, target):
@@ -280,8 +268,8 @@ def _relation_pairing(source, target):
 EMPTY_SPACE = SymplSpace(())
 
 
-def port_space(count, prefix="x"):
-    return SymplSpace(tuple(f"{prefix}{k}" for k in range(count)))
+def port_space(count):
+    return SymplSpace((1,) * count)
 
 
 def _isotropic_half(sub, pairing, half):
@@ -312,7 +300,7 @@ def is_lagrangian(sub, space):
     """True iff the subspace is isotropic of half the ambient dimension."""
     if sub.ncols != space.dim:
         raise ValueError("subspace does not live in the given space")
-    return _isotropic_half(sub, space.pairing(), space.num_ports)
+    return _isotropic_half(sub, _relation_pairing(EMPTY_SPACE, space), space.num_ports)
 
 
 # -- Lagrangian relations ---------------------------------------------------------
@@ -342,20 +330,18 @@ class LagrangianRelation:
     def __eq__(self, other):
         return (
             isinstance(other, LagrangianRelation)
-            and self.source.signs == other.source.signs
-            and self.target.signs == other.target.signs
+            and self.source == other.source
+            and self.target == other.target
             and self.sub == other.sub
         )
 
     def __hash__(self):
-        return hash((self.source.signs, self.target.signs, self.sub))
+        return hash((self.source, self.target, self.sub))
 
     def column_names(self):
-        out = [f"phi({x})" for x in self.source.labels]
-        out += [f"i({x})" for x in self.source.labels]
-        out += [f"phi({y})" for y in self.target.labels]
-        out += [f"i({y})" for y in self.target.labels]
-        return out
+        xs = [f"x{k}" for k in range(self.source.num_ports)]
+        ys = [f"y{k}" for k in range(self.target.num_ports)]
+        return [f"{q}({p})" for ports in (xs, ys) for q in ("phi", "i") for p in ports]
 
     def pretty(self):
         lines = [
@@ -430,7 +416,7 @@ def compose_relations(first, second):
     space equals b*H restricted to it is solved exactly, and the solutions
     are projected to the outer coordinates.
     """
-    if not first.target.same_shape(second.source):
+    if first.target != second.source:
         raise InterfaceMismatch(
             f"target {first.target!r} does not match source {second.source!r}"
         )
@@ -561,16 +547,10 @@ def symplectify_currents(corel):
     return Subspace(_current_generators(corel), 2 * (m + n))
 
 
-def symplectify(corel, source=None, target=None):
+def symplectify(corel):
     """The Lagrangian relation copying potentials and splitting currents."""
-    if source is None:
-        source = port_space(corel.left_size, "x")
-    if target is None:
-        target = port_space(corel.right_size, "y")
-    if source.num_ports != corel.left_size or target.num_ports != corel.right_size:
-        raise InterfaceMismatch("space sizes do not match the corelation")
     rows = _phi_generators(corel) + _current_generators(corel)
-    return LagrangianRelation(source, target, rows)
+    return LagrangianRelation(port_space(corel.left_size), port_space(corel.right_size), rows)
 
 
 def pushforward_lagrangian(f, domain, sub, codomain=None):
@@ -581,6 +561,5 @@ def pushforward_lagrangian(f, domain, sub, codomain=None):
     index = {lab: k for k, lab in enumerate(codomain)}
     images = [index[f[n]] for n in domain]
     corel = corel_from_function(images, len(codomain))
-    sf = symplectify(corel, SymplSpace(domain), SymplSpace(codomain))
-    name = subspace_as_relation(sub, SymplSpace(domain))
-    return compose_relations(name, sf).sub
+    name = subspace_as_relation(sub, port_space(len(domain)))
+    return compose_relations(name, symplectify(corel)).sub

@@ -32,7 +32,6 @@ from blackbox.corel import (
 from blackbox.dirichlet import DirichletForm, compose_forms, eliminate_node
 from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance
 from blackbox.lagrel import (
-    EMPTY_SPACE,
     Subspace,
     cap_relation,
     compose_relations,
@@ -233,7 +232,7 @@ def test_criterion_11_corelation_functoriality():
             assert lhs == symplectify(compose_corelations(a, b))
         for n in range(4):
             assert symplectify(identity_corelation(n)) == identity_relation(
-                port_space(n, "x")
+                port_space(n)
             )
 
 
@@ -262,7 +261,7 @@ def test_criterion_12_snake_identities():
                 == idc
             )
             # twisted bookkeeping: S(cap) = cap after twisting the second leg
-            s_cap = symplectify(cap_corelation(n), port_space(2 * n, "x"), EMPTY_SPACE)
+            s_cap = symplectify(cap_corelation(n))
             book = compose_relations(
                 tensor_relations(identity_relation(v), twist(v)), cap_relation(v)
             )

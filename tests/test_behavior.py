@@ -235,7 +235,6 @@ def test_minimization_equals_boundary_restriction_of_the_graph():
     # Restricting Graph(dP) along the boundary inclusion equals the graph of
     # the eliminated form: the identity that licenses the fast path.
     from blackbox.lagrel import (
-        SymplSpace,
         compose_relations,
         graph_of_differential,
         subspace_as_relation,
@@ -252,12 +251,9 @@ def test_minimization_equals_boundary_restriction_of_the_graph():
         q = power_functional(p, boundary)
         node_at = {n: k for k, n in enumerate(nodes)}
         inclusion = corel_from_function([node_at[b] for b in boundary], len(nodes))
-        restrict = symplectify(
-            dagger_corelation(inclusion), SymplSpace(nodes), SymplSpace(boundary)
-        )
         restricted = compose_relations(
-            subspace_as_relation(graph_of_differential(p), SymplSpace(nodes)),
-            restrict,
+            subspace_as_relation(graph_of_differential(p), port_space(len(nodes))),
+            symplectify(dagger_corelation(inclusion)),
         )
         assert restricted.sub == graph_of_differential(q)
 

@@ -6,7 +6,7 @@ import pytest
 
 from blackbox import lagrel
 from blackbox.behavior import blackbox
-from blackbox.circuits import compose_circuits
+from blackbox.circuits import circuit, compose_circuits
 from blackbox.corel import (
     Corelation,
     cap_corelation,
@@ -222,8 +222,17 @@ def test_nullspace_edge_cases():
     assert nullspace([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: ONE}], 3) == [{2: ONE, 1: -ONE}]
 
 
+def test_a_space_is_its_signs():
+    assert SymplSpace.__slots__ == ("signs",)
+    for signs in ((1, 0), (2,)):
+        with pytest.raises(ValueError):
+            SymplSpace(signs)
+    assert port_space(0) == EMPTY_SPACE
+    assert port_space(2).conj() == SymplSpace((-1, -1))
+
+
 def test_is_lagrangian_examples():
-    space = SymplSpace(("a", "b"))
+    space = port_space(2)
     potential_axis = Subspace(
         [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]], 4
     )
@@ -236,7 +245,7 @@ def test_is_lagrangian_examples():
     for _ in range(15):
         labels = [f"q{k}" for k in range(rng.randint(1, 4))]
         q = rand_form(rng, labels)
-        assert is_lagrangian(graph_of_differential(q), SymplSpace(labels))
+        assert is_lagrangian(graph_of_differential(q), port_space(len(labels)))
 
 
 def _accepted(source, target, rows):
@@ -274,7 +283,7 @@ def test_isotropy_check_matches_the_dense_reference():
     for _ in range(40):
         d = rng.randint(3, 5)
         signs = [rng.choice((1, -1)) for _ in range(d)]
-        space = SymplSpace([f"p{k}" for k in range(d)], signs)
+        space = SymplSpace(signs)
         pairing = [(k, d + k, s) for k, s in enumerate(signs)]
         sym = {}
         for k in range(d):
@@ -299,8 +308,8 @@ def test_isotropy_check_matches_the_dense_reference():
             # The same rows as a relation: the first m ports are the
             # source, whose signs the relation's ambient flips.
             m = rng.randint(0, d)
-            src = SymplSpace([f"x{k}" for k in range(m)], [-s for s in signs[:m]])
-            tgt = SymplSpace([f"y{k}" for k in range(d - m)], signs[m:])
+            src = SymplSpace([-s for s in signs[:m]])
+            tgt = SymplSpace(signs[m:])
             order = [*range(m), *range(d, d + m), *range(m, d), *range(d + m, 2 * d)]
             rel_rows = [[r[c] for c in order] for r in mixed]
             expected = reference_lagrangian(rel_rows, 2 * d, _relation_pairing(src, tgt))
@@ -317,7 +326,7 @@ def test_isotropy_check_matches_the_dense_reference():
             flips = [s < 0 and rng.random() < 0.7 for s in signs]
             rows = _negate_columns(sub.rows, [d + x for x, f in enumerate(flips) if f])
             expected = reference_lagrangian(rows, 2 * d, [(k, d + k, s) for k, s in enumerate(signs)])
-            assert is_lagrangian(Subspace(rows, 2 * d), SymplSpace(labels, signs)) == expected
+            assert is_lagrangian(Subspace(rows, 2 * d), SymplSpace(signs)) == expected
             seen.add(("graph", all(s > 0 or f for s, f in zip(signs, flips)), expected))
         else:
             rel = blackbox(rand_circuit(rng, max_nodes=4, max_edges=4))
@@ -327,7 +336,7 @@ def test_isotropy_check_matches_the_dense_reference():
             flips = [s < 0 and rng.random() < 0.7 for s in src_signs + tgt_signs]
             at = [*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
             rows = _negate_columns(rel.sub.rows, [c for c, f in zip(at, flips) if f])
-            src, tgt = SymplSpace(rel.source.labels, src_signs), SymplSpace(rel.target.labels, tgt_signs)
+            src, tgt = SymplSpace(src_signs), SymplSpace(tgt_signs)
             expected = reference_lagrangian(rows, 2 * (m + n), _relation_pairing(src, tgt))
             assert _accepted(src, tgt, rows) == expected
             seen.add(("behavior", all(s > 0 or f for s, f in zip(src_signs + tgt_signs, flips)), expected))
@@ -370,14 +379,14 @@ def test_ohm_composition():
     def ohm(r):
         q = DirichletForm(["A", "B"], [(("A", "B"), (2 * F(r)).inv())])
         sub = graph_of_differential(q)
-        rel = subspace_as_relation(sub, SymplSpace(("A", "B")))
+        rel = subspace_as_relation(sub, port_space(2))
         # read the 2-node graph as a 1 -> 1 relation with input current flipped
         rows = [(row[0], -row[2], row[1], row[3]) for row in rel.sub.rows]
-        return LagrangianRelation(port_space(1, "x"), port_space(1, "y"), rows)
+        return LagrangianRelation(port_space(1), port_space(1), rows)
 
     assert compose_relations(ohm(1), ohm(1)) == ohm(2)
-    assert compose_relations(ohm(2), identity_relation(port_space(1, "y"))) == ohm(2)
-    assert compose_relations(identity_relation(port_space(1, "x")), ohm(2)) == ohm(2)
+    assert compose_relations(ohm(2), identity_relation(port_space(1))) == ohm(2)
+    assert compose_relations(identity_relation(port_space(1)), ohm(2)) == ohm(2)
 
 
 def test_construction_rejects_non_lagrangian_generators():
@@ -401,18 +410,18 @@ def test_compose_with_a_projected_entry_that_cancels():
     # An open port x and a wire pair y0-y1 that carries current t out of y0
     # and -t out of y1, fed into a node joining both inputs to the output:
     # its current t - t cancels, leaving open ports on both sides.
-    first = LagrangianRelation(port_space(1, "x"), port_space(2, "y"), [
+    first = LagrangianRelation(port_space(1), port_space(2), [
         [ONE, ZERO, ZERO, ZERO, ZERO, ZERO],
         [ZERO, ZERO, ONE, ONE, ZERO, ZERO],
         [ZERO, ZERO, ZERO, ZERO, ONE, -ONE],
     ])
-    second = LagrangianRelation(port_space(2, "x"), port_space(1, "y"), [
+    second = LagrangianRelation(port_space(2), port_space(1), [
         [ONE, ONE, ZERO, ZERO, ONE, ZERO],
         [ZERO, ZERO, ONE, ZERO, ZERO, ONE],
         [ZERO, ZERO, ZERO, ONE, ZERO, ONE],
     ])
     out = compose_relations(first, second)
-    open_ports = LagrangianRelation(port_space(1, "x"), port_space(1, "y"), [
+    open_ports = LagrangianRelation(port_space(1), port_space(1), [
         [ONE, ZERO, ZERO, ZERO],
         [ZERO, ZERO, ONE, ZERO],
     ])
@@ -552,6 +561,23 @@ def test_tensor_and_dagger_units():
     assert dagger_relation(dagger_relation(a)) == a
 
 
+def test_columns_are_named_by_position():
+    # Source port k is x<k> and target port k is y<k>, whatever relations
+    # a relation was derived from.
+    r = blackbox(circuit(["a", "b"], [("a", "b", impedance("R", 1))], ["a"], ["b"]))
+    one_one = ["phi(x0)", "i(x0)", "phi(y0)", "i(y0)"]
+    assert dagger_relation(r).column_names() == one_one
+    assert compose_relations(r, dagger_relation(r)).column_names() == one_one
+    names = tensor_relations(r, r).column_names()
+    assert names == [
+        "phi(x0)", "phi(x1)", "i(x0)", "i(x1)", "phi(y0)", "phi(y1)", "i(y0)", "i(y1)"]
+    assert len(set(names)) == len(names)
+    g = circuit(["a", "b", "c"], [("a", "c", impedance("R", 1)), ("b", "c", impedance("C", 2))],
+                ["a", "b"], ["c"])
+    assert blackbox(g).column_names() == [
+        "phi(x0)", "phi(x1)", "i(x0)", "i(x1)", "phi(y0)", "i(y0)"]
+
+
 def test_dagger_of_ohm_is_ohm():
     r = F(2)
     q = DirichletForm(["A", "B"], [(("A", "B"), (2 * r).inv())])
@@ -559,7 +585,7 @@ def test_dagger_of_ohm_is_ohm():
         (row[0], -row[2], row[1], row[3])
         for row in graph_of_differential(q).rows
     ]
-    ohm = LagrangianRelation(port_space(1, "x"), port_space(1, "y"), rel_rows)
+    ohm = LagrangianRelation(port_space(1), port_space(1), rel_rows)
     assert dagger_relation(ohm) == ohm
 
 
@@ -569,7 +595,7 @@ def test_symplectify_identity_examples():
     assert pots == Subspace([[ONE, ZERO, ONE, ZERO]], 4)
     curs = symplectify_currents(idc)
     assert curs == Subspace([[ZERO, ONE, ZERO, ONE]], 4)
-    assert symplectify(idc) == identity_relation(port_space(1, "x"))
+    assert symplectify(idc) == identity_relation(port_space(1))
 
 
 def test_symplectify_block_examples():
@@ -682,9 +708,7 @@ def test_symplectification_functoriality():
         lhs = compose_relations(symplectify(a), symplectify(b))
         rhs = symplectify(compose_corelations(a, b))
         assert lhs == rhs
-        assert dagger_relation(symplectify(a)) == symplectify(
-            dagger_corelation(a), port_space(k, "x"), port_space(m, "y")
-        )
+        assert dagger_relation(symplectify(a)) == symplectify(dagger_corelation(a))
 
 
 def test_twist_examples():
@@ -694,7 +718,7 @@ def test_twist_examples():
     assert compose_relations(tw, back) == identity_relation(v)
     # S(cap) equals the LagrRel cap with a twist on the second leg
     v1 = port_space(1)
-    s_cap = symplectify(cap_corelation(1), port_space(2, "x"), EMPTY_SPACE)
+    s_cap = symplectify(cap_corelation(1))
     book = compose_relations(
         tensor_relations(identity_relation(v1), twist(v1)), cap_relation(v1)
     )
@@ -741,7 +765,7 @@ def test_symplectification_of_functions():
             row[m + x] = ONE
             row[2 * m + n + f[x]] = ONE
             rows.append(row)
-        expected = LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
+        expected = LagrangianRelation(port_space(m), port_space(n), rows)
         assert sf == expected
 
 

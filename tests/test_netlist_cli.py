@@ -216,6 +216,14 @@ def test_cli_eliminate_and_eval(tmp_path, capsys):
     assert main(["eval", rlc, "--at", "one"]) == 2
 
 
+def test_cli_eval_names_the_columns_by_position(tmp_path, capsys):
+    two_in = _write(tmp_path, "two_in.net",
+                    "nodes: a b c\ninputs: a b\noutputs: c\nR a c 1\nC b c 2\n")
+    assert main(["eval", two_in, "--at", "1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "columns: phi(x0) phi(x1) i(x0) i(x1) phi(y0) i(y0)"
+
+
 def test_cli_compose_dagger_tensor(tmp_path, capsys):
     series = _write(tmp_path, "series.net", SERIES)
     single = _write(tmp_path, "single.net", RESISTOR_2)

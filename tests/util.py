@@ -12,7 +12,6 @@ from blackbox.dirichlet import DirichletForm
 from blackbox.field import ONE, ZERO, from_rat, impedance
 from blackbox.lagrel import (
     LagrangianRelation,
-    SymplSpace,
     compose_relations,
     embed,
     identity_relation,
@@ -292,15 +291,14 @@ def composed_cospan_relation(lc):
     index = {lab: k for k, lab in enumerate(nodes)}
     boundary = corel_from_cospan([index[p] for p in (*lc.inputs, *lc.outputs)],
                                  list(range(len(nodes))))
-    s_boundary = symplectify(dagger_corelation(boundary), SymplSpace(nodes),
-                             port_space(m + n, "p"))
-    onto_ports = compose_relations(subspace_as_relation(lc.sub, SymplSpace(nodes)), s_boundary)
-    tw = tensor_relations(twist(port_space(m, "x")), identity_relation(port_space(n, "y")))
+    onto_ports = compose_relations(subspace_as_relation(lc.sub, port_space(len(nodes))),
+                                   symplectify(dagger_corelation(boundary)))
+    tw = tensor_relations(twist(port_space(m)), identity_relation(port_space(n)))
     name = compose_relations(onto_ports, tw)
     # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
     rows = [embed(r, cols) for r in name.sub.sparse]
-    return LagrangianRelation(port_space(m, "x"), port_space(n, "y"), rows)
+    return LagrangianRelation(port_space(m), port_space(n), rows)
 
 
 def reference_compose(first, second):
