@@ -5,9 +5,11 @@ stored as two tuples of Python ints, ``n`` and ``d``, lowest degree first.
 The stored pair is canonical: ``n`` and ``d`` are coprime over Q, the gcd of
 all their coefficients together is 1, ``d`` has a positive leading
 coefficient, and zero is ``((), (1,))``.  The form is unique, so structural
-equality coincides with field equality.  Reduction to lowest terms uses the
-primitive pseudo-remainder sequence over Z[s] (``poly_gcd``); by Gauss's
-lemma, dividing by a primitive gcd stays exact over Z.  Sums, differences
+equality coincides with field equality.  Reduction to lowest terms divides
+by the primitive gcd over Z[s] (``poly_gcd``), which stays exact over Z by
+Gauss's lemma.  Most gcds are settled by splitting off the common power of
+s, one pseudo-remainder step and an evaluation that proves coprimality; the
+primitive pseudo-remainder sequence runs only for the rest.  Sums, differences
 and products of canonical operands use Henrici's cross-cancellation: a sum
 takes the gcd of the two denominators and then cancels the new numerator
 against that gcd alone, and a product cancels each numerator against the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -132,20 +134,77 @@ def poly_gcd(a, b):
     """The primitive gcd of two integer polynomials, leading coefficient
     positive; ``()`` when both are zero.
 
-    Primitive pseudo-remainder sequence: each remainder is divided by its
-    content, so coefficients stay as small as the gcd allows.
+    Entries of Q(s) are full of powers of s and mostly coprime, so the
+    primitive pseudo-remainder sequence (``_prs``) runs only when the
+    operands may share a factor that is not a power of s:
+
+    1. s is prime in Z[s], so gcd(s^i·a', s^j·b') = s^min(i,j)·gcd(a', b')
+       with a'(0), b'(0) nonzero; if a' or b' is constant that is all.
+    2. With deg b' <= deg a', one pseudo-remainder step gives
+       r = m·a' - q·b' for a nonzero integer m.  If r = 0 the gcd is pp(b');
+       if r is a nonzero constant it is 1.
+    3. Otherwise a common factor of a' and b' divides c = pp(r).  By the
+       Landau-Mignotte bound a factor g of c has coefficients of magnitude
+       below H = 2^deg(c)·(isqrt(‖c‖₂²) + 1).  Take ξ the least power of
+       two >= 2H + 2, so that evaluation is by shifts.  Then a nonconstant
+       g has |g(ξ)| > ξ^deg(g)/2 >= ξ/2, and c(ξ) != 0 since ξ exceeds
+       c's root bound.  g(ξ) divides both c(ξ) and b'(ξ), so
+       gcd(c(ξ), b'(ξ)) <= ξ/2 proves b' and c, hence a' and b', coprime.
+    4. Otherwise the PRS continues from (b', c).
+
+    The primitive gcd with positive leading coefficient is unique, so every
+    step returns what the PRS alone would.
     """
     if len(a) < len(b):
         a, b = b, a
-    if not a:
-        return ()
-    a = _primitive(a)
+    if not b:
+        return _positive_lead(_primitive(a)) if a else ()
+    i = j = 0
+    while not a[i]:
+        i += 1
+    while not b[j]:
+        j += 1
+    a, b = a[i:], b[j:]
+    if len(a) < len(b):
+        a, b = b, a
+    g = (1,)
+    if len(b) > 1:
+        b = _primitive(b)
+        r = _prem(_primitive(a), b)
+        if not r:
+            g = _positive_lead(b)
+        elif len(r) > 1:
+            c = _primitive(r)
+            # ξ = 2^k >= 2H + 2, with H as above.
+            k = (isqrt(sum(x * x for x in c)) + 1).bit_length() + len(c)
+            if 2 * gcd(_at_power_of_two(c, k), _at_power_of_two(b, k)) > 1 << k:
+                g = _prs(c, _prem(b, c))
+    return (0,) * min(i, j) + g
+
+
+def _prs(a, b):
+    """The primitive gcd of ``a`` (primitive) and ``b``, leading coefficient
+    positive: the primitive pseudo-remainder sequence, in which each
+    remainder is divided by its content, so coefficients stay as small as
+    the gcd allows."""
     while b:
         if len(b) == 1:
             return (1,)
         b = _primitive(b)
         a, b = b, _prem(a, b)
+    return _positive_lead(a)
+
+
+def _positive_lead(a):
     return a if a[-1] > 0 else _scale(a, -1)
+
+
+def _at_power_of_two(cs, k):
+    """The integer polynomial ``cs`` at 2^k, by Horner with shifts."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << k) + c
+    return acc
 
 
 def _integer_poly(x):

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blackbox import field
+from blackbox.behavior import blackbox
 from blackbox.errors import (
     DivisionByZero,
     EmptySampleSet,
@@ -23,8 +25,10 @@ from blackbox.field import (
     impedance,
     is_positive_sampled,
     parse_ratfunc,
+    poly_gcd,
     s,
 )
+from util import mesh_circuit, reference_gcd
 
 rats = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -264,6 +268,131 @@ def test_large_coefficients():
     assert str(big + 7) in text and parse_ratfunc(text) == r
     assert r.eval_at(2) == Fraction(big + 7 - 6 * big + 4, 2 * big - 1 + 10)
     assert (r * r.inv()).is_one() and r - r == ZERO
+
+
+# -- poly_gcd against the pseudo-remainder sequence -----------------------------
+
+coeffs = st.integers(-20, 20)
+int_polys = st.lists(coeffs, min_size=1, max_size=5).map(
+    lambda cs: tuple(cs[: max((k + 1 for k, c in enumerate(cs) if c), default=0)])
+).filter(bool)
+
+
+def _ipmul(a, b):
+    return tuple(int(c) for c in _conv(a, b))
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two int-tuple polynomials s^i·k·f·u and s^j·m·f·v: a planted common
+    factor f, random cofactors, each side's own power of s and content."""
+    f, u, v = draw(int_polys), draw(int_polys), draw(int_polys)
+    shape = draw(st.sampled_from(["planted", "proportional", "divides", "coprime", "zero"]))
+    if shape == "proportional":
+        v = u
+    elif shape == "divides":
+        v = (1,)
+    elif shape == "coprime":
+        f = (1,)
+    big = st.integers(1, 10**30) | st.integers(-(10**30), -1)
+    out = []
+    for cof in (u, v):
+        power = (0,) * draw(st.integers(0, 3)) + (draw(big),)
+        out.append(_ipmul(power, _ipmul(f, cof)))
+    if shape == "zero":
+        out[draw(st.integers(0, 1))] = ()
+    return tuple(out)
+
+
+@settings(max_examples=400)
+@given(gcd_pairs())
+def test_poly_gcd_matches_the_pseudo_remainder_sequence(pair):
+    a, b = pair
+    assert poly_gcd(a, b) == poly_gcd(b, a) == reference_gcd(a, b)
+
+
+def test_poly_gcd_matches_the_pseudo_remainder_sequence_seeded():
+    rng = random.Random(13)
+
+    def poly(deg, hi):
+        cs = [rng.randint(-hi, hi) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, hi)]
+        return tuple(cs)
+
+    for _ in range(1500):
+        f = poly(rng.randint(0, 4), rng.choice([3, 100, 10**12]))
+        u, v = poly(rng.randint(0, 6), 50), poly(rng.randint(0, 6), 50)
+        if rng.random() < 0.2:
+            v = _ipmul(u, (rng.randint(-9, 9) or 1,))
+        a = (0,) * rng.randint(0, 4) + _ipmul(f, u)
+        b = (0,) * rng.randint(0, 4) + _ipmul(f, v)
+        assert poly_gcd(a, b) == poly_gcd(b, a) == reference_gcd(a, b)
+
+
+def test_poly_gcd_edge_cases():
+    assert poly_gcd((), ()) == ()
+    assert poly_gcd((0, -6, 4), ()) == poly_gcd((), (0, -6, 4)) == (0, -3, 2)
+    assert poly_gcd((0, 0, 5), (7,)) == (1,)
+    assert poly_gcd((0, 0, 3), (0, 5, 0, 7)) == (0, 1)
+    assert poly_gcd((0, 0, 0, -2), (0, 0, 4)) == (0, 0, 1)
+    # -(s + 1)^2 and -2s(s + 1): the gcd is s + 1, leading coefficient positive.
+    assert poly_gcd((-1, -2, -1), (0, -2, -2)) == (1, 1)
+
+
+def test_poly_gcd_of_a_shared_factor_is_not_certified_coprime():
+    # (s - 2)(s + 2)^2 and (s - 2)(s + 1): the first remainder is s - 2, so
+    # H = 2·(isqrt(5) + 1) = 6, xi = 16 >= 2H + 2, and gcd(c(16), b(16)) =
+    # gcd(14, 238) = 14 > 8.  Evaluating at a point below 2H + 2 (xi = 4:
+    # gcd 2) or accepting a gcd up to xi would pass the shared factor off as
+    # coprime.
+    a, b = (-8, -4, 2, 1), (-2, -1, 1)
+    assert poly_gcd(a, b) == poly_gcd(b, a) == (-2, 1)
+    assert RatFunc(a, b) == RatFunc([4, 4, 1], [1, 1])
+
+
+def test_poly_gcd_falls_back_when_the_certificate_cannot_decide(monkeypatch):
+    # a = s^3 - 14s^2 - 31s + 1 and b = (s - 16)(s + 2): the first remainder
+    # is s + 1, so xi = 16 is a root of b and the evaluation proves nothing;
+    # the pseudo-remainder sequence continues and finds them coprime.
+    a, b = (1, -31, -14, 1), (-32, -14, 1)
+    continued = []
+
+    def counted(x, y):
+        continued.append((x, y))
+        return prs(x, y)
+
+    prs = field._prs
+    monkeypatch.setattr(field, "_prs", counted)
+    assert poly_gcd(a, b) == poly_gcd(b, a) == (1,) == reference_gcd(a, b)
+    assert continued == [((1, 1), (-17,))] * 2
+
+
+def test_poly_gcd_settles_common_cases_without_the_sequence(monkeypatch):
+    # The coprime entries of 3x3 RLC meshes' behaviors, driven corner to
+    # corner and column to column; computing them may need the sequence.
+    rng = random.Random(3)
+    entries = []
+    for _ in range(3):
+        for two_node in (False, True):
+            rel = blackbox(mesh_circuit(rng, 3, two_node=two_node))
+            entries += [x for row in rel.sub.rows for x in row if len(x.n) > 1 and len(x.d) > 1]
+    assert len(entries) > 40
+
+    def refuse(a, b):
+        raise AssertionError("the pseudo-remainder sequence ran")
+
+    monkeypatch.setattr(field, "_prs", refuse)
+    f = (3, -1, 2)
+    # Pure powers of s.
+    assert poly_gcd((0, 0, 0, 5), (0, -2)) == (0, 1)
+    assert poly_gcd((0, 0, 2, 4), (0, 0, 0, 6, 3)) == (0, 0, 1)
+    assert RatFunc([0, 0, 4], [0, 6]) == RatFunc([0, 2], [3])
+    # Proportional operands, and a gcd equal to one operand.
+    assert poly_gcd(_ipmul(f, (0, 0, -6)), _ipmul(f, (0, 0, 0, 4))) == (0, 0) + f
+    assert poly_gcd(_ipmul(f, (-6,)), _ipmul(f, (4,))) == f
+    assert poly_gcd(_ipmul(f, (1, 1)), f) == f
+    for x in entries:
+        assert poly_gcd(x.n, x.d) == (1,)
+        assert RatFunc(list(x.n), list(x.d)) == x
 
 
 # -- Henrici cross-cancellation -----------------------------------------------

@@ -5,6 +5,7 @@ so cases are reproducible and independent of execution order.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
@@ -349,3 +350,39 @@ def mesh_columns(g, side):
         mine = [e for e in g.graph.edges if e[0] in col]
         blocks.append(circuit(col + nxt, mine, g.inputs if j == 0 else col, nxt or g.outputs))
     return blocks
+
+
+def _ref_primitive(a):
+    c = gcd(*a)
+    return tuple(x // c for x in a)
+
+
+def _ref_prem(a, b):
+    """lc(b)^k·a minus a multiple of b, of degree below b's."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        for j in range(db):
+            r[k - db + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def reference_gcd(a, b):
+    """The primitive gcd of two int-tuple polynomials, leading coefficient
+    positive, ``()`` when both are zero: the primitive pseudo-remainder
+    sequence alone, the reference for ``field.poly_gcd``."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    a = _ref_primitive(a)
+    while b:
+        if len(b) == 1:
+            return (1,)
+        b = _ref_primitive(b)
+        a, b = b, _ref_prem(a, b)
+    return a if a[-1] > 0 else tuple(-x for x in a)
