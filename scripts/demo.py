@@ -3,12 +3,19 @@
 
 Builds the R=2, L=3, C=1/2 chain, prints the extended power functional,
 the minimized boundary form, the behavior matrix, and the scalar impedance,
-then samples the response on the positive real axis.
+then samples the response on the positive real axis.  The engine is
+imported from this checkout's ``src``.
+
+    python3 scripts/demo.py
 """
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from blackbox import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from blackbox import (  # noqa: E402
     as_impedance,
     blackbox,
     circuit,

@@ -5,7 +5,7 @@ Checks, on freshly sampled circuits, that composing then black-boxing equals
 black-boxing then composing (same for tensor and dagger), and that the
 production black box, the fast path and the Kirchhoff oracle all agree with
 the categorical composite.  Every failure would raise, so a clean run is
-the report.
+the report.  The engine is imported from this checkout's ``src``.
 
     python scripts/law_sweep.py --pairs 200 --nodes 7 --edges 8 --seed 1
 """
@@ -16,9 +16,10 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from blackbox import (
+from blackbox import (  # noqa: E402
     blackbox,
     blackbox_categorical,
     blackbox_fast,
@@ -30,7 +31,7 @@ from blackbox import (
     tensor_circuits,
     tensor_relations,
 )
-from util import rand_circuit, rand_composable_pair
+from util import rand_circuit, rand_composable_pair  # noqa: E402
 
 
 def main():

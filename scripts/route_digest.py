@@ -11,9 +11,10 @@ behaviors folded with ``compose_relations`` (``tensor_relations`` side by
 side, and a mirrored chain composed with its dagger).  A sixth digest,
 ``netlists``, covers ``print_netlist`` of every circuit, block and flat
 composite.  Two checkouts whose digests agree print byte-identical
-behaviors and netlists on all of it.
+behaviors and netlists on all of it.  The engine is imported from this
+checkout's ``src``, whatever ``blackbox`` is installed.
 
-    PYTHONPATH=src python3 scripts/route_digest.py --seeds 1,5,7
+    python3 scripts/route_digest.py --seeds 1,5,7
 """
 
 import argparse
@@ -22,7 +23,8 @@ import sys
 from functools import reduce
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402
 

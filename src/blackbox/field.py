@@ -14,8 +14,12 @@ and products of canonical operands use Henrici's cross-cancellation: a sum
 takes the gcd of the two denominators and then cancels the new numerator
 against that gcd alone, and a product cancels each numerator against the
 other denominator, so no gcd of a full result is ever taken, and none at
-all where one side is a constant.  No floating point anywhere; the
-categorical laws downstream are checked by exact comparison.
+all where one side is a constant.  Operands that need no general path get
+short ones: a product with ``ONE`` is the other operand, a product of two
+constants p/q and p'/q' is reduced by the one integer gcd of pp' and qq',
+and a result over the denominator 1 needs no content gcd.  No floating
+point anywhere; the categorical laws downstream are checked by exact
+comparison.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _strip(cs):
 
 
 def _scale(a, k):
-    return tuple(k * x for x in a)
+    return a if k == 1 else tuple([k * x for x in a])
 
 
 def _padd(a, b):
@@ -86,8 +90,8 @@ def _pmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
     return tuple(out)
 
 
@@ -237,8 +241,11 @@ class RatFunc:
     lowest degree first) or a scalar for each part and reduces the quotient
     to lowest terms.  ``_coprime=True`` says both are int tuples without
     trailing zeros that are already coprime over Q: only the content and the
-    sign are normalized.  Every arithmetic result is built that way, so this
-    normalization is the one shared by all paths.
+    sign are normalized.  Over the denominator (1,) neither needs it, since
+    gcd(*n, 1) is 1, so that step is skipped.  Every arithmetic result is
+    built that way, so this normalization is the one shared by all paths;
+    the one exception is a product of two constants, which ``__mul__``
+    reduces by a single integer gcd.
     """
 
     __slots__ = ("n", "d")
@@ -257,7 +264,7 @@ class RatFunc:
                 n, d = _cancel(n, d)
         if not n:
             d = (1,)
-        else:
+        elif d != (1,):  # over the denominator 1 the content is 1 already
             c = gcd(*n, *d)
             if d[-1] < 0:
                 c = -c
@@ -316,9 +323,10 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not self.n:
             return other
         if not other.n:
@@ -328,12 +336,13 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(_scale(self.n, -1), self.d)
+        return _new(tuple([-x for x in self.n]), self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.n:
             return self
         if not self.n:
@@ -347,18 +356,23 @@ class RatFunc:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.n or not other.n:
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        an, ad, bn, bd = self.n, self.d, other.n, other.d
+        if not an or not bn:
             return ZERO
-        if self.is_one():
+        if an == ad == (1,):
             return other
-        if other.is_one():
+        if bn == bd == (1,):
             return self
+        if len(an) == len(ad) == len(bn) == len(bd) == 1:
+            p, q = an[0] * bn[0], ad[0] * bd[0]
+            g = gcd(p, q)
+            return _new((p // g,), (q // g,))
         # Henrici: each numerator is already coprime to its own denominator,
         # so cancelling it against the other one leaves a coprime product.
-        an, ad, bn, bd = self.n, self.d, other.n, other.d
         if len(an) > 1 and len(bd) > 1:
             an, bd = _cancel(an, bd)
         if len(bn) > 1 and len(ad) > 1:

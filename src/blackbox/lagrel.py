@@ -61,14 +61,15 @@ def _add_multiple(row, f, prow):
     """row += f * prow in place, dropping the entries that cancel; returns
     the columns where row gained or lost a nonzero."""
     changed = []
+    get = row.get
     for c, b in prow.items():
-        a = row.get(c)
+        a = get(c)
         if a is None:
             row[c] = f * b
             changed.append(c)
         else:
             a = a + f * b
-            if a:
+            if a.n:
                 row[c] = a
             else:
                 del row[c]
@@ -132,7 +133,7 @@ def nullspace(rows, ncols):
 
     def key(row):
         r = len(row) - 1
-        return min((e.size(), r * (len(holders[c]) - 1), c) for c, e in row.items())
+        return min((len(e.n) + len(e.d), r * (len(holders[c]) - 1), c) for c, e in row.items())
 
     # One current pivot key per unpivoted nonzero row, recomputed whenever the
     # row or the count of one of its columns changes.  The dict keeps the rows

@@ -398,6 +398,27 @@ def test_poly_gcd_settles_common_cases_without_the_sequence(monkeypatch):
 # -- Henrici cross-cancellation -----------------------------------------------
 
 
+def _parts(x):
+    """Numerator and denominator coefficient lists of a RatFunc or a scalar."""
+    if isinstance(x, RatFunc):
+        return list(x.n), list(x.d)
+    return [Fraction(x)], [1]
+
+
+def _fully_reduced(op, x, y):
+    """x op y, built from the plain numerator and denominator by one full
+    reduction, with no short path."""
+    xn, xd = _parts(x)
+    yn, yd = _parts(y)
+    if op == "*":
+        return RatFunc(_conv(xn, yn), _conv(xd, yd))
+    p, q = _conv(xn, yd), _conv(yn, xd)
+    width = max(len(p), len(q))
+    p, q = p + [0] * (width - len(p)), q + [0] * (width - len(q))
+    sign = 1 if op == "+" else -1
+    return RatFunc([u + sign * v for u, v in zip(p, q)], _conv(xd, yd))
+
+
 def _check_against_fractions(result, op, a, b):
     _assert_canonical(result)
     for sigma in (Fraction(1, 3), Fraction(2), Fraction(-5, 2)):
@@ -435,13 +456,60 @@ def test_henrici_matches_full_reduction(a, b, f):
     # the result reduced by one gcd of its full numerator and denominator.
     f = RatFunc(f)
     a, b = a / f, b / f
-    an, ad, bn, bd = a.n, a.d, b.n, b.d
-    x, y = _conv(an, bd), _conv(bn, ad)
-    width = max(len(x), len(y))
-    x, y = x + [0] * (width - len(x)), y + [0] * (width - len(y))
-    den = _conv(ad, bd)
-    assert a + b == RatFunc([p + q for p, q in zip(x, y)], den)
-    assert a - b == RatFunc([p - q for p, q in zip(x, y)], den)
-    assert a * b == RatFunc(_conv(an, bn), den)
-    for r in (a + b, a - b, a * b):
+    for op, r in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert r == _fully_reduced(op, a, b)
         _assert_canonical(r)
+
+
+# -- short paths for constant and unit operands ---------------------------------
+
+
+@st.composite
+def field_operands(draw):
+    """A RatFunc that is a unit, a constant, a polynomial or a proper quotient."""
+    kind = draw(st.sampled_from(["unit", "constant", "polynomial", "quotient"]))
+    if kind == "unit":
+        return draw(st.sampled_from([ONE, -ONE, ZERO]))
+    if kind == "constant":
+        return RatFunc(draw(rats), draw(rats.filter(bool)))
+    if kind == "polynomial":
+        return RatFunc(draw(st.lists(rats, max_size=4)))
+    return draw(ratfuncs())
+
+
+scalars = st.one_of(st.integers(-6, 6), rats)
+
+
+@settings(max_examples=300)
+@given(field_operands(), st.one_of(field_operands(), scalars))
+def test_short_paths_match_full_reduction(a, b):
+    results = [
+        (a * b, _fully_reduced("*", a, b)),
+        (b * a, _fully_reduced("*", b, a)),
+        (a + b, _fully_reduced("+", a, b)),
+        (b + a, _fully_reduced("+", b, a)),
+        (a - b, _fully_reduced("-", a, b)),
+        (b - a, _fully_reduced("-", b, a)),
+        (-a, _fully_reduced("-", 0, a)),
+    ]
+    for got, want in results:
+        assert type(got) is RatFunc
+        assert (got.n, got.d) == (want.n, want.d)
+        _assert_canonical(got)
+
+
+def test_short_path_examples():
+    r = RatFunc(-2, 3) * RatFunc(3, 4)
+    assert (r.n, r.d) == ((-1,), (2,))
+    _assert_canonical(r)
+    r = RatFunc(2, 3) * RatFunc(3, 2)
+    assert r == ONE and r.is_one()
+    r = RatFunc([2, 4]) * 3
+    assert (r.n, r.d) == ((6, 12), (1,))
+    # A one-coefficient denominator other than 1 still gets its content gcd.
+    r = RatFunc([4, 2]) * Fraction(1, 2)
+    assert (r.n, r.d) == ((2, 1), (1,))
+    a = (5, -3, 7)
+    assert field._scale(a, 1) is a
+    p = RatFunc([1, 2, 3], [5, 1])
+    assert ONE * p is p and p * ONE is p

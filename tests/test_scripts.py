@@ -18,18 +18,23 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=["demo", "law_sweep"],
 )
 def test_script_exits_zero(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
 
 
-def test_route_digest_prints_one_digest_per_route_and_the_folds():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_route_digest_prints_one_digest_per_route_and_the_folds(tmp_path):
+    # No PYTHONPATH to src, run from elsewhere, and a decoy ``blackbox`` on
+    # the path: the script must import the engine of its own checkout.
+    decoy = tmp_path / "blackbox"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text("raise ImportError('decoy blackbox imported')\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, "scripts/route_digest.py", "--seeds", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(ROOT / "scripts/route_digest.py"), "--seeds", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
