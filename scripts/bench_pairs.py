@@ -6,9 +6,11 @@
 
 For each seed, ``bench/run.py --workload W --seed S --seconds T`` runs once in
 each checkout, one process at a time, each from its own directory so that it
-builds from that checkout's sources.  The order alternates: the parent runs
-first in the first pair, the change in the second, and so on.  Each run's last
-stdout line is its JSON result.
+builds from that checkout's sources.  Each run gets PYTHONDONTWRITEBYTECODE=1,
+as on the benchmark machine: no bytecode is cached, so a stale
+``__pycache__`` in either checkout cannot hide compile time from ``setup_s``.
+The order alternates: the parent runs first in the first pair, the change in
+the second, and so on.  Each run's last stdout line is its JSON result.
 
 For every end-to-end metric named in ``BENCHMARK.json`` the summary holds the
 parent's and the change's medians and quartiles, the pairs the change won
@@ -22,11 +24,13 @@ two verdicts:
 
 One line per metric prints these.  With ``--out`` the summary is stored under
 ``workloads[W]`` of that JSON file, so one file can collect several workloads;
-other workloads in it are kept, and ``--note`` sets its ``note``.
+other workloads in it are kept, and ``--note`` sets its ``note``, which then
+also names the environment the runs got.
 """
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -34,6 +38,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def end_to_end_metrics():
@@ -105,7 +110,7 @@ def run(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout, capture_output=True, text=True, env={**os.environ, **RUN_ENV},
     )
     if proc.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {checkout} (seed {seed}):\n{proc.stderr}")
@@ -141,7 +146,8 @@ def main():
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         if args.note:
-            doc["note"] = args.note
+            env = " ".join(f"{k}={v}" for k, v in RUN_ENV.items())
+            doc["note"] = f"{args.note} Each run had {env} set."
         doc.setdefault("workloads", {})[args.workload] = summary
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

@@ -10,7 +10,11 @@ and ``nullspace``; ``blackbox_fast`` also shares Kron reduction with
 
 * ``blackbox_categorical`` -- the categorical composite, factored through
                               cospans decorated by Dirichlet forms and
-                              Lagrangian subspaces; the functor's definition;
+                              Lagrangian subspaces; the functor's definition.
+                              ``cospan_relation`` composes a cospan's name
+                              with its boundary through the k Kirchhoff
+                              equations iota = dQ phi and canonicalizes the
+                              rows once, in the relation it returns;
 * ``blackbox_fast``        -- eliminate interior nodes first, then
                               symplectify the corestricted boundary cospan;
 * ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
@@ -28,11 +32,11 @@ from .circuits import pushout
 from .corel import corel_from_cospan, dagger_corelation
 from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
 from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
-from .field import ONE, ZERO
+from .field import MINUS_ONE, ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
     Subspace,
-    compose_relations,
+    composite_rows,
     embed,
     graph_of_differential,
     nullspace,
@@ -120,19 +124,14 @@ def compose_lagr_cospans(a, b):
 # -- the functor itself --------------------------------------------------------
 
 
-def _behavior_from_name(rel, m, n):
-    """Reread a relation 0 -> V_X (+) V_Y as V_X -> V_Y, applying the twist
-    V_X -> conj(V_X) to the generators: the input currents are negated."""
-    # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
-    cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
-    rows = [{cols[c]: -e if m + n <= c < 2 * m + n else e for c, e in r.items()}
-            for r in rel.sub.sparse]
-    return LagrangianRelation(port_space(m), port_space(n), rows)
-
-
 def cospan_relation(lc):
     """Black-box a Lagrangian cospan: compose its name with the symplectified
-    boundary, then apply the twist to the generators of the result."""
+    boundary, then reread the composite's rows 0 -> V_X (+) V_Y as
+    V_X -> V_Y, applying the twist V_X -> conj(V_X) to them: the input
+    currents are negated.  The rows are canonicalized and checked once, in
+    the relation returned; the reread is a symplectomorphism, so that check
+    is the one the composite would have passed.  Three ``LagrangianRelation``s
+    are built: the name, the boundary and the result."""
     nodes = lc.nodes
     m, n = len(lc.inputs), len(lc.outputs)
     index = {lab: k for k, lab in enumerate(nodes)}
@@ -141,8 +140,11 @@ def cospan_relation(lc):
         list(range(len(nodes))),
     )
     name = subspace_as_relation(lc.sub, port_space(len(nodes)))
-    onto_ports = compose_relations(name, symplectify(dagger_corelation(boundary_corel)))
-    return _behavior_from_name(onto_ports, m, n)
+    rows = composite_rows(name, symplectify(dagger_corelation(boundary_corel)))
+    # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
+    cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
+    rows = [{cols[c]: -e if m + n <= c < 2 * m + n else e for c, e in r.items()} for r in rows]
+    return LagrangianRelation(port_space(m), port_space(n), rows)
 
 
 def port_relation(form, inputs, outputs):
@@ -150,14 +152,15 @@ def port_relation(form, inputs, outputs):
 
     Unknowns are one current share per port (inputs first, then outputs),
     then the potentials on the support.  Each support node b contributes the
-    Kirchhoff row  sum_{ports p at b} share_p - sum_j 2 c_bj (phi_b - phi_j)
+    Kirchhoff row  sum_j 2 c_bj (phi_b - phi_j) - sum_{ports p at b} share_p
     = 0: the shares of a repeated terminal split the current dQ_b that leaves
     it, and a node without ports passes no current.  A share's column holds
-    a single 1, the simplest entry with a Markowitz product of 0, and the
+    a single -1, the simplest entry with a Markowitz product of 0, and the
     shares take the first columns, so the nullspace's pivot search takes
     every unit share pivot before any other and a terminal's row costs no
-    elimination.  Each basis vector is read as
-    [phi_in, -share_in, phi_out, share_out].
+    elimination.  The sign is -1 because ``nullspace`` scales each pivot row
+    to -1, which leaves these rows as they are.  Each basis vector is read
+    as [phi_in, -share_in, phi_out, share_out].
     """
     nodes = form.support
     m, n = len(inputs), len(outputs)
@@ -165,14 +168,14 @@ def port_relation(form, inputs, outputs):
     rows = {lab: {} for lab in nodes}
     for (i, j), c in form.coeffs.items():
         a, b, t = col[i], col[j], 2 * c
-        rows[i][a] = rows[i].get(a, ZERO) - t
-        rows[i][b] = rows[i].get(b, ZERO) + t
-        rows[j][b] = rows[j].get(b, ZERO) - t
-        rows[j][a] = rows[j].get(a, ZERO) + t
+        rows[i][a] = rows[i].get(a, ZERO) + t
+        rows[i][b] = rows[i].get(b, ZERO) - t
+        rows[j][b] = rows[j].get(b, ZERO) + t
+        rows[j][a] = rows[j].get(a, ZERO) - t
     for p, lab in enumerate(tuple(inputs) + tuple(outputs)):
         if lab not in rows:
             raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
-        rows[lab][p] = ONE
+        rows[lab][p] = MINUS_ONE
     cols = [col[p] for p in inputs] + [col[p] for p in outputs]
     vecs = nullspace(list(rows.values()), m + n + len(nodes))
     return _port_behavior(vecs, cols, range(m + n), m)

@@ -15,11 +15,12 @@ takes the gcd of the two denominators and then cancels the new numerator
 against that gcd alone, and a product cancels each numerator against the
 other denominator, so no gcd of a full result is ever taken, and none at
 all where one side is a constant.  Operands that need no general path get
-short ones: a product with ``ONE`` is the other operand, a product of two
-constants p/q and p'/q' is reduced by the one integer gcd of pp' and qq',
-and a result over the denominator 1 needs no content gcd.  No floating
-point anywhere; the categorical laws downstream are checked by exact
-comparison.
+short ones: a product with ``ONE`` is the other operand, a product with -1
+is a negation, 1 and -1 negate to the shared ``MINUS_ONE`` and ``ONE``, a
+product of two constants p/q and p'/q' is reduced by the one integer gcd of
+pp' and qq', and a result over the denominator 1 needs no content gcd.  No
+floating point anywhere; the categorical laws downstream are checked by
+exact comparison.
 """
 
 from __future__ import annotations
@@ -336,7 +337,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(tuple([-x for x in self.n]), self.d)
+        n = self.n
+        if (n == (1,) or n == (-1,)) and self.d == (1,):
+            return MINUS_ONE if n[0] == 1 else ONE
+        return _new(tuple([-x for x in n]), self.d)
 
     def __sub__(self, other):
         if type(other) is not RatFunc:
@@ -367,6 +371,10 @@ class RatFunc:
             return other
         if bn == bd == (1,):
             return self
+        if an == (-1,) and ad == (1,):
+            return -other
+        if bn == (-1,) and bd == (1,):
+            return -self
         if len(an) == len(ad) == len(bn) == len(bd) == 1:
             p, q = an[0] * bn[0], ad[0] * bd[0]
             g = gcd(p, q)
@@ -487,6 +495,7 @@ def _horner(cs, sigma):
 
 ZERO = _new((), (1,))
 ONE = _new((1,), (1,))
+MINUS_ONE = _new((-1,), (1,))
 s = _new((0, 1), (1,))
 
 

@@ -25,7 +25,7 @@ from itertools import chain, repeat
 from .corel import corel_from_function
 from .dirichlet import gradient
 from .errors import InterfaceMismatch
-from .field import ONE, ZERO
+from .field import MINUS_ONE, ONE, ZERO
 
 # -- matrices over Q(s) ---------------------------------------------------------
 #
@@ -57,6 +57,17 @@ def _normalized(row, col):
     return {c: e * inv for c, e in row.items()}
 
 
+def _negated_normalized(row, col):
+    """The row scaled to a -1 at ``col``, with that entry left out."""
+    lead = -row.pop(col)
+    if lead.is_one():
+        return row
+    if lead is MINUS_ONE:
+        return {c: -e for c, e in row.items()}
+    inv = lead.inv()
+    return {c: e * inv for c, e in row.items()}
+
+
 def _add_multiple(row, f, prow):
     """row += f * prow in place, dropping the entries that cancel; returns
     the columns where row gained or lost a nonzero."""
@@ -75,6 +86,21 @@ def _add_multiple(row, f, prow):
                 del row[c]
                 changed.append(c)
     return changed
+
+
+def _sub_multiple(row, f, prow):
+    """row -= f * prow in place, dropping the entries that cancel."""
+    get = row.get
+    for c, b in prow.items():
+        a = get(c)
+        if a is None:
+            row[c] = -(f * b)
+        else:
+            a = a - f * b
+            if a.n:
+                row[c] = a
+            else:
+                del row[c]
 
 
 def rref(rows, ncols):
@@ -103,7 +129,7 @@ def rref(rows, ncols):
         prow = _normalized(todo.pop(piv), col)
         for row in chain(done, todo):
             if col in row:
-                _add_multiple(row, -row.pop(col), prow)
+                _sub_multiple(row, row.pop(col), prow)
         prow[col] = ONE
         done.append(prow)
     return done
@@ -118,7 +144,9 @@ def nullspace(rows, ncols):
     minimizes (stored coefficients, Markowitz product (r - 1)(c - 1),
     column).  Here r counts the nonzeros of the entry's row and c those of
     its column in all rows, a finished row counted as it stood when it was
-    pivoted; the product bounds the fill the step can create.  A step
+    pivoted; the product bounds the fill the step can create.  A pivot row
+    is stored scaled to -1 at its pivot, so an update adds the row's entry
+    times it and the basis reads its entries as they are.  A step
     updates only the rows not yet pivoted and records the finished rows
     holding its column.  Once every row is pivoted, the pivots are walked
     latest first, each row being final by then, and clear their columns
@@ -143,7 +171,7 @@ def nullspace(rows, ncols):
     while keys:
         p = min(keys, key=keys.__getitem__)
         col = keys.pop(p)[2]
-        prow = mat[p] = _normalized(mat[p], col)
+        prow = mat[p] = _negated_normalized(mat[p], col)
         touched = holders[col]
         touched.discard(p)
         finished = []
@@ -153,7 +181,7 @@ def nullspace(rows, ncols):
             if i not in keys:
                 finished.append(row)
                 continue
-            for c in _add_multiple(row, -row.pop(col), prow):
+            for c in _add_multiple(row, row.pop(col), prow):
                 if c in row:
                     holders[c].add(i)
                 else:
@@ -167,12 +195,12 @@ def nullspace(rows, ncols):
                 keys[i] = key(mat[i])
     for prow, col, finished in reversed(pivots):
         for row in finished:
-            _add_multiple(row, -row.pop(col), prow)
+            _add_multiple(row, row.pop(col), prow)
     basis = {f: {f: ONE} for f in range(ncols)}
     for prow, col, _ in pivots:
         del basis[col]
         for f, e in prow.items():
-            basis[f][col] = -e
+            basis[f][col] = e
     return list(basis.values())
 
 
@@ -401,9 +429,9 @@ def cap_relation(space):
     return LagrangianRelation(src, EMPTY_SPACE, _matching_rows(m, m, 2 * m))
 
 
-def compose_relations(first, second):
-    """The relational composite V1 -> V3 of ``first``: V1 -> V2 and
-    ``second``: V2 -> V3.
+def composite_rows(first, second):
+    """Rows spanning the relational composite V1 -> V3 of ``first``: V1 -> V2
+    and ``second``: V2 -> V3, over its columns [V1, V3]; not canonical.
 
     When ``second`` is the graph of a map V2 -> V3 (its canonical rows pivot
     on the shared V2 columns, one row each), row c is e_c + S_c with S_c in
@@ -411,6 +439,12 @@ def compose_relations(first, second):
     generators (x, y) of ``first``: a sparse product, the chain matrix of
     two-port theory.  When ``first`` is a graph too, these rows are already
     canonical.
+
+    When ``first`` is a name whose k canonical rows pivot on the k potential
+    columns of V2, it is the graph of iota = A phi, row j holding column j
+    of A at the currents.  A combination sum_t b_t h_t of the rows of
+    ``second`` lies over it when its currents equal A times its potentials:
+    k equations in the b_t, whose solutions are projected onto V3.
 
     Otherwise generators of both relations are stacked over unknown
     coefficient rows (a, b); the constraint a*G restricted to the shared
@@ -423,12 +457,13 @@ def compose_relations(first, second):
         )
     a2 = first.source.dim
     b2 = first.target.dim
+    grows = first.sub.sparse
     hrows = second.sub.sparse
     if len(hrows) == b2 and all(min(h) == c for c, h in enumerate(hrows)):
         # S_c moved to the composite's columns; rref left no V2 entry but the 1.
         tails = [{a2 - b2 + k: e for k, e in h.items() if k >= b2} for h in hrows]
         out_rows = []
-        for grow in first.sub.sparse:
+        for grow in grows:
             row = {}
             for c, e in grow.items():
                 if c < a2:
@@ -436,34 +471,57 @@ def compose_relations(first, second):
                 else:
                     _add_multiple(row, e, tails[c - a2])
             out_rows.append(row)
-        return LagrangianRelation(first.source, second.target, out_rows)
-    # Columns of the constraint matrix: one per stacked generator; rows: one
-    # per shared coordinate.  Solve x . vstack(G|shared, -H|shared) = 0.
-    # The rest of each generator, moved to the composite's columns, is what
-    # the solutions combine.
-    constraint = [{} for _ in range(b2)]
-    outer = []
-    for j, grow in enumerate(first.sub.sparse):
-        outer.append({})
-        for c, e in grow.items():
-            if c < a2:
-                outer[j][c] = e
-            else:
-                constraint[c - a2][j] = e
-    for j, hrow in enumerate(hrows, len(outer)):
-        outer.append({})
-        for c, e in hrow.items():
-            if c < b2:
-                constraint[c][j] = -e
-            else:
-                outer[j][a2 - b2 + c] = e
+        return out_rows
+    k = b2 // 2
+    if not a2 and len(grows) == k and all(min(g) == c for c, g in enumerate(grows)):
+        # One row per current of V2: sum_t b_t (h_t|iota - A h_t|phi) = 0.
+        constraint = [{} for _ in range(k)]
+        outer = []
+        for t, hrow in enumerate(hrows):
+            outer.append({})
+            for c, e in hrow.items():
+                if c >= b2:
+                    outer[t][c - b2] = e
+                elif c >= k:
+                    constraint[c - k][t] = constraint[c - k].get(t, ZERO) + e
+                else:
+                    for i, a in grows[c].items():
+                        if i >= k:
+                            constraint[i - k][t] = constraint[i - k].get(t, ZERO) - a * e
+    else:
+        # Columns of the constraint matrix: one per stacked generator; rows:
+        # one per shared coordinate.  Solve x . vstack(G|shared, -H|shared) = 0.
+        # The rest of each generator, moved to the composite's columns, is
+        # what the solutions combine.
+        constraint = [{} for _ in range(b2)]
+        outer = []
+        for j, grow in enumerate(grows):
+            outer.append({})
+            for c, e in grow.items():
+                if c < a2:
+                    outer[j][c] = e
+                else:
+                    constraint[c - a2][j] = e
+        for j, hrow in enumerate(hrows, len(outer)):
+            outer.append({})
+            for c, e in hrow.items():
+                if c < b2:
+                    constraint[c][j] = -e
+                else:
+                    outer[j][a2 - b2 + c] = e
     out_rows = []
     for vec in nullspace(constraint, len(outer)):
         row = {}
         for j, f in vec.items():
             _add_multiple(row, f, outer[j])
         out_rows.append(row)
-    return LagrangianRelation(first.source, second.target, out_rows)
+    return out_rows
+
+
+def compose_relations(first, second):
+    """The relational composite V1 -> V3 of ``first``: V1 -> V2 and
+    ``second``: V2 -> V3, spanned by ``composite_rows``."""
+    return LagrangianRelation(first.source, second.target, composite_rows(first, second))
 
 
 def tensor_relations(first, second):

@@ -17,6 +17,7 @@ from blackbox.errors import (
 )
 from blackbox.field import (
     DEFAULT_SAMPLE_POINTS,
+    MINUS_ONE,
     ONE,
     ZERO,
     RatFunc,
@@ -469,7 +470,7 @@ def field_operands(draw):
     """A RatFunc that is a unit, a constant, a polynomial or a proper quotient."""
     kind = draw(st.sampled_from(["unit", "constant", "polynomial", "quotient"]))
     if kind == "unit":
-        return draw(st.sampled_from([ONE, -ONE, ZERO]))
+        return draw(st.sampled_from([ONE, MINUS_ONE, RatFunc(-1), ZERO]))
     if kind == "constant":
         return RatFunc(draw(rats), draw(rats.filter(bool)))
     if kind == "polynomial":
@@ -513,3 +514,13 @@ def test_short_path_examples():
     assert field._scale(a, 1) is a
     p = RatFunc([1, 2, 3], [5, 1])
     assert ONE * p is p and p * ONE is p
+    # 1 and -1 negate to the shared constants; a product with -1 is a negation.
+    assert -ONE == MINUS_ONE and (MINUS_ONE.n, MINUS_ONE.d) == ((-1,), (1,))
+    _assert_canonical(MINUS_ONE)
+    assert -MINUS_ONE is ONE and -RatFunc(-1) is ONE and -RatFunc(1) is MINUS_ONE
+    for x in (RatFunc([1, -2, 3]), p, RatFunc(-2, 7)):
+        for minus in (MINUS_ONE, RatFunc(-1), -1):
+            want = _fully_reduced("*", minus, x)
+            for r in (minus * x, x * minus, -x):
+                assert (r.n, r.d) == (want.n, want.d)
+                _assert_canonical(r)

@@ -473,9 +473,36 @@ def _fold_cases(rels, graphs):
         acc = reference_compose(acc, rel)
 
 
+def _spans_its_first_columns(rel, cols):
+    """True iff ``rel`` has dimension ``cols`` and its rows, cut to their
+    first ``cols`` columns, have rank ``cols``: then it is the graph of a map
+    out of those columns.  Ranks by ``gauss_jordan`` on the dense rows."""
+    return rel.sub.dim == cols and len(gauss_jordan([r[:cols] for r in rel.sub.rows], cols)) == cols
+
+
+def composition_path(first, second):
+    """The path ``compose_relations`` must take, judged by ranks alone:
+    "second" when ``second`` is the graph of a map out of the shared space,
+    "first" when ``first`` is a name that is the graph of iota = A phi, and
+    "general" otherwise."""
+    if _spans_its_first_columns(second, second.source.dim):
+        return "second"
+    if first.source.num_ports == 0 and _spans_its_first_columns(first, first.target.num_ports):
+        return "first"
+    return "general"
+
+
+def _graph_name(rng, k, constant):
+    """The name of the graph of a random form's differential on k nodes;
+    a low density leaves some nodes isolated."""
+    form = rand_form(rng, [f"v{j}" for j in range(k)], rng.choice([0.3, 0.7]), constant)
+    return subspace_as_relation(graph_of_differential(form), port_space(k))
+
+
 def composition_cases():
-    """Seeded (name, first, second, graph) cases, ``graph`` saying whether
-    ``second`` is the graph of a map out of the shared space."""
+    """Seeded (name, first, second, path) cases, ``path`` the one that
+    ``composition_path`` names.  Where a case is built to take a path, that
+    is asserted here."""
     rng = random.Random(41)
     cases = []
     sections = []
@@ -518,14 +545,40 @@ def composition_cases():
     cases.append(("near miss from a name", name, near, False))
     cases.append(("open into near miss", symplectify(Corelation(2, 2, [[0], [1], [2], [3]])),
                   near, False))
-    return cases
+    # Names of graphs of differentials, constant and s-dependent, k = 0 to 5.
+    for k in range(12):
+        constant = k % 2 == 0
+        name = _graph_name(rng, k // 2, constant)
+        corel = rand_corel(rng, k // 2, rng.randint(0, 3))
+        cases.append((f"graph name {k} into a corelation", name, symplectify(corel), None))
+        cases.append((f"graph name {k} into a boundary", name,
+                      symplectify(dagger_corelation(rand_corel(rng, rng.randint(0, 3), k // 2))),
+                      None))
+        if k // 2 == 2:
+            cases.append((f"graph name {k} into a section", name, sections[k % 3], True))
+    # A name whose second row pivots on a current: phi_0 = phi_1, i_0 = i_1.
+    wire = symplectify(Corelation(0, 2, [[0, 1]]))
+    assert [min(r) for r in wire.sub.sparse] == [0, 2]
+    for k in range(3):
+        cases.append((f"current pivot {k}", wire, symplectify(rand_corel(rng, 2, 2)), None))
+    out = []
+    for name, first, second, graph in cases:
+        path = composition_path(first, second)
+        if graph is not None:
+            assert (path == "second") == graph, name
+        if name.startswith("graph name"):
+            assert path in ("first", "second"), name
+        if name.startswith("current pivot"):
+            assert path in ("general", "second"), name
+        out.append((name, first, second, path))
+    return out
 
 
 CASES = composition_cases()
 
 
-@pytest.mark.parametrize("name, first, second, graph", CASES, ids=[c[0] for c in CASES])
-def test_compose_matches_the_constraint_nullspace(name, first, second, graph):
+@pytest.mark.parametrize("name, first, second, path", CASES, ids=[c[0] for c in CASES])
+def test_compose_matches_the_constraint_nullspace(name, first, second, path):
     assert compose_relations(first, second) == reference_compose(first, second)
 
 
@@ -534,13 +587,31 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch):
         raise AssertionError("nullspace called")
 
     monkeypatch.setattr(lagrel, "nullspace", refuse)
-    assert sum(graph for *_, graph in CASES) >= 40
-    for name, first, second, graph in CASES:
-        if graph:
+    assert sum(path == "second" for *_, path in CASES) >= 40
+    for name, first, second, path in CASES:
+        if path == "second":
             assert compose_relations(first, second) == reference_compose(first, second), name
         else:
             with pytest.raises(AssertionError, match="nullspace called"):
                 compose_relations(first, second)
+
+
+def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch):
+    shapes = []
+
+    def recording(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(lagrel, "nullspace", recording)
+    paths = [path for *_, path in CASES]
+    assert paths.count("first") >= 20 and paths.count("general") >= 10
+    for name, first, second, path in CASES:
+        shapes.clear()
+        assert compose_relations(first, second) == reference_compose(first, second), name
+        b2, dims = first.target.dim, first.sub.dim + second.sub.dim
+        want = {"second": [], "first": [(b2 // 2, second.sub.dim)], "general": [(b2, dims)]}
+        assert shapes == want[path], name
 
 
 def test_blackbox_is_a_functor_on_rung_sections():

@@ -136,3 +136,33 @@ def test_bench_pairs_flags_a_gain_and_a_bound():
     assert m["pairs_won"] == 0 and not m["within_bound"]
     m, _ = _verdicts(parent, [p * 1.2 for p in parent], better="higher", bound=0.1)
     assert m["gain"] and m["within_bound"]
+
+
+def test_bench_pairs_runs_each_checkout_without_writing_bytecode(tmp_path, monkeypatch):
+    bp = _load_script("bench_pairs")
+    calls = []
+
+    def fake_run(argv, **kw):
+        calls.append((argv, kw))
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in bp.end_to_end_metrics()}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "old", "new", "--workload", "corpus",
+                                      "--seeds", "1,2", "--seconds", "0.1", "--out", str(out),
+                                      "--note", "old against new."])
+    bp.main()
+    # Two pairs, the parent first in the first and the change first in the second.
+    assert [str(kw["cwd"]) for _, kw in calls] == ["old", "new", "new", "old"]
+    for argv, kw in calls:
+        assert argv[1:] == ["bench/run.py", "--workload", "corpus", "--seed", argv[5],
+                            "--seconds", "0.1"]
+        assert kw["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert kw["env"]["BENCH_PAIRS_PROBE"] == "kept"
+    doc = json.loads(out.read_text())
+    assert doc["note"] == "old against new. Each run had PYTHONDONTWRITEBYTECODE=1 set."
+    assert doc["workloads"]["corpus"]["seeds"] == [1, 2]

@@ -13,7 +13,6 @@ from blackbox.dirichlet import DirichletForm
 from blackbox.field import ONE, ZERO, from_rat, impedance
 from blackbox.lagrel import (
     LagrangianRelation,
-    compose_relations,
     embed,
     identity_relation,
     nullspace,
@@ -285,17 +284,18 @@ def composed_cospan_relation(lc):
     """``behavior.cospan_relation`` by its composed definition: the name of the
     cospan's decoration, composed with the symplectified boundary and then
     with twist(V_X) (x) id(V_Y), is a relation 0 -> conj(V_X) (+) V_Y, reread
-    as V_X -> V_Y with no sign changed.  The reference for the twist that
-    ``cospan_relation`` applies to its generators."""
+    as V_X -> V_Y with no sign changed.  Both composites are taken by
+    ``reference_compose``.  The reference for the composite rows and the
+    twist that ``cospan_relation`` applies to them."""
     nodes = lc.nodes
     m, n = len(lc.inputs), len(lc.outputs)
     index = {lab: k for k, lab in enumerate(nodes)}
     boundary = corel_from_cospan([index[p] for p in (*lc.inputs, *lc.outputs)],
                                  list(range(len(nodes))))
-    onto_ports = compose_relations(subspace_as_relation(lc.sub, port_space(len(nodes))),
+    onto_ports = reference_compose(subspace_as_relation(lc.sub, port_space(len(nodes))),
                                    symplectify(dagger_corelation(boundary)))
     tw = tensor_relations(twist(port_space(m)), identity_relation(port_space(n)))
-    name = compose_relations(onto_ports, tw)
+    name = reference_compose(onto_ports, tw)
     # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
     rows = [embed(r, cols) for r in name.sub.sparse]
