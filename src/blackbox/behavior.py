@@ -26,9 +26,7 @@ generators, flips their sign); output ports report current flowing outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .circuits import pushout
+from .circuits import Record, pushout
 from .corel import corel_from_cospan, dagger_corelation
 from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
 from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
@@ -49,27 +47,31 @@ from .lagrel import (
 # -- decorated cospans -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirichletCospan:
+class DirichletCospan(Record):
     """A cospan of finite sets whose apex carries a Dirichlet form."""
 
-    inputs: tuple
-    outputs: tuple
-    form: DirichletForm
+    __slots__ = ("inputs", "outputs", "form")
+
+    def __init__(self, inputs, outputs, form):
+        self.inputs = inputs
+        self.outputs = outputs
+        self.form = form
 
     @property
     def nodes(self):
         return self.form.support
 
 
-@dataclass(frozen=True)
-class LagrCospan:
+class LagrCospan(Record):
     """A cospan of finite sets whose apex carries a Lagrangian subspace."""
 
-    inputs: tuple
-    outputs: tuple
-    nodes: tuple
-    sub: Subspace
+    __slots__ = ("inputs", "outputs", "nodes", "sub")
+
+    def __init__(self, inputs, outputs, nodes, sub):
+        self.inputs = inputs
+        self.outputs = outputs
+        self.nodes = nodes
+        self.sub = sub
 
 
 def to_dirichlet_cospan(g):

@@ -9,25 +9,45 @@ Ports are positional lists of node labels and may repeat or omit nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corel import merge_map
 from .errors import PortCountMismatch
 from .field import RatFunc
 
 
+class Record:
+    """A class whose fields are its ``__slots__``: equality, hashing and repr
+    compare and show those fields, in order.  Records are immutable by
+    convention; nothing assigns to a field after ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
 def _check_label(label):
-    # '#' would start a comment in the printed netlist.
-    if not label or "#" in label or any(ch.isspace() for ch in label):
+    # '#' would start a comment in the printed netlist.  A nonempty label
+    # without whitespace is the one word that it splits into.
+    if "#" in label or label.split() != [label]:
         raise ValueError(f"bad node label {label!r}")
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class LabelledGraph(Record):
     """A finite multigraph with an impedance in F+ on every edge."""
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = ("nodes", "edges")
 
     def __init__(self, nodes, edges=()):
         nodes = tuple(sorted(set(nodes)))
@@ -41,17 +61,14 @@ class LabelledGraph:
             if not isinstance(z, RatFunc) or z.is_zero():
                 raise ValueError("edge impedance must be a nonzero RatFunc")
             norm.append((src, tgt, z))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(norm))
+        self.nodes = nodes
+        self.edges = tuple(norm)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """A labelled graph together with ordered input and output port lists."""
 
-    graph: LabelledGraph
-    inputs: tuple
-    outputs: tuple
+    __slots__ = ("graph", "inputs", "outputs")
 
     def __init__(self, graph, inputs, outputs):
         inputs = tuple(inputs)
@@ -60,9 +77,9 @@ class Circuit:
         for p in inputs + outputs:
             if p not in node_set:
                 raise ValueError(f"port references unknown node {p!r}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
+        self.graph = graph
+        self.inputs = inputs
+        self.outputs = outputs
 
     @property
     def boundary(self):

@@ -524,7 +524,12 @@ def impedance(kind, value):
     value = Fraction(value)
     if value <= 0:
         raise NonPositiveValue(f"component value must be positive, got {value}")
-    p, q = value.numerator, value.denominator
+    return int_impedance(kind, value.numerator, value.denominator)
+
+
+def int_impedance(kind, p, q):
+    """The impedance of an R, L, or C component of value p/q, given as
+    coprime ints p, q > 0; the caller guarantees both conditions."""
     if kind == "R":
         return _new((p,), (q,))
     if kind == "L":

@@ -15,13 +15,16 @@ Node labels cannot contain ``#``, so every printed netlist parses back.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .circuits import Circuit, LabelledGraph
 from .corel import merge_map
 from .errors import NonPositiveImpedance, ParseError, PoleAtPoint, UnknownNode
 from .field import (
     DEFAULT_SAMPLE_POINTS,
+    MAX_DIGITS,
     component,
-    impedance,
+    int_impedance,
     is_positive_sampled,
     parse_rational,
     parse_ratfunc,
@@ -29,13 +32,27 @@ from .field import (
 
 
 def _parse_value(text, lineno):
+    """The positive component value written in ``text``, as coprime ints p, q.
+
+    A value written in ASCII digits as ``p`` or ``p/q``, both nonzero and
+    within ``MAX_DIGITS``, is read straight to ints.  Every other form goes
+    through ``parse_rational``, with its caps and its messages.
+    """
+    num, slash, den = text.partition("/")
+    if (text.isascii() and num.isdigit() and (den.isdigit() or not slash)
+            and len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS):
+        p = int(num)
+        q = int(den) if slash else 1
+        if p and q:
+            g = gcd(p, q)
+            return p // g, q // g
     try:
         value = parse_rational(text)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
     if value <= 0:
         raise NonPositiveImpedance(f"line {lineno}: value {value} is not positive")
-    return value
+    return value.numerator, value.denominator
 
 
 def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
@@ -71,7 +88,7 @@ def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
             if len(rest) != 3:
                 raise ParseError(lineno, f"{head} needs two nodes and a value")
             a, b = known(rest[0], lineno), known(rest[1], lineno)
-            edges.append((a, b, impedance(head, _parse_value(rest[2], lineno))))
+            edges.append((a, b, int_impedance(head, *_parse_value(rest[2], lineno))))
         elif head == "Z":
             if len(rest) != 3:
                 raise ParseError(lineno, "Z needs two nodes and an impedance")

@@ -155,6 +155,26 @@ def test_lagr_cospan_functor():
         assert lhs == rhs
 
 
+def test_cospans_compare_and_hash_by_structure():
+    rng = random.Random(6)
+    for _ in range(10):
+        g = rand_circuit(rng, max_nodes=4, max_edges=3)
+        twin = circuit(g.graph.nodes, g.graph.edges, g.inputs, g.outputs)
+        a, b = to_dirichlet_cospan(g), to_dirichlet_cospan(twin)
+        assert a.form is not b.form
+        assert a == b and hash(a) == hash(b)
+        la, lb = to_lagr_cospan(a), to_lagr_cospan(b)
+        assert la.sub is not lb.sub
+        assert la == lb and hash(la) == hash(lb)
+        for obj in (a, la):
+            assert not hasattr(obj, "__dict__")
+    g = circuit(["a", "b"], [("a", "b", impedance("R", 1))], ["a"], ["b"])
+    a = to_dirichlet_cospan(g)
+    assert a != to_dirichlet_cospan(dagger_circuit(g))
+    assert to_lagr_cospan(a) != to_lagr_cospan(to_dirichlet_cospan(dagger_circuit(g)))
+    assert repr(a) == f"DirichletCospan(inputs=('a',), outputs=('b',), form={a.form!r})"
+
+
 def test_final_factor_functorial_and_dagger():
     rng = random.Random(4)
     for _ in range(15):

@@ -1,9 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from blackbox.circuits import (
+    Circuit,
+    LabelledGraph,
     circuit,
     compose_circuits,
     dagger_circuit,
@@ -15,7 +20,7 @@ from blackbox.dirichlet import extended_power_functional, power_functional
 from blackbox.errors import PortCountMismatch
 from blackbox.field import impedance
 
-from util import rand_circuit, rand_composable_pair
+from util import old_label_rule, rand_circuit, rand_composable_pair
 
 R1 = impedance("R", 1)
 
@@ -144,3 +149,36 @@ def test_edge_validation():
         circuit(["a", "b"], [], ["z"], [])
     with pytest.raises(ValueError):
         circuit(["bad label"], [])
+
+
+def test_graphs_and_circuits_compare_and_hash_by_structure():
+    rng = random.Random(5)
+    for _ in range(10):
+        g = rand_circuit(rng)
+        twin = Circuit(LabelledGraph(reversed(g.graph.nodes), list(g.graph.edges)),
+                       list(g.inputs), list(g.outputs))
+        assert twin.graph is not g.graph
+        assert twin.graph == g.graph and hash(twin.graph) == hash(g.graph)
+        assert twin == g and hash(twin) == hash(g)
+        for obj in (g, g.graph):
+            assert not hasattr(obj, "__dict__")
+    g = circuit(["a", "b"], [("a", "b", R1)], ["a"], ["b"])
+    assert g != dagger_circuit(g) and g != g.graph and g != (g.graph, g.inputs, g.outputs)
+    assert g.graph != LabelledGraph(["a", "b"], [("a", "b", impedance("L", 1))])
+    assert repr(g) == f"Circuit(graph=LabelledGraph(nodes=('a', 'b'), edges=(('a', 'b', {R1!r}),)), " \
+        "inputs=('a',), outputs=('b',))"
+
+
+SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+@seed(16)
+@settings(max_examples=300)
+@given(st.text() | st.text(st.sampled_from(SPACES + "#ab\u00e9\u03a9")) | st.text(min_size=1).map(
+    lambda t: t + SPACES[len(t) % len(SPACES)]))
+def test_labels_are_accepted_by_the_per_character_rule(label):
+    if old_label_rule(label):
+        assert circuit([label]).graph.nodes == (label,)
+    else:
+        with pytest.raises(ValueError, match="bad node label"):
+            circuit([label])

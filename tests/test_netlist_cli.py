@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blackbox import cli
+from blackbox import cli, netlist
 from blackbox.cli import main
 from blackbox.errors import (
     NonPositiveImpedance,
@@ -21,7 +21,7 @@ from blackbox.circuits import circuit
 from blackbox.field import MAX_DIGITS, MAX_EXPONENT, impedance, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
-from util import rand_circuit
+from util import rand_circuit, reference_component
 
 SERIES = """\
 # two unit resistors in series
@@ -129,6 +129,38 @@ def test_component_value_caps(tmp_path, capsys):
     assert [z.as_rat() for _, _, z in g.graph.edges] == [
         10**MAX_DIGITS,
         Fraction(1, 10**MAX_DIGITS),
+    ]
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_component_values_read_as_the_general_reader_reads_them():
+    # '²' is a digit to str.isdigit but not to int(); '٣' and '３' are
+    # decimal digits that int() and Fraction both read as 3.
+    at, over = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    tokens = ["7", "007", "4/2", "12/18", "+3", "-2", "0", "0/5", "3/0", "1.5", "2e3", "1_0",
+              "٣", "３", "½", "²", "/5", "5/", "1/2/3",
+              at, over, f"{at}/3", f"3/{at}", f"{over}/3", f"3/{over}"]
+    for kind in "RLC":
+        for tok in tokens:
+            got = _outcome(lambda: parse_netlist(f"nodes: a b\n{kind} a b {tok}\n").graph.edges[0][2])
+            assert got == _outcome(lambda: reference_component(kind, tok, 2)), (kind, tok)
+
+
+def test_ascii_integer_values_skip_the_general_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parse_rational called on {text!r}")
+
+    monkeypatch.setattr(netlist, "parse_rational", refuse)
+    g = parse_netlist("nodes: a b c\nR a b 4/6\nL b c 007\nC a c 3/1\n")
+    assert [z for _, _, z in g.graph.edges] == [
+        impedance("R", Fraction(2, 3)), impedance("L", 7), impedance("C", 3),
     ]
 
 
@@ -334,6 +366,16 @@ def _piped(argv, data):
     env.pop("PYTHONUTF8", None)
     return subprocess.run([sys.executable, "-m", "blackbox.cli", *argv], input=data,
                           env=env, capture_output=True, timeout=60)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, blackbox.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_piped_input_is_read_as_utf8_whatever_the_locale(tmp_path):

@@ -45,6 +45,27 @@ def test_route_digest_prints_one_digest_per_route_and_the_folds(tmp_path):
     assert all(len(line.split()[1]) == 64 for line in lines)
 
 
+def test_import_cost_reports_each_engine_module_once(tmp_path):
+    # A decoy ``blackbox`` on the path: the script must time its own checkout.
+    decoy = tmp_path / "blackbox"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text("raise ImportError('decoy blackbox imported')\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/import_cost.py"), "--runs", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import blackbox.cli: median of 1 cold runs (ms)"
+    modules = sorted(["blackbox"] + [f"blackbox.{p.stem}" for p in (ROOT / "src/blackbox").glob("*.py")
+                                     if p.stem != "__init__"])
+    assert [line.split()[0] for line in lines[1:-2]] == modules
+    assert lines[-2].startswith("blackbox.* self sum") and lines[-1].startswith("blackbox.cli total")
+    times = [float(line.split()[-1]) for line in lines[1:]]
+    assert all(t > 0 for t in times) and times[-1] >= times[-2]
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -10,7 +10,8 @@ from math import gcd
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
 from blackbox.dirichlet import DirichletForm
-from blackbox.field import ONE, ZERO, from_rat, impedance
+from blackbox.errors import NonPositiveImpedance, ParseError
+from blackbox.field import ONE, ZERO, from_rat, impedance, parse_rational
 from blackbox.lagrel import (
     LagrangianRelation,
     embed,
@@ -27,6 +28,26 @@ from blackbox.lagrel import (
 def rand_rat(rng, lo=1, hi=4):
     """A random positive rational with small numerator and denominator."""
     return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+
+
+def reference_component(kind, text, lineno):
+    """The impedance of an R/L/C netlist value read the general way:
+    ``parse_rational``, the positivity test, then ``impedance``.  The
+    reference that the netlist reader's integer short path must reproduce,
+    value for value and error for error."""
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+    if value <= 0:
+        raise NonPositiveImpedance(f"line {lineno}: value {value} is not positive")
+    return impedance(kind, value)
+
+
+def old_label_rule(label):
+    """True iff ``label`` is a node label by the rule written per character:
+    nonempty, no ``#`` and no character that ``str.isspace`` accepts."""
+    return bool(label) and "#" not in label and not any(ch.isspace() for ch in label)
 
 
 def rand_impedance(rng):
