@@ -33,15 +33,14 @@ from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
 from .field import MINUS_ONE, ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
-    Subspace,
     composite_rows,
-    embed,
     graph_of_differential,
     nullspace,
     port_space,
     pushforward_lagrangian,
     subspace_as_relation,
     symplectify,
+    tensor_relations,
 )
 
 # -- decorated cospans -------------------------------------------------------
@@ -106,15 +105,13 @@ def compose_lagr_cospans(a, b):
     if len(a.outputs) != len(b.inputs):
         raise PortCountMismatch("port lists do not match")
     map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
-    # The disjoint union is indexed by position, so no label can collide;
-    # its layout is [phi a, phi b, iota a, iota b].
-    na, nt = len(a.nodes), len(a.nodes) + len(b.nodes)
-    cols_a = [*range(na), *range(nt, nt + na)]
-    cols_b = [*range(na, nt), *range(nt + na, 2 * nt)]
-    rows = [embed(r, cols_a) for r in a.sub.sparse]
-    rows += [embed(r, cols_b) for r in b.sub.sparse]
+    # The disjoint union is indexed by position, so no label can collide.
+    union = tensor_relations(
+        subspace_as_relation(a.sub, port_space(len(a.nodes))),
+        subspace_as_relation(b.sub, port_space(len(b.nodes))),
+    )
     f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
-    pushed = pushforward_lagrangian(f, range(nt), Subspace(rows, 2 * nt), nodes)
+    pushed = pushforward_lagrangian(f, range(len(f)), union.sub, nodes)
     return LagrCospan(
         tuple(map1[p] for p in a.inputs),
         tuple(map2[p] for p in b.outputs),
@@ -129,24 +126,23 @@ def compose_lagr_cospans(a, b):
 def cospan_relation(lc):
     """Black-box a Lagrangian cospan: compose its name with the symplectified
     boundary, then reread the composite's rows 0 -> V_X (+) V_Y as
-    V_X -> V_Y, applying the twist V_X -> conj(V_X) to them: the input
-    currents are negated.  The rows are canonicalized and checked once, in
-    the relation returned; the reread is a symplectomorphism, so that check
-    is the one the composite would have passed.  Three ``LagrangianRelation``s
-    are built: the name, the boundary and the result."""
+    V_X -> V_Y by ``_port_behavior``, which applies the twist
+    V_X -> conj(V_X): the input currents are negated.  The rows are
+    canonicalized and checked once, in the relation returned; the reread is
+    a symplectomorphism, so that check is the one the composite would have
+    passed.  Three ``LagrangianRelation``s are built: the name, the boundary
+    and the result."""
     nodes = lc.nodes
     m, n = len(lc.inputs), len(lc.outputs)
     index = {lab: k for k, lab in enumerate(nodes)}
     boundary_corel = corel_from_cospan(
         [index[p] for p in lc.inputs] + [index[p] for p in lc.outputs],
-        list(range(len(nodes))),
+        range(len(nodes)),
     )
     name = subspace_as_relation(lc.sub, port_space(len(nodes)))
     rows = composite_rows(name, symplectify(dagger_corelation(boundary_corel)))
-    # [phi x, phi y, iota x, iota y] -> [phi x, iota x, phi y, iota y]
-    cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
-    rows = [{cols[c]: -e if m + n <= c < 2 * m + n else e for c, e in r.items()} for r in rows]
-    return LagrangianRelation(port_space(m), port_space(n), rows)
+    # The composite's columns are [phi x, phi y, iota x, iota y].
+    return _port_behavior(rows, range(m + n), range(m + n, 2 * (m + n)), m)
 
 
 def port_relation(form, inputs, outputs):
@@ -185,7 +181,7 @@ def port_relation(form, inputs, outputs):
 
 def _port_behavior(vecs, phi_cols, cur_cols, m):
     """The relation V_X -> V_Y spanned by the rows
-    [phi in, -current in, phi out, current out] read off solution vectors:
+    [phi in, -current in, phi out, current out] read off sparse vectors:
     the potential of port k at ``phi_cols[k]``, its current at
     ``cur_cols[k]``, inputs (the first m) first."""
     n = len(phi_cols) - m
@@ -209,11 +205,8 @@ def blackbox_categorical(g):
 
 def blackbox_fast(g):
     """The behavior via interior-node elimination of the power functional."""
-    p = extended_power_functional(g)
-    boundary = g.boundary
-    q = power_functional(p, boundary)
-    lc = LagrCospan(tuple(g.inputs), tuple(g.outputs), boundary, graph_of_differential(q))
-    return cospan_relation(lc)
+    q = power_functional(extended_power_functional(g), g.boundary)
+    return cospan_relation(to_lagr_cospan(DirichletCospan(g.inputs, g.outputs, q)))
 
 
 def oracle_behavior(g):

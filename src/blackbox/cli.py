@@ -173,6 +173,8 @@ def _check_one(path, args):
 
 
 def _cmd_check(args):
+    if args.file and args.corpus:
+        raise EngineError(f"check takes a file or --corpus, not both: {args.file}, {args.corpus}")
     if args.corpus:
         files = sorted(str(p) for p in Path(args.corpus).glob("*.net"))
         if not files:

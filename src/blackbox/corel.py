@@ -97,19 +97,6 @@ def corel_from_cospan(i_images, o_images):
     return Corelation(len(i_images), len(o_images), groups.values())
 
 
-def corel_from_function(images, codomain_size):
-    """The corelation X -> Y of a function X -> Y with positional codomain.
-
-    Every codomain element forms a block together with its preimage, so
-    elements outside the image appear as singletons.
-    """
-    m = len(images)
-    blocks = {y: [m + y] for y in range(codomain_size)}
-    for k, y in enumerate(images):
-        blocks[y].append(k)
-    return Corelation(m, codomain_size, blocks.values())
-
-
 def identity_corelation(n):
     return Corelation(n, n, [(k, n + k) for k in range(n)])
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import (
     BoundaryNotSubset,
-    LabelCollision,
     MissingAssignment,
     NodeNotInSupport,
     NonConstantCoefficients,
@@ -33,8 +32,7 @@ class DirichletForm:
         support = tuple(sorted(set(support)))
         sset = set(support)
         table = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for (i, j), c in items:
+        for (i, j), c in coeffs:
             if i == j:
                 raise ValueError("no diagonal coefficients in a Dirichlet form")
             if i not in sset or j not in sset:
@@ -93,15 +91,15 @@ def extended_power_functional(g):
     return DirichletForm(g.graph.nodes, coeffs)
 
 
-def _require_assignment(form, psi):
-    missing = [n for n in form.support if n not in psi]
+def _require_assignment(nodes, psi):
+    missing = [n for n in nodes if n not in psi]
     if missing:
         raise MissingAssignment(f"no potential assigned at {missing}")
 
 
 def evaluate(form, psi):
     """The exact field value of the form at the potential psi."""
-    _require_assignment(form, psi)
+    _require_assignment(form.support, psi)
     total = ZERO
     for (i, j), c in form.coeffs.items():
         d = as_ratfunc(psi[i]) - as_ratfunc(psi[j])
@@ -112,7 +110,7 @@ def evaluate(form, psi):
 
 def gradient(form, psi):
     """The formal differential at psi as a dict: node n -> sum_j 2 c_nj (psi_n - psi_j)."""
-    _require_assignment(form, psi)
+    _require_assignment(form.support, psi)
     entries = {n: ZERO for n in form.support}
     for (i, j), c in form.coeffs.items():
         d = as_ratfunc(psi[i]) - as_ratfunc(psi[j])
@@ -157,13 +155,6 @@ def eliminate_node(form, n):
     return DirichletForm(new_support, rest)
 
 
-def _interior(form, boundary):
-    bset = set(boundary)
-    if not bset <= set(form.support):
-        raise BoundaryNotSubset(f"{sorted(bset - set(form.support))} not in support")
-    return [n for n in form.support if n not in bset]
-
-
 def _eliminate_interior(form, boundary):
     """Minimize the form over everything outside ``boundary``, one
     ``eliminate_node`` per interior node, in greedy min-degree order: each
@@ -173,7 +164,10 @@ def _eliminate_interior(form, boundary):
     Returns the reduced form and, per step, the node with its incident
     coefficients at the moment of elimination.
     """
-    interior = set(_interior(form, boundary))
+    support, bset = set(form.support), set(boundary)
+    if not bset <= support:
+        raise BoundaryNotSubset(f"{sorted(bset - support)} not in support")
+    interior = support - bset
     steps = []
     while interior:
         incident = {n: {} for n in interior}
@@ -207,6 +201,7 @@ def realizable_extension(form, boundary, psi):
     incident mass get potential zero (the vanishing convention for
     components that do not touch the boundary).
     """
+    _require_assignment(boundary, psi)
     _, steps = _eliminate_interior(form, boundary)
     phi = {n: as_ratfunc(psi[n]) for n in boundary}
     for n, incident in reversed(steps):
@@ -218,30 +213,16 @@ def realizable_extension(form, boundary, psi):
     return phi
 
 
-def compose_forms(q, p, shared=None):
+def compose_forms(q, p):
     """Semicategory composition: sum the forms, then minimize over T.
 
-    ``q`` lives on S+T and ``p`` on T+U; by default T is inferred as the
-    intersection of the supports.  S, T, U must be pairwise disjoint.
+    ``q`` lives on S+T and ``p`` on T+U, where T is the intersection of the
+    supports; every label of both is in S, T or U, so the boundary S+U is
+    their symmetric difference.
     """
     qset, pset = set(q.support), set(p.support)
-    if shared is None:
-        t = qset & pset
-    else:
-        t = set(shared)
-        if not (t <= qset and t <= pset):
-            raise LabelCollision("shared labels must appear in both supports")
-    s_side = qset - t
-    u_side = pset - t
-    if s_side & u_side:
-        raise LabelCollision(
-            f"outer labels collide: {sorted(s_side & u_side)}"
-        )
-    total = DirichletForm(
-        qset | pset,
-        list(q.coeffs.items()) + list(p.coeffs.items()),
-    )
-    return power_functional(total, sorted(s_side | u_side))
+    total = DirichletForm(qset | pset, [*q.coeffs.items(), *p.coeffs.items()])
+    return power_functional(total, sorted(qset ^ pset))
 
 
 def pushforward_form(f, form, codomain=None):

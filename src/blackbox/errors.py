@@ -47,10 +47,6 @@ class BoundaryNotSubset(EngineError):
     pass
 
 
-class LabelCollision(EngineError):
-    pass
-
-
 class NonConstantCoefficients(EngineError):
     pass
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 
-from .corel import corel_from_function
+from .corel import corel_from_cospan
 from .dirichlet import gradient
 from .errors import InterfaceMismatch
 from .field import MINUS_ONE, ONE, ZERO
@@ -88,21 +88,6 @@ def _add_multiple(row, f, prow):
     return changed
 
 
-def _sub_multiple(row, f, prow):
-    """row -= f * prow in place, dropping the entries that cancel."""
-    get = row.get
-    for c, b in prow.items():
-        a = get(c)
-        if a is None:
-            row[c] = -(f * b)
-        else:
-            a = a - f * b
-            if a.n:
-                row[c] = a
-            else:
-                del row[c]
-
-
 def rref(rows, ncols):
     """Unique reduced row-echelon form of dense or sparse rows, as sparse
     rows in pivot order, each holding its pivot 1; zero rows dropped.
@@ -129,7 +114,7 @@ def rref(rows, ncols):
         prow = _normalized(todo.pop(piv), col)
         for row in chain(done, todo):
             if col in row:
-                _sub_multiple(row, row.pop(col), prow)
+                _add_multiple(row, -row.pop(col), prow)
         prow[col] = ONE
         done.append(prow)
     return done
@@ -613,12 +598,16 @@ def symplectify(corel):
 
 
 def pushforward_lagrangian(f, domain, sub, codomain=None):
-    """The image of a Lagrangian subspace of V_S under S(f) for f: S -> M."""
+    """The image of a Lagrangian subspace of V_S under S(f) for f: S -> M.
+
+    The corelation of f is that of the cospan S -> M <- M of f and the
+    identity: an element of M outside the image of f is a singleton block.
+    """
     domain = tuple(domain)
     if codomain is None:
         codomain = tuple(sorted({f[n] for n in domain}))
     index = {lab: k for k, lab in enumerate(codomain)}
     images = [index[f[n]] for n in domain]
-    corel = corel_from_function(images, len(codomain))
+    corel = corel_from_cospan(images, range(len(codomain)))
     name = subspace_as_relation(sub, port_space(len(domain)))
     return compose_relations(name, symplectify(corel)).sub

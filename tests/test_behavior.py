@@ -260,7 +260,7 @@ def test_minimization_equals_boundary_restriction_of_the_graph():
         subspace_as_relation,
         symplectify,
     )
-    from blackbox.corel import corel_from_function, dagger_corelation
+    from blackbox.corel import corel_from_cospan, dagger_corelation
 
     rng = random.Random(9)
     for _ in range(20):
@@ -270,7 +270,7 @@ def test_minimization_equals_boundary_restriction_of_the_graph():
         p = extended_power_functional(g)
         q = power_functional(p, boundary)
         node_at = {n: k for k, n in enumerate(nodes)}
-        inclusion = corel_from_function([node_at[b] for b in boundary], len(nodes))
+        inclusion = corel_from_cospan([node_at[b] for b in boundary], range(len(nodes)))
         restricted = compose_relations(
             subspace_as_relation(graph_of_differential(p), port_space(len(nodes))),
             symplectify(dagger_corelation(inclusion)),

@@ -44,6 +44,13 @@ def test_from_cospan_examples():
     fork = corel_from_cospan(["n", "n"], ["n"])
     assert fork.blocks == ((0, 1, 2),)
 
+    # A function f: X -> Y read as the cospan X -> Y <- Y of f and the
+    # identity: each y is a block with its preimage, a singleton outside
+    # the image.
+    f = corel_from_cospan([2, 0, 2], range(4))
+    assert f.blocks == ((0, 2, 5), (1, 3), (4,), (6,))
+    assert corel_from_cospan([], range(2)) == Corelation(0, 2, [(0,), (1,)])
+    assert corel_from_cospan([1, 1], range(3)).blocks == ((0, 1, 3), (2,), (4,))
 
 def test_compose_examples():
     a = Corelation(1, 2, [(0, 1), (2,)])

@@ -20,7 +20,6 @@ from blackbox.dirichlet import (
 )
 from blackbox.errors import (
     BoundaryNotSubset,
-    LabelCollision,
     MissingAssignment,
     NodeNotInSupport,
     NonConstantCoefficients,
@@ -259,6 +258,16 @@ def test_realizable_extension_satisfies_kcl_and_energy():
         assert evaluate(q, phi) == evaluate(power_functional(q, boundary), psi)
 
 
+def test_realizable_extension_requires_every_boundary_potential():
+    q = DirichletForm(["a", "b", "c"], [(("a", "b"), ONE), (("b", "c"), ONE)])
+    with pytest.raises(MissingAssignment, match="'c'"):
+        realizable_extension(q, ["a", "c"], {"a": ONE})
+    # A potential given off the boundary does not stand in for a missing one.
+    with pytest.raises(MissingAssignment):
+        realizable_extension(q, ["a", "c"], {"a": ONE, "b": ONE})
+    assert realizable_extension(q, ["a", "c"], {"a": ONE, "c": ZERO})["b"] == half
+
+
 def test_compose_forms_approximate_identity():
     k, c = from_rat(3), from_rat(Fraction(1, 2))
     q = DirichletForm(["a", "b"], [(("a", "b"), c)])
@@ -275,7 +284,7 @@ def test_compose_forms_zero_middle():
     assert out == DirichletForm(["a", "g"])
     # S-side coefficients survive when the middle node carries no mass.
     q2 = DirichletForm(["a", "a2", "b"], [(("a", "a2"), ONE)])
-    out2 = compose_forms(q2, p, shared=["b"])
+    out2 = compose_forms(q2, p)
     assert out2 == DirichletForm(["a", "a2", "g"], [(("a", "a2"), ONE)])
 
 
@@ -288,13 +297,6 @@ def test_compose_forms_associative():
         lhs = compose_forms(compose_forms(q1, q2), q3)
         rhs = compose_forms(q1, compose_forms(q2, q3))
         assert lhs == rhs
-
-
-def test_compose_forms_label_collision():
-    q = DirichletForm(["a", "b"], [(("a", "b"), ONE)])
-    p = DirichletForm(["a", "b"], [(("a", "b"), ONE)])
-    with pytest.raises(LabelCollision):
-        compose_forms(q, p, shared=[])
 
 
 def test_pushforward_examples():

@@ -815,13 +815,13 @@ def test_snake_identities():
 
 def test_symplectification_of_functions():
     # S(f) pulls potentials back and pushes currents forward.
-    from blackbox.corel import corel_from_function
+    from blackbox.corel import corel_from_cospan
 
     rng = random.Random(13)
     for _ in range(20):
         m, n = rng.randint(0, 4), rng.randint(1, 4)
         f = [rng.randrange(n) for _ in range(m)]
-        sf = symplectify(corel_from_function(f, n))
+        sf = symplectify(corel_from_cospan(f, range(n)))
         rows = []
         width = 2 * (m + n)
         for y in range(n):

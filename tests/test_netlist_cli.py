@@ -300,6 +300,14 @@ def test_cli_check_and_corpus(tmp_path, capsys):
     assert main(["check", str(tmp_path / "series.net")]) == 0
 
 
+def test_cli_check_refuses_a_file_and_a_corpus_together(tmp_path, capsys):
+    series = _write(tmp_path, "series.net", SERIES)
+    assert main(["check", series, "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert series in captured.err and str(tmp_path) in captured.err
+
+
 def test_cli_check_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     import blackbox.cli as cli
 
