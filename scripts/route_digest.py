@@ -8,11 +8,13 @@ benchmark also checks goes through the four routes: ``blackbox``,
 route's printed relations, in a fixed order, feed one digest.  A fifth
 digest covers the compositional analysis of every chain: its blocks'
 behaviors folded with ``compose_relations`` (``tensor_relations`` side by
-side, and a mirrored chain composed with its dagger).  A sixth digest,
-``netlists``, covers ``print_netlist`` of every circuit, block and flat
-composite.  Two checkouts whose digests agree print byte-identical
-behaviors and netlists on all of it.  The engine is imported from this
-checkout's ``src``, whatever ``blackbox`` is installed.
+side, and a mirrored chain composed with its dagger) by ``bench/run.py``'s
+``analyse``, the fold that the benchmark times.  The flat composites come
+from its ``flatten``.  A sixth digest, ``netlists``, covers
+``print_netlist`` of every circuit, block and flat composite.  Two
+checkouts whose digests agree print byte-identical behaviors and netlists
+on all of it.  The engine is imported from this checkout's ``src``,
+whatever ``blackbox`` is installed.
 
     python3 scripts/route_digest.py --seeds 1,5,7
 """
@@ -20,27 +22,22 @@ checkout's ``src``, whatever ``blackbox`` is installed.
 import argparse
 import hashlib
 import sys
-from functools import reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402
+import run  # noqa: E402
 
+import blackbox as engine  # noqa: E402
 from blackbox import (  # noqa: E402
     blackbox,
     blackbox_categorical,
     blackbox_fast,
-    compose_circuits,
-    compose_relations,
-    dagger_circuit,
-    dagger_relation,
     oracle_behavior,
     parse_netlist,
     print_netlist,
-    tensor_circuits,
-    tensor_relations,
 )
 
 ROUTES = {
@@ -51,24 +48,6 @@ ROUTES = {
 }
 
 
-def fold(combinator, rels):
-    if combinator == "parallel":
-        return reduce(tensor_relations, rels)
-    rel = reduce(compose_relations, rels)
-    if combinator == "mirror":
-        rel = compose_relations(rel, dagger_relation(rel))
-    return rel
-
-
-def flatten(combinator, blocks):
-    if combinator == "parallel":
-        return reduce(tensor_circuits, blocks)
-    g = reduce(compose_circuits, blocks)
-    if combinator == "mirror":
-        g = compose_circuits(g, dagger_circuit(g))
-    return g
-
-
 def circuits(workload):
     """(name, circuit) for every circuit, block and checked flat composite."""
     out = [(net.name, parse_netlist(gen.netlist_text(net))) for net in workload.circuits]
@@ -76,7 +55,7 @@ def circuits(workload):
         blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
         out += [(f"{chain.name}/{k}", g) for k, g in enumerate(blocks)]
         if chain.flat_verbs:
-            out.append((f"{chain.name}/flat", flatten(chain.combinator, blocks)))
+            out.append((f"{chain.name}/flat", run.flatten(engine, chain.combinator, blocks)))
     return out
 
 
@@ -96,7 +75,7 @@ def main():
                 digests["netlists"].update(f"{wname} {seed} {name}\n{print_netlist(g)}".encode())
             for chain in workload.chains:
                 blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
-                rel = fold(chain.combinator, [blackbox(g) for g in blocks])
+                rel = run.analyse(engine, chain.combinator, blocks)
                 digests["compose_folds"].update(
                     f"{wname} {seed} {chain.name}\n{rel.pretty()}\n".encode())
     for name, h in digests.items():

@@ -27,7 +27,7 @@ generators, flips their sign); output ports report current flowing outward.
 from __future__ import annotations
 
 from .circuits import Record, pushout
-from .corel import corel_from_cospan, dagger_corelation
+from .corel import corel_from_cospan
 from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
 from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
 from .field import MINUS_ONE, ONE, ZERO
@@ -125,22 +125,22 @@ def compose_lagr_cospans(a, b):
 
 def cospan_relation(lc):
     """Black-box a Lagrangian cospan: compose its name with the symplectified
-    boundary, then reread the composite's rows 0 -> V_X (+) V_Y as
-    V_X -> V_Y by ``_port_behavior``, which applies the twist
-    V_X -> conj(V_X): the input currents are negated.  The rows are
-    canonicalized and checked once, in the relation returned; the reread is
-    a symplectomorphism, so that check is the one the composite would have
-    passed.  Three ``LagrangianRelation``s are built: the name, the boundary
-    and the result."""
+    boundary, the corelation from the apex onto the ports, then reread the
+    composite's rows 0 -> V_X (+) V_Y as V_X -> V_Y by ``_port_behavior``,
+    which applies the twist V_X -> conj(V_X): the input currents are
+    negated.  The rows are canonicalized and checked once, in the relation
+    returned; the reread is a symplectomorphism, so that check is the one
+    the composite would have passed.  Three ``LagrangianRelation``s are
+    built: the name, the boundary and the result."""
     nodes = lc.nodes
     m, n = len(lc.inputs), len(lc.outputs)
     index = {lab: k for k, lab in enumerate(nodes)}
-    boundary_corel = corel_from_cospan(
-        [index[p] for p in lc.inputs] + [index[p] for p in lc.outputs],
+    boundary = corel_from_cospan(
         range(len(nodes)),
+        [index[p] for p in lc.inputs] + [index[p] for p in lc.outputs],
     )
     name = subspace_as_relation(lc.sub, port_space(len(nodes)))
-    rows = composite_rows(name, symplectify(dagger_corelation(boundary_corel)))
+    rows = composite_rows(name, symplectify(boundary))
     # The composite's columns are [phi x, phi y, iota x, iota y].
     return _port_behavior(rows, range(m + n), range(m + n, 2 * (m + n)), m)
 

@@ -141,15 +141,15 @@ def compose_circuits(g1, g2):
 
 
 def tensor_circuits(g1, g2):
-    """Disjoint union; colliding labels on the right operand gain primes."""
-    rename = _fresh_labels(g1.graph.nodes, g2.graph.nodes)
-    nodes = list(g1.graph.nodes) + [rename[n] for n in g2.graph.nodes]
-    edges = list(g1.graph.edges)
-    edges += [(rename[s], rename[t], z) for s, t, z in g2.graph.edges]
+    """Disjoint union: the pushout over no ports, so colliding labels on the
+    right operand gain primes."""
+    map1, map2, nodes = pushout(g1.graph.nodes, (), g2.graph.nodes, ())
+    edges = [(map1[s], map1[t], z) for s, t, z in g1.graph.edges]
+    edges += [(map2[s], map2[t], z) for s, t, z in g2.graph.edges]
     return Circuit(
         LabelledGraph(nodes, edges),
-        tuple(g1.inputs) + tuple(rename[p] for p in g2.inputs),
-        tuple(g1.outputs) + tuple(rename[p] for p in g2.outputs),
+        [map1[p] for p in g1.inputs] + [map2[p] for p in g2.inputs],
+        [map1[p] for p in g1.outputs] + [map2[p] for p in g2.outputs],
     )
 
 

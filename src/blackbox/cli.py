@@ -2,9 +2,9 @@
 
 Machine output goes to stdout, diagnostics to stderr; parse and
 precondition failures exit with status 2.  ``equiv`` exits 0 when the two
-behaviors are exactly equal and 1 otherwise.  The environment variable
-BLACKBOX_SAMPLE_POINTS (comma-separated positive rationals) overrides the
-grid used to validate raw impedances.
+behaviors are exactly equal and 1 otherwise.  With ``--allow-raw-z`` a
+netlist may hold ``Z`` directives; each raw impedance must be positive at
+every point of ``field.DEFAULT_SAMPLE_POINTS``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,29 +26,8 @@ from .behavior import (
 from .circuits import compose_circuits, dagger_circuit, tensor_circuits
 from .dirichlet import extended_power_functional, power_functional
 from .errors import EngineError
-from .field import DEFAULT_SAMPLE_POINTS, parse_rational
+from .field import parse_rational
 from .netlist import parse_netlist, print_netlist
-
-
-def _sample_points():
-    raw = os.environ.get("BLACKBOX_SAMPLE_POINTS")
-    if not raw:
-        return DEFAULT_SAMPLE_POINTS
-    points = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            point = parse_rational(tok)
-        except ValueError as exc:
-            raise EngineError(f"bad BLACKBOX_SAMPLE_POINTS: {exc}") from None
-        if point <= 0:
-            raise EngineError(f"bad BLACKBOX_SAMPLE_POINTS: point {point} is not positive")
-        points.append(point)
-    if not points:
-        raise EngineError("BLACKBOX_SAMPLE_POINTS is empty")
-    return tuple(points)
 
 
 def _read(path):
@@ -66,18 +44,14 @@ def _read(path):
 
 
 def _load(path, args):
-    return parse_netlist(
-        _read(path),
-        allow_raw_z=getattr(args, "allow_raw_z", False),
-        sample_points=_sample_points(),
-    )
+    return parse_netlist(_read(path), allow_raw_z=args.allow_raw_z)
 
 
 def _print_behavior(g, rel, args):
-    if getattr(args, "as_impedance", False):
+    if args.as_impedance:
         print(as_impedance(rel))
         return
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(behavior_to_json(g, rel)))
         return
     print(rel.pretty())

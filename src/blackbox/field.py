@@ -573,6 +573,18 @@ def is_positive_sampled(f, points=DEFAULT_SAMPLE_POINTS):
 
 _TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
 
+# An impedance is P or P/Q.  Each part is one polynomial, bare or inside one
+# pair of parentheses, with whitespace around it and inside the parentheses.
+# A polynomial is words with no parenthesis, slash or whitespace, separated
+# by whitespace, so it neither starts nor ends with whitespace.  Each optional
+# stretch of whitespace has one place to go, which keeps the match linear in
+# the length of the text.  The pattern is compiled on first use (``re``
+# caches it), so the verbs that read no raw impedance do not pay for it.
+_WORD = r"[^()/\s]+"
+_POLY = rf"{_WORD}(?:\s+{_WORD})*"
+_PART = rf"(?:\s*\((?:\s*({_POLY}))?\s*\)|(?:\s*({_POLY}))?)\s*"
+_RATFUNC = rf"{_PART}(?:/{_PART})?"
+
 #: Largest power of s a netlist may write; a polynomial stores one
 #: coefficient per degree, so the cap bounds what parsing allocates.
 MAX_EXPONENT = 1000
@@ -627,19 +639,8 @@ def _poly_str(p):
 
 
 def _parse_poly(text, line=0):
-    """Parse an integer-coefficient polynomial into an int tuple."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for k, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and k != len(text) - 1:
-                    break
-        else:
-            text = text[1:-1].strip()
+    """Parse an integer-coefficient polynomial, a sum of terms such as
+    ``3*s^2``, ``2s``, ``-s`` or ``7``, into an int tuple."""
     if not text:
         raise ParseError(line, "empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", text)
@@ -671,32 +672,18 @@ def _parse_poly(text, line=0):
 def parse_ratfunc(text, line=0):
     """Parse the textual form of a RatFunc, e.g. ``(3*s^2+2*s+2)/(s)``.
 
+    The form is P or P/Q as the pattern ``_RATFUNC`` reads it; spaces are
+    ignored.
     Accepts ``^`` for powers; ``*`` between a coefficient and ``s`` is
-    optional; the denominator part may be omitted.
+    optional.
     """
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError(line, "empty impedance expression")
-    depth = 0
-    split_at = None
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(line, "unbalanced parentheses")
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ParseError(line, "more than one top-level '/'")
-            split_at = k
-    if depth != 0:
-        raise ParseError(line, "unbalanced parentheses")
-    if split_at is None:
-        num, den = _parse_poly(text, line), (1,)
-    else:
-        num = _parse_poly(text[:split_at], line)
-        den = _parse_poly(text[split_at + 1 :], line)
+    m = re.fullmatch(_RATFUNC, text.replace(" ", ""))
+    if not m:
+        raise ParseError(line, f"cannot parse impedance {text!r}")
+    # A part's polynomial is in its parenthesised group or its bare one; an
+    # empty part leaves both None, which ``_parse_poly`` refuses.
+    num = _parse_poly(m[1] or m[2], line)
+    den = _parse_poly(m[3] or m[4], line) if "/" in text else (1,)
     if not den:
         raise ParseError(line, "zero denominator")
     return RatFunc(num, den)

@@ -6,8 +6,8 @@
     R a b 2               resistor, positive rational value
     L b c 3               inductor
     C a c 1/2             capacitor
-    Z a b (s^2+1)/(s+2)   raw impedance; needs allow_raw_z and must sample
-                          positive on the grid
+    Z a b (s^2+1)/(s+2)   raw impedance; needs allow_raw_z and must be
+                          positive on DEFAULT_SAMPLE_POINTS
     W a b                 ideal wire: merges the two nodes (not an edge)
 
 Node labels cannot contain ``#``, so every printed netlist parses back.
@@ -21,7 +21,6 @@ from .circuits import Circuit, LabelledGraph
 from .corel import merge_map
 from .errors import NonPositiveImpedance, ParseError, PoleAtPoint, UnknownNode
 from .field import (
-    DEFAULT_SAMPLE_POINTS,
     MAX_DIGITS,
     component,
     int_impedance,
@@ -55,7 +54,7 @@ def _parse_value(text, lineno):
     return value.numerator, value.denominator
 
 
-def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
+def parse_netlist(text, allow_raw_z=False):
     """Parse netlist text into a Circuit, applying W-merges before construction."""
     nodes = []
     node_set = set()
@@ -97,7 +96,7 @@ def parse_netlist(text, allow_raw_z=False, sample_points=DEFAULT_SAMPLE_POINTS):
             a, b = known(rest[0], lineno), known(rest[1], lineno)
             z = parse_ratfunc(rest[2], lineno)
             try:
-                positive = not z.is_zero() and is_positive_sampled(z, sample_points)
+                positive = not z.is_zero() and is_positive_sampled(z)
             except PoleAtPoint as exc:
                 raise NonPositiveImpedance(
                     f"line {lineno}: impedance {rest[2]} fails the positivity sample: {exc}"

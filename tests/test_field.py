@@ -1,9 +1,10 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blackbox import field
@@ -12,6 +13,7 @@ from blackbox.errors import (
     DivisionByZero,
     EmptySampleSet,
     NonPositiveValue,
+    ParseError,
     PoleAtPoint,
     ZeroDenominator,
 )
@@ -29,7 +31,7 @@ from blackbox.field import (
     poly_gcd,
     s,
 )
-from util import mesh_circuit, reference_gcd
+from util import mesh_circuit, reference_gcd, reference_parse_ratfunc
 
 rats = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -191,6 +193,54 @@ def test_parse_examples():
 @given(ratfuncs())
 def test_print_parse_round_trip(a):
     assert parse_ratfunc(str(a)) == a
+
+
+def _read(parse, text):
+    """What ``parse`` reads from ``text``: a RatFunc, or ``ParseError``."""
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+_GRAMMAR_CHARS = "s0123456789^*+-()/ \t"
+_GRAMMAR_PIECES = ["s", "2", "17", "s^2", "3*s", "^", "*", "+", "-", "(", ")", "/", " ", "\t"]
+
+
+@seed(7)
+@settings(max_examples=1500)
+@given(st.one_of(
+    st.text(alphabet=_GRAMMAR_CHARS, max_size=14),
+    st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=12).map("".join),
+))
+def test_parse_ratfunc_reads_the_reference_language(text):
+    assert _read(parse_ratfunc, text) == _read(reference_parse_ratfunc, text)
+
+
+def test_parse_ratfunc_named_cases():
+    for text in ["(s+1", "s+1)", "((s))", "(1/2)", "s/2/3", "()", "", " ", "/", "s/",
+                 "(s)(1)", "s\t+1", "s^", "*s"]:
+        assert _read(parse_ratfunc, text) is ParseError is _read(reference_parse_ratfunc, text)
+    # Whitespace around a part and inside its parentheses, tabs and
+    # non-ASCII whitespace included; a newline after a term; any decimal digit.
+    for text, value in [("\t(s)\t/ (2)", s / 2), ("( \ts+1\t)", s + 1), ("2*", ONE + 1),
+                        ("\u00a0s\u3000/\u2003(\x852)", s / 2), ("1\n+s", s + 1),
+                        ("\u0663s", 3 * s)]:
+        assert parse_ratfunc(text) == reference_parse_ratfunc(text) == value
+
+
+def test_parse_ratfunc_is_linear_in_whitespace():
+    # Every stretch of whitespace has one place in the pattern.  A stretch
+    # that two places could share makes a failing match quadratic: seconds
+    # on texts of this length.
+    n = 20_000
+    start = time.perf_counter()
+    for text in ["(" + "\t" * n + "s", "\t" * n + "s)x", "s" + "\t" * n + "+1",
+                 "(" + "s\t" * n + "x"]:
+        with pytest.raises(ParseError):
+            parse_ratfunc(text)
+    assert parse_ratfunc("\t" * n + "(" + "\t" * n + "s" + "\t" * n + ")") == s
+    assert time.perf_counter() - start < 1
 
 
 # -- the integer canonical form ------------------------------------------------

@@ -403,26 +403,6 @@ def test_piped_input_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(piped.stdout)["outputs"] == ["n\u0153ud"]
 
 
-def test_cli_sample_point_override(tmp_path, capsys, monkeypatch):
-    # s - 1 is positive at every sampled point > 1, so a custom grid lets it in.
-    text = "nodes: a b\ninputs: a\noutputs: b\nZ a b s+1\n"
-    net = _write(tmp_path, "z.net", text)
-    monkeypatch.setenv("BLACKBOX_SAMPLE_POINTS", "2, 3, 10")
-    assert main(["blackbox", net, "--allow-raw-z"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("BLACKBOX_SAMPLE_POINTS", "not a number")
-    assert main(["blackbox", net, "--allow-raw-z"]) == 2
-
-
-def test_cli_rejects_bad_sample_points(tmp_path, capsys, monkeypatch):
-    net = _write(tmp_path, "z.net", "nodes: a b\ninputs: a\noutputs: b\nZ a b s+1\n")
-    for raw in ("-1", "0", "1e5000"):
-        monkeypatch.setenv("BLACKBOX_SAMPLE_POINTS", raw)
-        assert main(["blackbox", net, "--allow-raw-z"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "BLACKBOX_SAMPLE_POINTS" in captured.err
-
-
 def test_cli_eval_point_caps(tmp_path, capsys):
     rlc = _write(tmp_path, "rlc.net", "nodes: a b c\ninputs: a\noutputs: c\n"
                  "R a b 1\nL b c 2\nC a c 1/3\n")

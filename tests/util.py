@@ -4,6 +4,7 @@ Deterministic seeds throughout: every suite builds its own ``random.Random``
 so cases are reproducible and independent of execution order.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,16 @@ from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
 from blackbox.dirichlet import DirichletForm
 from blackbox.errors import NonPositiveImpedance, ParseError
-from blackbox.field import ONE, ZERO, from_rat, impedance, parse_rational
+from blackbox.field import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    ONE,
+    ZERO,
+    RatFunc,
+    from_rat,
+    impedance,
+    parse_rational,
+)
 from blackbox.lagrel import (
     LagrangianRelation,
     embed,
@@ -407,3 +417,82 @@ def reference_gcd(a, b):
         b = _ref_primitive(b)
         a, b = b, _ref_prem(a, b)
     return a if a[-1] > 0 else tuple(-x for x in a)
+
+
+_REF_TERM = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
+
+
+def _ref_parse_poly(text, line):
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        depth = 0
+        for k, ch in enumerate(text):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and k != len(text) - 1:
+                    break
+        else:
+            text = text[1:-1].strip()
+    if not text:
+        raise ParseError(line, "empty polynomial")
+    chunks = re.findall(r"[+-]?[^+-]+", text)
+    if "".join(chunks) != text:
+        raise ParseError(line, f"cannot parse polynomial {text!r}")
+    coeffs = {}
+    for chunk in chunks:
+        m = _REF_TERM.match(chunk)
+        if not m or (m.group(2) is None and m.group(3) is None):
+            raise ParseError(line, f"bad term {chunk!r}")
+        sign, digits, svar, exp = m.groups()
+        if exp is not None and svar is None:
+            raise ParseError(line, f"bad term {chunk!r}")
+        if max(len(digits or ""), len(exp or "")) > MAX_DIGITS:
+            raise ParseError(line, f"number longer than {MAX_DIGITS} digits")
+        coef = int(digits) if digits else 1
+        if sign == "-":
+            coef = -coef
+        k = 0 if svar is None else (int(exp) if exp else 1)
+        if k > MAX_EXPONENT:
+            raise ParseError(line, f"exponent {k} above the cap of {MAX_EXPONENT}")
+        coeffs[k] = coeffs.get(k, 0) + coef
+    out = [0] * (max(coeffs) + 1)
+    for k, c in coeffs.items():
+        out[k] = c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def reference_parse_ratfunc(text, line=0):
+    """The RatFunc written in ``text``, read by a depth scanner that splits
+    at the one top-level ``/`` and strips one pair of parentheses from each
+    part: the reference for ``field.parse_ratfunc``, which reads the same
+    language with one pattern."""
+    text = text.replace(" ", "")
+    if not text:
+        raise ParseError(line, "empty impedance expression")
+    depth = 0
+    split_at = None
+    for k, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(line, "unbalanced parentheses")
+        elif ch == "/" and depth == 0:
+            if split_at is not None:
+                raise ParseError(line, "more than one top-level '/'")
+            split_at = k
+    if depth != 0:
+        raise ParseError(line, "unbalanced parentheses")
+    if split_at is None:
+        num, den = _ref_parse_poly(text, line), (1,)
+    else:
+        num = _ref_parse_poly(text[:split_at], line)
+        den = _ref_parse_poly(text[split_at + 1:], line)
+    if not den:
+        raise ParseError(line, "zero denominator")
+    return RatFunc(num, den)
