@@ -2,11 +2,12 @@
 between potentials and currents at its ports.
 
 ``blackbox`` is the production route: Kron-reduce the power functional onto
-the terminals, then solve for the port relation in one nullspace
-(``port_relation``).  Three references compute the same relation and are
-cross-checked against it by the tests and by ``check``.  They share the field
-and ``nullspace``; ``blackbox_fast`` also shares Kron reduction with
-``blackbox`` and ``cospan_relation`` with ``blackbox_categorical``:
+the terminals, then read the port relation off the reduced form with no
+solve (``port_relation``).  Three references compute the same relation and
+are cross-checked against it by the tests and by ``check``.  They share the
+field and ``nullspace``, which ``blackbox`` never calls; ``blackbox_fast``
+also shares Kron reduction with ``blackbox`` and ``cospan_relation`` with
+``blackbox_categorical``:
 
 * ``blackbox_categorical`` -- the categorical composite, factored through
                               cospans decorated by Dirichlet forms and
@@ -148,35 +149,45 @@ def cospan_relation(lc):
 def port_relation(form, inputs, outputs):
     """The relation a Dirichlet form imposes between ports on its support.
 
-    Unknowns are one current share per port (inputs first, then outputs),
-    then the potentials on the support.  Each support node b contributes the
-    Kirchhoff row  sum_j 2 c_bj (phi_b - phi_j) - sum_{ports p at b} share_p
-    = 0: the shares of a repeated terminal split the current dQ_b that leaves
-    it, and a node without ports passes no current.  A share's column holds
-    a single -1, the simplest entry with a Markowitz product of 0, and the
-    shares take the first columns, so the nullspace's pivot search takes
-    every unit share pivot before any other and a terminal's row costs no
-    elimination.  The sign is -1 because ``nullspace`` scales each pivot row
-    to -1, which leaves these rows as they are.  Each basis vector is read
-    as [phi_in, -share_in, phi_out, share_out].
+    The form is Kron-reduced onto the port nodes, so every node left carries
+    a port and the corelation from the nodes onto the ports is a function;
+    the relation's m + n generators are then read off the coefficients, in
+    the columns [phi in, iota in, phi out, iota out], with no solve:
+
+    * one per port node b, the potential 1 at b: a 1 at the potential of
+      every port at b, the current dQ_b = 2 sum_j c_bj on b's first port and
+      dQ_j = -2 c_bj on the first port of each neighbour j;
+    * one per further port k at b: current moved from b's first port to k,
+      the current split of ``symplectify``.
+
+    An input port's current entries are negated (the twist).
     """
-    nodes = form.support
-    m, n = len(inputs), len(outputs)
-    col = {lab: m + n + x for x, lab in enumerate(nodes)}
-    rows = {lab: {} for lab in nodes}
-    for (i, j), c in form.coeffs.items():
-        a, b, t = col[i], col[j], 2 * c
-        rows[i][a] = rows[i].get(a, ZERO) + t
-        rows[i][b] = rows[i].get(b, ZERO) - t
-        rows[j][b] = rows[j].get(b, ZERO) + t
-        rows[j][a] = rows[j].get(a, ZERO) - t
-    for p, lab in enumerate(tuple(inputs) + tuple(outputs)):
-        if lab not in rows:
+    ports = (*inputs, *outputs)
+    support = set(form.support)
+    for lab in ports:
+        if lab not in support:
             raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
-        rows[lab][p] = MINUS_ONE
-    cols = [col[p] for p in inputs] + [col[p] for p in outputs]
-    vecs = nullspace(list(rows.values()), m + n + len(nodes))
-    return _port_behavior(vecs, cols, range(m + n), m)
+    q = power_functional(form, ports)
+    m, n = len(inputs), len(outputs)
+    first, rows, splits = {}, {}, []
+    for p, lab in enumerate(ports):
+        # Port p's potential and current columns, and whether it is an input.
+        phi, cur, inward = (p, m + p, True) if p < m else (m + p, m + n + p, False)
+        if lab in first:
+            h, h_in = first[lab]
+            rows[lab][phi] = ONE
+            splits.append({cur: MINUS_ONE if inward else ONE, h: ONE if h_in else MINUS_ONE})
+        else:
+            first[lab] = (cur, inward)
+            rows[lab] = {phi: ONE}
+    for (i, j), c in q.coeffs.items():
+        t = 2 * c
+        signed = (t, -t)  # indexed by "is an input"
+        for a, b in ((i, j), (j, i)):
+            (ha, a_in), (hb, b_in) = first[a], first[b]
+            rows[a][ha] = rows[a].get(ha, ZERO) + signed[a_in]
+            rows[a][hb] = signed[not b_in]
+    return LagrangianRelation(port_space(m), port_space(n), [*rows.values(), *splits])
 
 
 def _port_behavior(vecs, phi_cols, cur_cols, m):
@@ -193,9 +204,8 @@ def _port_behavior(vecs, phi_cols, cur_cols, m):
 
 def blackbox(g):
     """The external behavior of a circuit: Kron-reduce the power functional
-    onto the terminals, then solve for the port relation."""
-    q = power_functional(extended_power_functional(g), g.boundary)
-    return port_relation(q, g.inputs, g.outputs)
+    onto the terminals and read the port relation off the result."""
+    return port_relation(extended_power_functional(g), g.inputs, g.outputs)
 
 
 def blackbox_categorical(g):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import (
     BoundaryNotSubset,
+    EngineError,
     MissingAssignment,
     NodeNotInSupport,
     NonConstantCoefficients,
@@ -125,7 +126,10 @@ def eliminate_node(form, n):
     """The form on S minus {n} given by formal minimization over n.
 
     Closed form: c'_ij = c_ij + c_in c_jn / sum_k c_kn; a node with no
-    incident coefficients is simply dropped.
+    incident coefficients is simply dropped.  Nonzero ones that sum to zero
+    leave the constraint sum_j c_nj phi_j = 0, which no form expresses, and
+    raise ``EngineError``.  Netlist input never gets there: every R/L/C or
+    vetted raw ``Z`` coefficient, fill included, is positive at s = 1.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
@@ -142,10 +146,10 @@ def eliminate_node(form, n):
     denom = ZERO
     for c in incident.values():
         denom = denom + c
-    if denom.is_zero():
-        # Over F+ this happens only when n is edgeless; drop it.  (With raw
-        # impedances a cancellation is conceivable; the n-terms still go.)
+    if not incident:
         return DirichletForm(new_support, rest)
+    if denom.is_zero():
+        raise EngineError(f"node {n!r} cannot be eliminated: its coefficients sum to zero")
     neighbors = sorted(incident)
     inv_d = denom.inv()
     for a in range(len(neighbors)):

@@ -571,7 +571,7 @@ def is_positive_sampled(f, points=DEFAULT_SAMPLE_POINTS):
 
 # -- textual form --------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?")
 
 # An impedance is P or P/Q.  Each part is one polynomial, bare or inside one
 # pair of parentheses, with whitespace around it and inside the parentheses.
@@ -648,7 +648,7 @@ def _parse_poly(text, line=0):
         raise ParseError(line, f"cannot parse polynomial {text!r}")
     coeffs = {}
     for chunk in chunks:
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ParseError(line, f"bad term {chunk!r}")
         sign, digits, svar, exp = m.groups()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blackbox import behavior, lagrel
 from blackbox.behavior import (
     LagrCospan,
     as_impedance,
@@ -27,7 +28,8 @@ from blackbox.circuits import (
     tensor_circuits,
 )
 from blackbox.dirichlet import DirichletForm, extended_power_functional, power_functional
-from blackbox.errors import NotAGraph
+from blackbox.cli import main
+from blackbox.errors import EngineError, NodeNotInSupport, NotAGraph
 from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance
 from blackbox.lagrel import (
     Subspace,
@@ -38,13 +40,16 @@ from blackbox.lagrel import (
     port_space,
     tensor_relations,
 )
+from blackbox.netlist import print_netlist
 
 from util import (
     composed_cospan_relation,
     ladder_circuit,
     mesh_circuit,
     rand_circuit,
+    rand_coefficient,
     rand_composable_pair,
+    reference_port_relation,
 )
 
 
@@ -357,6 +362,75 @@ def test_port_relation_splits_a_repeated_terminal():
     assert port_relation(edgeless, g.inputs, g.outputs) == oracle_behavior(
         circuit(g.graph.nodes, [], g.inputs, g.outputs)
     )
+    # Node u's coefficients cancel, so minimizing over it leaves the
+    # constraint phi_a = phi_b, which the whole-form nullspace reads and no
+    # Kron-reduced form can express: the production route refuses it.
+    cancelling = DirichletForm(["a", "u", "b"], [(("a", "u"), ONE), (("u", "b"), -ONE)])
+    with pytest.raises(EngineError, match="node 'u'"):
+        port_relation(cancelling, ["a"], ["b"])
+    for route in (port_relation, reference_port_relation):
+        with pytest.raises(NodeNotInSupport, match="port 'x'"):
+            route(cancelling, ["a", "x"], ["b"])
+    assert reference_port_relation(cancelling, ["a"], ["b"]).sub == Subspace(
+        [[ONE, ZERO, ONE, ZERO], [ZERO, ONE, ZERO, ONE]], 4
+    )
+
+
+def test_port_relation_matches_the_whole_form_nullspace():
+    # Random forms with positive coefficients of degree <= 2, read by the
+    # Kron route and by one nullspace of the whole form.  The cases are
+    # counted, so a generator that stops reaching one fails here.
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(250):
+        labels = [f"n{x}" for x in range(rng.randint(1, 6))]
+        coeffs = [((a, b), rand_coefficient(rng))
+                  for x, a in enumerate(labels) for b in labels[x + 1:] if rng.random() < 0.5]
+        form = DirichletForm(labels, coeffs)
+        terminals = rng.sample(labels, rng.randint(1, len(labels)))
+        inputs = [rng.choice(terminals) for _ in range(rng.randint(0, 3))]
+        outputs = [rng.choice(terminals) for _ in range(rng.randint(0, 3))]
+        assert port_relation(form, inputs, outputs) == reference_port_relation(
+            form, inputs, outputs)
+        touched = {x for pair in form.coeffs for x in pair}
+        portless = set(labels) - set(inputs) - set(outputs)
+        seen |= {
+            "degree 2" if any(max(len(c.n), len(c.d)) == 3 for c in form.coeffs.values()) else "",
+            "repeat on one side" if len(set(inputs)) < len(inputs) else "",
+            "repeat across sides" if set(inputs) & set(outputs) else "",
+            "portless, coupled" if portless & touched else "",
+            "portless, isolated" if portless - touched else "",
+            "no inputs" if not inputs else "",
+            "no outputs" if not outputs else "",
+        }
+    assert seen - {""} == {"degree 2", "repeat on one side", "repeat across sides",
+                           "portless, coupled", "portless, isolated", "no inputs", "no outputs"}
+
+
+def test_the_production_route_solves_no_nullspace(monkeypatch, tmp_path, capsys):
+    # blackbox, equivalent and the blackbox and eval verbs read the relation
+    # off the Kron-reduced form; a nullspace on their path fails here.
+    def refuse(rows, ncols):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(behavior, "nullspace", refuse)
+    monkeypatch.setattr(lagrel, "nullspace", refuse)
+    rng = random.Random(29)
+    circuits = [rand_circuit(rng) for _ in range(30)]
+    rels, same = [], []
+    for k, g in enumerate(circuits):
+        rels.append(blackbox(g))
+        assert equivalent(g, g)
+        same.append(equivalent(g, circuits[k - 1]))
+        path = tmp_path / f"g{k}.net"
+        path.write_text(print_netlist(g))
+        assert main(["blackbox", str(path)]) == 0
+        assert main(["eval", str(path), "--at", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    refs = [blackbox_categorical(g) for g in circuits]
+    assert rels == refs
+    assert same == [ref == refs[k - 1] for k, ref in enumerate(refs)]
 
 
 def test_associativity_at_behavior_level():

@@ -20,6 +20,7 @@ from blackbox.dirichlet import (
 )
 from blackbox.errors import (
     BoundaryNotSubset,
+    EngineError,
     MissingAssignment,
     NodeNotInSupport,
     NonConstantCoefficients,
@@ -142,6 +143,18 @@ def test_eliminate_node_examples():
     )
     with pytest.raises(NodeNotInSupport):
         eliminate_node(star, "nope")
+
+
+def test_kron_refuses_a_node_whose_coefficients_cancel():
+    # Minimizing over u leaves the constraint phi_a = phi_b, not a form on
+    # {a, b}; dropping u would give Q = 0.
+    q = DirichletForm(["a", "u", "b"], [(("a", "u"), ONE), (("u", "b"), -ONE)])
+    with pytest.raises(EngineError, match="node 'u'"):
+        power_functional(q, ["a", "b"])
+    with pytest.raises(EngineError, match="node 'u'"):
+        eliminate_node(q, "u")
+    # A node with no coefficients at all is still dropped.
+    assert power_functional(DirichletForm(["a", "u"]), ["a"]) == DirichletForm(["a"])
 
 
 def test_star_mesh_agrees_with_kirchhoff_oracle():

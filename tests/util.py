@@ -8,13 +8,15 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from blackbox.behavior import _port_behavior
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
 from blackbox.dirichlet import DirichletForm
-from blackbox.errors import NonPositiveImpedance, ParseError
+from blackbox.errors import NodeNotInSupport, NonPositiveImpedance, ParseError
 from blackbox.field import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MINUS_ONE,
     ONE,
     ZERO,
     RatFunc,
@@ -103,6 +105,16 @@ def rand_form(rng, labels, density=0.7, constant=False):
                     c = rand_impedance(rng)
                 coeffs.append(((labels[i], labels[j]), c))
     return DirichletForm(labels, coeffs)
+
+
+def rand_coefficient(rng):
+    """A random element of Q(s) positive on s > 0: numerator and denominator
+    of degree at most 2 with nonnegative integer coefficients."""
+    def poly():
+        coeffs = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        coeffs[rng.randrange(len(coeffs))] = rng.randint(1, 3)
+        return coeffs
+    return RatFunc(poly(), poly())
 
 
 def rand_corel(rng, m, n):
@@ -402,6 +414,37 @@ def _ref_prem(a, b):
     return tuple(r)
 
 
+def reference_port_relation(form, inputs, outputs):
+    """``behavior.port_relation`` by one nullspace of the whole form, with
+    no Kron reduction: the reference for the production route, which reads
+    the relation off the Kron-reduced form.
+
+    Unknowns are one current share per port (inputs first, then outputs),
+    then the potentials on the support.  Each support node b contributes the
+    Kirchhoff row  sum_j 2 c_bj (phi_b - phi_j) - sum_{ports p at b} share_p
+    = 0: the shares of a repeated terminal split the current dQ_b that leaves
+    it, and a node without ports passes no current.  Each basis vector is
+    read as [phi_in, -share_in, phi_out, share_out].
+    """
+    nodes = form.support
+    m, n = len(inputs), len(outputs)
+    col = {lab: m + n + x for x, lab in enumerate(nodes)}
+    rows = {lab: {} for lab in nodes}
+    for (i, j), c in form.coeffs.items():
+        a, b, t = col[i], col[j], 2 * c
+        rows[i][a] = rows[i].get(a, ZERO) + t
+        rows[i][b] = rows[i].get(b, ZERO) - t
+        rows[j][b] = rows[j].get(b, ZERO) + t
+        rows[j][a] = rows[j].get(a, ZERO) - t
+    for p, lab in enumerate(tuple(inputs) + tuple(outputs)):
+        if lab not in rows:
+            raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
+        rows[lab][p] = MINUS_ONE
+    cols = [col[p] for p in inputs] + [col[p] for p in outputs]
+    vecs = nullspace(list(rows.values()), m + n + len(nodes))
+    return _port_behavior(vecs, cols, range(m + n), m)
+
+
 def reference_gcd(a, b):
     """The primitive gcd of two int-tuple polynomials, leading coefficient
     positive, ``()`` when both are zero: the primitive pseudo-remainder
@@ -419,7 +462,7 @@ def reference_gcd(a, b):
     return a if a[-1] > 0 else tuple(-x for x in a)
 
 
-_REF_TERM = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?$")
+_REF_TERM = re.compile(r"^([+-]?)(?:(\d+)\*?)?(s)?(?:\^(\d+))?\Z")
 
 
 def _ref_parse_poly(text, line):
