@@ -30,7 +30,7 @@ from __future__ import annotations
 from .circuits import Record, pushout
 from .corel import corel_from_cospan
 from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
-from .errors import NodeNotInSupport, NotAGraph, PortCountMismatch
+from .errors import InterfaceMismatch, NodeNotInSupport, NotAGraph
 from .field import MINUS_ONE, ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
@@ -89,7 +89,7 @@ def to_lagr_cospan(dc):
 def compose_dirichlet_cospans(a, b):
     """Pushout of cospans, decorations pushed forward and summed."""
     if len(a.outputs) != len(b.inputs):
-        raise PortCountMismatch("port lists do not match")
+        raise InterfaceMismatch("port lists do not match")
     map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
     qa = pushforward_form(map1, a.form, nodes)
     qb = pushforward_form(map2, b.form, nodes)
@@ -104,7 +104,7 @@ def compose_dirichlet_cospans(a, b):
 def compose_lagr_cospans(a, b):
     """Pushout of cospans; the decorations' direct sum is pushed forward."""
     if len(a.outputs) != len(b.inputs):
-        raise PortCountMismatch("port lists do not match")
+        raise InterfaceMismatch("port lists do not match")
     map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
     # The disjoint union is indexed by position, so no label can collide.
     union = tensor_relations(

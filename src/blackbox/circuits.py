@@ -10,7 +10,7 @@ Ports are positional lists of node labels and may repeat or omit nodes.
 from __future__ import annotations
 
 from .corel import merge_map
-from .errors import PortCountMismatch
+from .errors import InterfaceMismatch
 from .field import RatFunc
 
 
@@ -127,7 +127,7 @@ def pushout(nodes1, outs1, nodes2, ins2):
 def compose_circuits(g1, g2):
     """Glue g2's inputs onto g1's outputs by pushout of the underlying cospans."""
     if len(g1.outputs) != len(g2.inputs):
-        raise PortCountMismatch(
+        raise InterfaceMismatch(
             f"{len(g1.outputs)} outputs cannot meet {len(g2.inputs)} inputs"
         )
     map1, map2, nodes = pushout(g1.graph.nodes, g1.outputs, g2.graph.nodes, g2.inputs)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Machine output goes to stdout, diagnostics to stderr; parse and
-precondition failures exit with status 2.  ``equiv`` exits 0 when the two
+Machine output goes to stdout, diagnostics to stderr.  ``main`` alone turns
+every failure an input can cause, a value too long to print included, into
+exit status 2 with nothing on stdout.  ``equiv`` exits 0 when the two
 behaviors are exactly equal and 1 otherwise.  With ``--allow-raw-z`` a
 netlist may hold ``Z`` directives; each raw impedance must be positive at
-every point of ``field.DEFAULT_SAMPLE_POINTS``.
+every point of the fixed grid ``field.DEFAULT_SAMPLE_POINTS``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .behavior import (
 from .circuits import compose_circuits, dagger_circuit, tensor_circuits
 from .dirichlet import extended_power_functional, power_functional
 from .errors import EngineError
-from .field import parse_rational
+from .field import from_rat, parse_rational
 from .netlist import parse_netlist, print_netlist
 
 
@@ -87,8 +88,7 @@ def _cmd_eliminate(args):
     g = _load(args.file, args)
     p = extended_power_functional(g)
     q = power_functional(p, g.boundary)
-    print(p.pretty("P"))
-    print(q.pretty("Q"))
+    print(p.pretty("P"), q.pretty("Q"), sep="\n")  # both built before either is written
     return 0
 
 
@@ -105,13 +105,10 @@ def _cmd_eval(args):
         sigma = parse_rational(args.at)
     except ValueError as exc:
         raise EngineError(f"bad evaluation point: {exc}") from None
-    # Every entry is evaluated before anything is printed, so a pole leaves
-    # stdout empty.
-    try:
-        rows = ["[" + ", ".join(str(e.eval_at(sigma)) for e in row) + "]"
-                for row in rel.sub.rows]
-    except ValueError:  # str() of an int beyond the interpreter's digit limit
-        raise EngineError(f"a value at s = {args.at} has too many digits to print") from None
+    # Every entry is evaluated and rendered before anything is printed, so a
+    # pole, or a value too long to print, leaves stdout empty.
+    rows = ["[" + ", ".join(str(from_rat(e.eval_at(sigma))) for e in row) + "]"
+            for row in rel.sub.rows]
     print("columns: " + " ".join(rel.column_names()))
     for row in rows:
         print(row)
@@ -226,10 +223,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

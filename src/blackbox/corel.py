@@ -9,7 +9,7 @@ smallest member.
 
 from __future__ import annotations
 
-from .errors import SizeMismatch
+from .errors import InterfaceMismatch
 
 
 def merge_map(nodes, pairs):
@@ -104,7 +104,7 @@ def identity_corelation(n):
 def compose_corelations(a, b):
     """Merge X+Y+Z by both partitions, then restrict to X+Z."""
     if a.right_size != b.left_size:
-        raise SizeMismatch(
+        raise InterfaceMismatch(
             f"cannot compose: {a.right_size} right ports vs {b.left_size} left ports"
         )
     nx, ny, nz = a.left_size, a.right_size, b.right_size

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
-    BoundaryNotSubset,
     EngineError,
     MissingAssignment,
     NodeNotInSupport,
@@ -170,7 +169,7 @@ def _eliminate_interior(form, boundary):
     """
     support, bset = set(form.support), set(boundary)
     if not bset <= support:
-        raise BoundaryNotSubset(f"{sorted(bset - support)} not in support")
+        raise NodeNotInSupport(f"{sorted(bset - support)} not in support")
     interior = support - bset
     steps = []
     while interior:
@@ -229,7 +228,7 @@ def compose_forms(q, p):
     return power_functional(total, sorted(qset ^ pset))
 
 
-def pushforward_form(f, form, codomain=None):
+def pushforward_form(f, form, codomain):
     """The form psi -> Q(psi o f) on the codomain of f.
 
     Coefficients accumulate on image pairs; pairs collapsed by f vanish.
@@ -237,8 +236,6 @@ def pushforward_form(f, form, codomain=None):
     for n in form.support:
         if n not in f:
             raise ValueError(f"pushforward map undefined at {n}")
-    if codomain is None:
-        codomain = {f[n] for n in form.support}
     coeffs = []
     for (i, j), c in form.coeffs.items():
         fi, fj = f[i], f[j]

@@ -2,14 +2,11 @@
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package."""
+    """A failure that an input can cause; the command line exits 2 on it.  A
+    malformed argument to a library function raises ``ValueError`` instead."""
 
 
 # -- scalar field ------------------------------------------------------------
-
-class ZeroDenominator(EngineError):
-    pass
-
 
 class DivisionByZero(EngineError):
     pass
@@ -19,17 +16,9 @@ class PoleAtPoint(EngineError):
     pass
 
 
-class NonPositiveValue(EngineError):
-    pass
+# -- interfaces: circuits, corelations, relations ----------------------------
 
-
-class EmptySampleSet(EngineError):
-    pass
-
-
-# -- circuits ----------------------------------------------------------------
-
-class PortCountMismatch(EngineError):
+class InterfaceMismatch(EngineError):
     pass
 
 
@@ -43,25 +32,11 @@ class NodeNotInSupport(EngineError):
     pass
 
 
-class BoundaryNotSubset(EngineError):
-    pass
-
-
 class NonConstantCoefficients(EngineError):
     pass
 
 
-# -- corelations -------------------------------------------------------------
-
-class SizeMismatch(EngineError):
-    pass
-
-
 # -- linear relations --------------------------------------------------------
-
-class InterfaceMismatch(EngineError):
-    pass
-
 
 class NotAGraph(EngineError):
     pass
@@ -73,7 +48,6 @@ class ParseError(EngineError):
     def __init__(self, line, reason):
         super().__init__(f"line {line}: {reason}")
         self.line = line
-        self.reason = reason
 
 
 class NonPositiveImpedance(EngineError):

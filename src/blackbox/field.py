@@ -31,15 +31,14 @@ from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
-    EmptySampleSet,
-    NonPositiveValue,
+    EngineError,
+    NonPositiveImpedance,
     ParseError,
     PoleAtPoint,
-    ZeroDenominator,
 )
 
-#: Default grid used to sample positivity of raw impedances on the
-#: positive real axis.
+#: The fixed grid on which ``is_positive_sampled`` samples positivity of raw
+#: impedances on the positive real axis, in this order.
 DEFAULT_SAMPLE_POINTS = (
     Fraction(1, 3),
     Fraction(1, 2),
@@ -258,7 +257,7 @@ class RatFunc:
             n, mn = _integer_poly(num)
             d, md = _integer_poly(den)
             if not d:
-                raise ZeroDenominator("denominator is the zero polynomial")
+                raise DivisionByZero("denominator is the zero polynomial")
             if mn != md:
                 n, d = _scale(n, md), _scale(d, mn)
             if len(n) > 1 and len(d) > 1:
@@ -440,11 +439,14 @@ class RatFunc:
         n, d = self.n, self.d
         if not n:
             return "0"
-        if d == (1,):
-            return _poly_str(n)
-        if len(n) == 1 and len(d) == 1:
-            return f"{n[0]}/{d[0]}"
-        return f"({_poly_str(n)})/({_poly_str(d)})"
+        try:
+            if d == (1,):
+                return _poly_str(n)
+            if len(n) == 1 and len(d) == 1:
+                return f"{n[0]}/{d[0]}"
+            return f"({_poly_str(n)})/({_poly_str(d)})"
+        except ValueError:  # an int beyond the interpreter's str() digit limit
+            raise EngineError("a value has too many digits to print") from None
 
     def __repr__(self):
         return f"RatFunc({self})"
@@ -523,7 +525,7 @@ def impedance(kind, value):
     """
     value = Fraction(value)
     if value <= 0:
-        raise NonPositiveValue(f"component value must be positive, got {value}")
+        raise NonPositiveImpedance(f"component value must be positive, got {value}")
     return int_impedance(kind, value.numerator, value.denominator)
 
 
@@ -552,18 +554,11 @@ def component(z):
     return None
 
 
-def is_positive_sampled(f, points=DEFAULT_SAMPLE_POINTS):
-    """True iff f(sigma) > 0 at every sample point sigma > 0.
-
-    A necessary condition for membership in F+; not a decision procedure.
-    """
-    points = list(points)
-    if not points:
-        raise EmptySampleSet("need at least one sample point")
-    for sigma in points:
-        sigma = Fraction(sigma)
-        if sigma <= 0:
-            raise ValueError(f"sample points must be positive, got {sigma}")
+def is_positive_sampled(f):
+    """True iff f(sigma) > 0 at every point of ``DEFAULT_SAMPLE_POINTS``, tried
+    in order; a pole met first raises ``PoleAtPoint``.  A necessary condition
+    for membership in F+; not a decision procedure."""
+    for sigma in DEFAULT_SAMPLE_POINTS:
         if f.eval_at(sigma) <= 0:
             return False
     return True

@@ -597,15 +597,13 @@ def symplectify(corel):
     return LagrangianRelation(port_space(corel.left_size), port_space(corel.right_size), rows)
 
 
-def pushforward_lagrangian(f, domain, sub, codomain=None):
+def pushforward_lagrangian(f, domain, sub, codomain):
     """The image of a Lagrangian subspace of V_S under S(f) for f: S -> M.
 
     The corelation of f is that of the cospan S -> M <- M of f and the
     identity: an element of M outside the image of f is a singleton block.
     """
     domain = tuple(domain)
-    if codomain is None:
-        codomain = tuple(sorted({f[n] for n in domain}))
     index = {lab: k for k, lab in enumerate(codomain)}
     images = [index[f[n]] for n in domain]
     corel = corel_from_cospan(images, range(len(codomain)))

@@ -29,7 +29,7 @@ from blackbox.circuits import (
 )
 from blackbox.dirichlet import DirichletForm, extended_power_functional, power_functional
 from blackbox.cli import main
-from blackbox.errors import EngineError, NodeNotInSupport, NotAGraph
+from blackbox.errors import EngineError, InterfaceMismatch, NodeNotInSupport, NotAGraph
 from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance
 from blackbox.lagrel import (
     Subspace,
@@ -147,6 +147,9 @@ def test_dirichlet_cospan_functor():
         lhs = compose_dirichlet_cospans(to_dirichlet_cospan(g1), to_dirichlet_cospan(g2))
         rhs = to_dirichlet_cospan(compose_circuits(g1, g2))
         assert lhs == rhs
+    fork = to_dirichlet_cospan(circuit(["a"], [], ["a"], ["a", "a"]))
+    with pytest.raises(InterfaceMismatch):
+        compose_dirichlet_cospans(fork, fork)
 
 
 def test_lagr_cospan_functor():
@@ -158,6 +161,9 @@ def test_lagr_cospan_functor():
         lhs = compose_lagr_cospans(a, b)
         rhs = to_lagr_cospan(to_dirichlet_cospan(compose_circuits(g1, g2)))
         assert lhs == rhs
+    fork = to_lagr_cospan(to_dirichlet_cospan(circuit(["a"], [], ["a"], ["a", "a"])))
+    with pytest.raises(InterfaceMismatch):
+        compose_lagr_cospans(fork, fork)
 
 
 def test_cospans_compare_and_hash_by_structure():

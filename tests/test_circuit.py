@@ -17,7 +17,7 @@ from blackbox.circuits import (
     tensor_circuits,
 )
 from blackbox.dirichlet import extended_power_functional, power_functional
-from blackbox.errors import PortCountMismatch
+from blackbox.errors import InterfaceMismatch
 from blackbox.field import impedance
 
 from util import old_label_rule, rand_circuit, rand_composable_pair
@@ -37,7 +37,7 @@ def test_compose_series_example():
 def test_compose_port_count_mismatch():
     g1 = circuit(["A"], [], ["A"], ["A", "A"])
     g2 = circuit(["B"], [], ["B"], ["B"])
-    with pytest.raises(PortCountMismatch):
+    with pytest.raises(InterfaceMismatch):
         compose_circuits(g1, g2)
 
 

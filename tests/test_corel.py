@@ -14,7 +14,7 @@ from blackbox.corel import (
     identity_corelation,
     tensor_corelations,
 )
-from blackbox.errors import SizeMismatch
+from blackbox.errors import InterfaceMismatch
 
 from util import rand_corel, rand_cospan
 
@@ -61,7 +61,7 @@ def test_compose_examples():
     assert compose_corelations(identity_corelation(3), alpha) == alpha
     assert compose_corelations(alpha, identity_corelation(2)) == alpha
 
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(InterfaceMismatch):
         compose_corelations(a, a)
 
 

@@ -19,7 +19,6 @@ from blackbox.dirichlet import (
     sample_markov_property,
 )
 from blackbox.errors import (
-    BoundaryNotSubset,
     EngineError,
     MissingAssignment,
     NodeNotInSupport,
@@ -67,6 +66,9 @@ def test_extended_power_functional_examples():
 def test_self_loops_contribute_nothing():
     g = circuit(["A"], [("A", "A", impedance("R", 3))])
     assert extended_power_functional(g) == DirichletForm(["A"])
+    # Nor does a pair whose two entries cancel.
+    cancelled = DirichletForm(["A", "B"], [(("A", "B"), half), (("B", "A"), -half)])
+    assert cancelled == DirichletForm(["A", "B"])
 
 
 def test_evaluate_examples():
@@ -180,7 +182,7 @@ def test_power_functional_boundary_cases():
     p = extended_power_functional(series())
     assert power_functional(p, ["A", "B", "C"]) == p
     assert power_functional(p, ["A", "C"]) == eliminate_node(p, "B")
-    with pytest.raises(BoundaryNotSubset):
+    with pytest.raises(NodeNotInSupport):
         power_functional(p, ["A", "X"])
 
 
@@ -314,9 +316,9 @@ def test_compose_forms_associative():
 
 def test_pushforward_examples():
     q = DirichletForm(["A", "B"], [(("A", "B"), half)])
-    relabeled = pushforward_form({"A": "x", "B": "y"}, q)
+    relabeled = pushforward_form({"A": "x", "B": "y"}, q, ["x", "y"])
     assert relabeled == DirichletForm(["x", "y"], [(("x", "y"), half)])
-    collapsed = pushforward_form({"A": "x", "B": "x"}, q)
+    collapsed = pushforward_form({"A": "x", "B": "x"}, q, ["x"])
     assert collapsed == DirichletForm(["x"])
 
 

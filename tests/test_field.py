@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 
 from blackbox import field
 from blackbox.behavior import blackbox
-from blackbox.errors import (
-    DivisionByZero,
-    EmptySampleSet,
-    NonPositiveValue,
-    ParseError,
-    PoleAtPoint,
-    ZeroDenominator,
-)
+from blackbox.errors import DivisionByZero, NonPositiveImpedance, ParseError, PoleAtPoint
 from blackbox.field import (
-    DEFAULT_SAMPLE_POINTS,
     MINUS_ONE,
     ONE,
     ZERO,
@@ -54,7 +46,7 @@ def test_canonicalization_examples():
     r = RatFunc([1], [0, 2])
     assert (r.n, r.d) == ((1,), (0, 2))
     assert RatFunc([], [2, 0, 0, 1]) == ZERO
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(DivisionByZero):
         RatFunc([1], [])
 
 
@@ -81,9 +73,9 @@ def test_impedance_constructors():
     assert impedance("R", 2) == from_rat(2)
     assert impedance("L", 3) == 3 * s
     assert impedance("C", Fraction(1, 2)) == 2 / s
-    with pytest.raises(NonPositiveValue):
+    with pytest.raises(NonPositiveImpedance):
         impedance("R", 0)
-    with pytest.raises(NonPositiveValue):
+    with pytest.raises(NonPositiveImpedance):
         impedance("C", -1)
 
 
@@ -97,15 +89,18 @@ def test_component_inverts_impedance():
 
 
 def test_is_positive_sampled():
-    assert is_positive_sampled(s.inv(), [1, 2, 10])
-    assert not is_positive_sampled(s - 1, [Fraction(1, 2), 2])
-    assert not is_positive_sampled(ZERO, [1])
-    with pytest.raises(EmptySampleSet):
-        is_positive_sampled(ONE, [])
+    # The grid is 1/3, 1/2, 1, 2, 3, 7, tried in that order.
+    assert is_positive_sampled(s.inv())
+    assert is_positive_sampled((s * s - s + 1) / (s + 2))
+    assert not is_positive_sampled(s - 1)
+    assert not is_positive_sampled(7 - s)  # zero at the last point only
+    assert not is_positive_sampled(ZERO)
     with pytest.raises(PoleAtPoint):
-        is_positive_sampled((s - 1).inv(), [1])
-    with pytest.raises(ValueError):
-        is_positive_sampled(ONE, [0])
+        is_positive_sampled((3 * s - 1).inv())  # pole at the first point
+    with pytest.raises(PoleAtPoint, match="s = 1 is"):
+        is_positive_sampled(((s - 1) ** 2).inv())  # positive before its pole
+    # A value that is not positive settles it before a later pole is met.
+    assert not is_positive_sampled((s - 1).inv())
 
 
 def test_impedance_equals_and_hashes_like_its_constant():
@@ -178,7 +173,7 @@ def test_structural_closure_samples_positive():
         for _ in range(rng.randint(0, 3)):
             w = impedance(rng.choice("RLC"), Fraction(rng.randint(1, 5), rng.randint(1, 3)))
             z = rng.choice([lambda: z + w, lambda: z * w, lambda: z / w])()
-        assert is_positive_sampled(z, DEFAULT_SAMPLE_POINTS)
+        assert is_positive_sampled(z)
 
 
 def test_parse_examples():

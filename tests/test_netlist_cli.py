@@ -21,7 +21,7 @@ from blackbox.circuits import circuit
 from blackbox.field import MAX_DIGITS, MAX_EXPONENT, impedance, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
-from util import rand_circuit, reference_component
+from util import rand_circuit, rand_composable_pair, reference_component
 
 SERIES = """\
 # two unit resistors in series
@@ -85,6 +85,9 @@ def test_parse_errors():
         parse_netlist("nodes: a b\nR a b\n")
     with pytest.raises(ParseError):
         parse_netlist("nodes: a a\n")
+    for line in ("Z a b", "Z a b s 1", "W a", "W a b a"):
+        with pytest.raises(ParseError, match="^line 2: [ZW] needs"):
+            parse_netlist(f"nodes: a b\n{line}\n", allow_raw_z=True)
 
 
 def test_raw_impedance_gate():
@@ -306,6 +309,12 @@ def test_cli_check_refuses_a_file_and_a_corpus_together(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert series in captured.err and str(tmp_path) in captured.err
+    assert main(["check"]) == 2
+    assert capsys.readouterr().err == "error: check needs a file or --corpus\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["check", "--corpus", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: no .net files under {empty}\n"
 
 
 def test_cli_check_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
@@ -434,3 +443,83 @@ def test_equiv_is_an_equivalence_on_the_corpus(tmp_path):
     # symmetric failure
     assert main(["equiv", rlc, series]) == 1
     assert main(["equiv", series, rlc]) == 1
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default cap on the digits ``str`` gives an int."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints ints of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_values_too_long_to_print_exit_2_with_nothing_printed(tmp_path, capsys,
+                                                              default_digit_limit):
+    # A legal netlist whose reduced coefficients pass the 4300-digit limit.
+    nodes = "abcdefg"
+    lines = ["nodes: " + " ".join(nodes), "inputs: a", "outputs: g"]
+    lines += [f"R {x} {y} {'9' * 1000}" for x, y in zip(nodes, nodes[1:])]
+    lines += [f"R {x} g {'9' * 999}7" for x in nodes[:-1]]
+    assert len(lines) == 15
+    net = _write(tmp_path, "long.net", "\n".join(lines) + "\n")
+    for argv in (["blackbox"], ["blackbox", "--json"], ["blackbox", "--as-impedance"],
+                 ["eliminate"], ["eval", "--at", "1"]):
+        assert main([*argv, net]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: a value has too many digits to print\n", argv
+    assert main(["check", net]) == 0
+    assert capsys.readouterr().out == f"ok {net}\n"
+
+
+_ODD_TOKENS = ["0", "-1", "1/0", "7" * (MAX_DIGITS + 1), "9" * MAX_DIGITS, "s^1001", "s^20+1",
+               "(s+1)/(s^2+3)", "#", "a#b", "1e30", "-s"]
+
+
+def _odd_netlist(rng, g):
+    """The netlist of ``g`` with a few tokens, mostly component values,
+    replaced by odd ones, and maybe a raw ``Z`` line, an unknown directive or
+    a stray ``#`` added."""
+    lines = [line.split() for line in print_netlist(g).splitlines()]
+    edges = [words for words in lines if len(words) == 4]
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        words = rng.choice(edges) if edges and rng.random() < 0.7 else rng.choice(lines)
+        k = len(words) - 1 if words in edges else rng.randrange(len(words))
+        words[k] = rng.choice(_ODD_TOKENS)
+    labels = g.graph.nodes
+    extra = [f"Z {rng.choice(labels)} {rng.choice(labels)} s^{rng.randint(0, 20)}+{rng.randint(0, 2)}",
+             f"Q {labels[0]} {labels[-1]} 1", f"R {labels[0]} # {labels[-1]} 1"]
+    for line in extra:
+        if rng.random() < 0.1:
+            lines.insert(rng.randint(1, len(lines)), line.split())
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+def test_odd_netlists_give_an_answer_or_a_clean_exit_2(tmp_path, capsys, default_digit_limit):
+    verbs = [["blackbox"], ["blackbox", "--json"], ["blackbox", "--as-impedance"],
+             ["compose", None], ["tensor", None], ["dagger"], ["eliminate"], ["equiv", None],
+             ["eval", "--at", "1/2"], ["eval", "--at", "0"], ["check"]]
+    rng = random.Random(2020)
+    codes = set()
+    for case in range(22 * len(verbs)):
+        g1, g2 = rand_composable_pair(rng, max_nodes=4, max_edges=4)
+        first = _write(tmp_path, "first.net", _odd_netlist(rng, g1))
+        odd = rng.random() < 0.3
+        second = _write(tmp_path, "second.net", _odd_netlist(rng, g2) if odd else print_netlist(g2))
+        verb, *rest = verbs[case % len(verbs)]
+        argv = [verb, first, *(second if x is None else x for x in rest)]
+        if rng.random() < 0.7:
+            argv.append("--allow-raw-z")
+        try:
+            code = main(argv)
+        except Exception as exc:  # any escape from main is the failure
+            pytest.fail(f"{argv} raised {exc!r} on\n{Path(first).read_text()}")
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert captured.out == "", argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
