@@ -37,7 +37,6 @@ from .dirichlet import (
     evaluate,
     extended_power_functional,
     gradient,
-    markov_check_real,
     power_functional,
     pushforward_form,
     realizable_extension,

@@ -8,15 +8,8 @@ exactly the boundary current, with no stray factor of two.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import (
-    EngineError,
-    MissingAssignment,
-    NodeNotInSupport,
-    NonConstantCoefficients,
-)
-from .field import ZERO, as_ratfunc, from_rat
+from .errors import EngineError, MissingAssignment, NodeNotInSupport
+from .field import ZERO, as_ratfunc
 
 
 def _pair(i, j):
@@ -242,43 +235,3 @@ def pushforward_form(f, form, codomain):
         if fi != fj:
             coeffs.append((_pair(fi, fj), c))
     return DirichletForm(codomain, coeffs)
-
-
-def sample_markov_property(qfun, labels, trials, rng):
-    """Sample condition (iii) of the Dirichlet characterization over Q.
-
-    ``qfun`` maps a dict of Fraction potentials to a Fraction.  Checks that
-    the form vanishes on constants and that clipping at 1 never increases
-    it, on ``trials`` random rational vectors.
-    """
-    labels = list(labels)
-    ones = {n: Fraction(1) for n in labels}
-    if qfun(ones) != 0:
-        return False
-    for _ in range(trials):
-        const = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if qfun({n: const for n in labels}) != 0:
-            return False
-        psi = {
-            n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in labels
-        }
-        clipped = {n: min(v, Fraction(1)) for n, v in psi.items()}
-        if qfun(clipped) > qfun(psi):
-            return False
-    return True
-
-
-def markov_check_real(form, trials, rng=None):
-    """Sampled Markov-property check for a form with constant coefficients."""
-    if rng is None:
-        import random
-
-        rng = random.Random(0)
-    for c in form.coeffs.values():
-        if not c.is_constant():
-            raise NonConstantCoefficients(f"coefficient {c} is not degree 0")
-
-    def qfun(psi):
-        return evaluate(form, {n: from_rat(v) for n, v in psi.items()}).as_rat()
-
-    return sample_markov_property(qfun, form.support, trials, rng)

@@ -32,10 +32,6 @@ class NodeNotInSupport(EngineError):
     pass
 
 
-class NonConstantCoefficients(EngineError):
-    pass
-
-
 # -- linear relations --------------------------------------------------------
 
 class NotAGraph(EngineError):

@@ -15,11 +15,16 @@ Conventions fixed once and for all:
 * Subspaces are kept in reduced row-echelon form, which is unique, so
   structural equality is subspace equality.  Its rows are stored sparse, as
   {column: entry} dicts holding only the nonzeros; ``Subspace.rows`` is the
-  dense tuple view, built on first use.
+  dense tuple view, built on first use.  The rows come from ``rref``, or are
+  written down reduced by one of four closed forms: ``symplectify``,
+  ``graph_of_differential``, ``tensor_relations``, and ``compose_relations``
+  of two graphs of maps.  Either way every ``LagrangianRelation`` checks
+  the Lagrangian property of its rows when it is built.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, repeat
 
 from .corel import corel_from_cospan
@@ -197,7 +202,11 @@ def embed(row, cols):
 
 class Subspace:
     """A linear subspace stored as its reduced row-echelon generator matrix:
-    ``sparse`` holds the rows as {column: entry} dicts, ``rows`` as tuples."""
+    ``sparse`` holds the rows as {column: entry} dicts, ``rows`` as tuples.
+
+    The constructor reduces any generators by ``rref``; ``_reduced`` takes
+    rows that a closed form already wrote reduced.
+    """
 
     __slots__ = ("ncols", "sparse", "_rows")
 
@@ -205,6 +214,17 @@ class Subspace:
         self.ncols = ncols
         self.sparse = rref(rows, ncols)
         self._rows = None
+
+    @classmethod
+    def _reduced(cls, rows, ncols):
+        """The subspace of ``rows`` that are already its reduced row-echelon
+        form: sparse, in pivot order, each holding its pivot 1 and no entry
+        in another row's pivot column.  Nothing is checked or reduced."""
+        sub = cls.__new__(cls)
+        sub.ncols = ncols
+        sub.sparse = rows
+        sub._rows = None
+        return sub
 
     @property
     def rows(self):
@@ -270,32 +290,37 @@ class SymplSpace:
         return f"SymplSpace({marks})"
 
 
-def _relation_pairing(source, target):
-    """Column pairing for [phi src, iota src, phi tgt, iota tgt] layout,
-    with source signs flipped (the conjugate side of the ambient)."""
-    m, n = source.num_ports, target.num_ports
-    pairs = [(k, m + k, -source.signs[k]) for k in range(m)]
-    pairs += [(2 * m + k, 2 * m + n + k, target.signs[k]) for k in range(n)]
-    return pairs
+@lru_cache(maxsize=128)
+def _partners(source_signs, target_signs):
+    """For the layout [phi src, iota src, phi tgt, iota tgt], with the source
+    signs flipped (the conjugate side of the ambient): column -> (its
+    partner column, whether omega adds their product).  A port's potential
+    pairs with its current under the port's sign, the current with the
+    potential under the opposite one."""
+    m, n = len(source_signs), len(target_signs)
+    ports = [(k, m + k, -s) for k, s in enumerate(source_signs)]
+    ports += [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target_signs)]
+    partner = {}
+    for phi, iota, sgn in ports:
+        partner[phi] = (iota, sgn > 0)
+        partner[iota] = (phi, sgn < 0)
+    return partner
 
 
 EMPTY_SPACE = SymplSpace(())
 
 
+@lru_cache(maxsize=128)
 def port_space(count):
     return SymplSpace((1,) * count)
 
 
-def _isotropic_half(sub, pairing, half):
+def _isotropic_half(sub, partner, half):
     if sub.dim != half:
         return False
     # omega(u, v) sums sign * u[c] * v[partner of c] over the nonzeros c of u,
     # the sign being that of the port for a potential, the opposite for a
     # current.  omega(u, u) = 0 for every u, so only distinct pairs are checked.
-    partner = {}
-    for phi, iota, sgn in pairing:
-        partner[phi] = (iota, sgn > 0)
-        partner[iota] = (phi, sgn < 0)
     rows = sub.sparse
     for a, u in enumerate(rows):
         terms = [(e, *partner[c]) for c, e in u.items()]
@@ -314,7 +339,7 @@ def is_lagrangian(sub, space):
     """True iff the subspace is isotropic of half the ambient dimension."""
     if sub.ncols != space.dim:
         raise ValueError("subspace does not live in the given space")
-    return _isotropic_half(sub, _relation_pairing(EMPTY_SPACE, space), space.num_ports)
+    return _isotropic_half(sub, _partners((), space.signs), space.num_ports)
 
 
 # -- Lagrangian relations ---------------------------------------------------------
@@ -323,7 +348,8 @@ def is_lagrangian(sub, space):
 class LagrangianRelation:
     """A Lagrangian subspace of conj(source) (+) target, read as a morphism.
 
-    Construction canonicalizes the generators and always verifies the
+    Construction canonicalizes the generators by ``rref``, unless a closed
+    form passes its reduced rows as ``_sub``, and always verifies the
     Lagrangian property, so every relation in existence is a safe one.
     """
 
@@ -334,7 +360,7 @@ class LagrangianRelation:
         self.target = target
         sub = _sub if _sub is not None else Subspace(rows, source.dim + target.dim)
         half = source.num_ports + target.num_ports
-        if not _isotropic_half(sub, _relation_pairing(source, target), half):
+        if not _isotropic_half(sub, _partners(source.signs, target.signs), half):
             raise ValueError(
                 f"generators do not span a Lagrangian subspace "
                 f"(dim {sub.dim}, expected {half})"
@@ -373,6 +399,13 @@ class LagrangianRelation:
 def subspace_as_relation(sub, space):
     """Read a Lagrangian subspace of V as its name, a relation 0 -> V."""
     return LagrangianRelation(EMPTY_SPACE, space, sub.sparse, _sub=sub)
+
+
+def _reduced_relation(source, target, rows):
+    """The relation whose reduced rows a closed form wrote: no ``rref``, but
+    the Lagrangian check as always."""
+    sub = Subspace._reduced(rows, source.dim + target.dim)
+    return LagrangianRelation(source, target, rows, _sub=sub)
 
 
 def _matching_rows(m, other, shift, sign=ONE):
@@ -414,16 +447,26 @@ def cap_relation(space):
     return LagrangianRelation(src, EMPTY_SPACE, _matching_rows(m, m, 2 * m))
 
 
+def _is_graph(rel, k):
+    """True iff the canonical rows of ``rel`` pivot on its first k columns,
+    one row each: over the source columns, it is the graph of a map out of
+    the source."""
+    rows = rel.sub.sparse
+    return len(rows) == k and all(min(r) == c for c, r in enumerate(rows))
+
+
 def composite_rows(first, second):
     """Rows spanning the relational composite V1 -> V3 of ``first``: V1 -> V2
-    and ``second``: V2 -> V3, over its columns [V1, V3]; not canonical.
+    and ``second``: V2 -> V3, over its columns [V1, V3]; canonical only when
+    both factors are graphs of maps.
 
     When ``second`` is the graph of a map V2 -> V3 (its canonical rows pivot
     on the shared V2 columns, one row each), row c is e_c + S_c with S_c in
     V3, and the composite is spanned by (x, sum_c y_c S_c) over the
     generators (x, y) of ``first``: a sparse product, the chain matrix of
-    two-port theory.  When ``first`` is a graph too, these rows are already
-    canonical.
+    two-port theory.  When ``first`` is a graph too, row c of it is e_c plus
+    V2 entries, so these rows are already canonical: each holds its pivot 1
+    at c < dim V1 and nothing else in V1.
 
     When ``first`` is a name whose k canonical rows pivot on the k potential
     columns of V2, it is the graph of iota = A phi, row j holding column j
@@ -444,7 +487,7 @@ def composite_rows(first, second):
     b2 = first.target.dim
     grows = first.sub.sparse
     hrows = second.sub.sparse
-    if len(hrows) == b2 and all(min(h) == c for c, h in enumerate(hrows)):
+    if _is_graph(second, b2):
         # S_c moved to the composite's columns; rref left no V2 entry but the 1.
         tails = [{a2 - b2 + k: e for k, e in h.items() if k >= b2} for h in hrows]
         out_rows = []
@@ -458,7 +501,7 @@ def composite_rows(first, second):
             out_rows.append(row)
         return out_rows
     k = b2 // 2
-    if not a2 and len(grows) == k and all(min(g) == c for c, g in enumerate(grows)):
+    if not a2 and _is_graph(first, k):
         # One row per current of V2: sum_t b_t (h_t|iota - A h_t|phi) = 0.
         constraint = [{} for _ in range(k)]
         outer = []
@@ -505,12 +548,20 @@ def composite_rows(first, second):
 
 def compose_relations(first, second):
     """The relational composite V1 -> V3 of ``first``: V1 -> V2 and
-    ``second``: V2 -> V3, spanned by ``composite_rows``."""
-    return LagrangianRelation(first.source, second.target, composite_rows(first, second))
+    ``second``: V2 -> V3, spanned by ``composite_rows``, whose rows are
+    taken as reduced when both factors are graphs of maps."""
+    rows = composite_rows(first, second)
+    if _is_graph(second, second.source.dim) and _is_graph(first, first.source.dim):
+        return _reduced_relation(first.source, second.target, rows)
+    return LagrangianRelation(first.source, second.target, rows)
 
 
 def tensor_relations(first, second):
-    """Direct sum under the fixed block-reorder convention."""
+    """Direct sum under the fixed block-reorder convention.
+
+    Both summands' columns land in increasing order on disjoint columns, so
+    their canonical rows, merged by pivot, are the canonical rows of the sum.
+    """
     s1, t1 = first.source, first.target
     s2, t2 = second.source, second.target
     src = s1.oplus(s2)
@@ -525,7 +576,8 @@ def tensor_relations(first, second):
     cols2 = cols(range(m1, m), range(n1, n))
     rows = [embed(r, cols1) for r in first.sub.sparse]
     rows += [embed(r, cols2) for r in second.sub.sparse]
-    return LagrangianRelation(src, tgt, rows)
+    rows.sort(key=min)
+    return _reduced_relation(src, tgt, rows)
 
 
 def dagger_relation(rel):
@@ -549,52 +601,71 @@ def dagger_relation(rel):
 
 
 def graph_of_differential(form):
-    """The subspace {(phi, dQ_phi)} of the space generated by the support."""
+    """The subspace {(phi, dQ_phi)} of the space generated by the support.
+
+    Its rows [I | dQ], the differential at each node's indicator, are
+    already reduced."""
     nodes = form.support
     k = len(nodes)
     rows = []
-    for n in nodes:
-        indicator = {m: ONE if m == n else ZERO for m in nodes}
-        grad = gradient(form, indicator)
-        row = [indicator[m] for m in nodes] + [grad[m] for m in nodes]
+    for x, n in enumerate(nodes):
+        grad = gradient(form, {m: ONE if m == n else ZERO for m in nodes})
+        row = {x: ONE}
+        for y, m in enumerate(nodes):
+            if grad[m]:
+                row[k + y] = grad[m]
         rows.append(row)
-    return Subspace(rows, 2 * k)
+    return Subspace._reduced(rows, 2 * k)
 
 
 # -- symplectification of corelations ---------------------------------------------
 
 
-def _phi_generators(corel):
-    m = corel.left_size
-    # Port k of X+Y has its potential at column k (X) or m + k (Y).
-    return [{k if k < m else m + k: ONE for k in block} for block in corel.blocks]
+def _symplectified_rows(corel):
+    """The reduced rows of ``symplectify(corel)``, as its potential rows and
+    its current rows, each list in pivot order.  Per block of ports, with
+    s = +1 on X and -1 on Y:
 
+    * one potential row, a 1 at the potential of every port of the block;
+    * for each port k but the block's last port l, a current row with a 1
+      at k's current and -s_k s_l at l's, so that sum_k s_k iota_k = 0.
 
-def _current_generators(corel):
+    The potential rows pivot on each block's first potential, the current
+    rows on each current but a block's last; blocks are disjoint, so no
+    row has an entry in another's pivot column.
+    """
     m, n = corel.left_size, corel.right_size
-    # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).  Each
-    # further port k of a block balances against the block's first port h.
-    col = [m + k if k < m else m + n + k for k in range(m + n)]
-    return [{col[k]: ONE, col[h]: -ONE if (h < m) == (k < m) else ONE}
-            for h, *rest in corel.blocks for k in rest]
+    # Port k of X+Y has its potential at column k (X) or m + k (Y), its
+    # current at column m + k (X) or m + n + k (Y).
+    phi_rows, cur_rows = [], []
+    for block in corel.blocks:
+        phi_rows.append({k if k < m else m + k: ONE for k in block})
+        *rest, last = block
+        at = m + last if last < m else m + n + last
+        for k in rest:
+            cur_rows.append({m + k if k < m else m + n + k: ONE,
+                             at: MINUS_ONE if (k < m) == (last < m) else ONE})
+    cur_rows.sort(key=min)
+    return phi_rows, cur_rows
 
 
 def symplectify_potentials(corel):
     """Potentials constant on each block, zero currents: the Phi part."""
     m, n = corel.left_size, corel.right_size
-    return Subspace(_phi_generators(corel), 2 * (m + n))
+    return Subspace._reduced(_symplectified_rows(corel)[0], 2 * (m + n))
 
 
 def symplectify_currents(corel):
     """Currents balancing across each block, zero potentials: the I part."""
     m, n = corel.left_size, corel.right_size
-    return Subspace(_current_generators(corel), 2 * (m + n))
+    return Subspace._reduced(_symplectified_rows(corel)[1], 2 * (m + n))
 
 
 def symplectify(corel):
     """The Lagrangian relation copying potentials and splitting currents."""
-    rows = _phi_generators(corel) + _current_generators(corel)
-    return LagrangianRelation(port_space(corel.left_size), port_space(corel.right_size), rows)
+    phi_rows, cur_rows = _symplectified_rows(corel)
+    rows = sorted(phi_rows + cur_rows, key=min)
+    return _reduced_relation(port_space(corel.left_size), port_space(corel.right_size), rows)
 
 
 def pushforward_lagrangian(f, domain, sub, codomain):

@@ -12,21 +12,20 @@ from blackbox.dirichlet import (
     evaluate,
     extended_power_functional,
     gradient,
-    markov_check_real,
     power_functional,
     pushforward_form,
     realizable_extension,
-    sample_markov_property,
 )
-from blackbox.errors import (
-    EngineError,
-    MissingAssignment,
-    NodeNotInSupport,
-    NonConstantCoefficients,
-)
+from blackbox.errors import EngineError, MissingAssignment, NodeNotInSupport
 from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance, s
 
-from util import rand_form, rand_rat
+from util import (
+    NonConstantCoefficients,
+    markov_check_real,
+    rand_form,
+    rand_rat,
+    sample_markov_property,
+)
 
 half = from_rat(Fraction(1, 2))
 

@@ -11,10 +11,11 @@ from blackbox.corel import (
     Corelation,
     cap_corelation,
     compose_corelations,
+    corel_from_cospan,
     dagger_corelation,
     identity_corelation,
 )
-from blackbox.dirichlet import DirichletForm, pushforward_form
+from blackbox.dirichlet import DirichletForm, gradient, pushforward_form
 from blackbox.errors import InterfaceMismatch
 from blackbox.field import ONE, ZERO, from_rat, impedance
 from blackbox.lagrel import (
@@ -26,6 +27,7 @@ from blackbox.lagrel import (
     compose_relations,
     cup_relation,
     dagger_relation,
+    embed,
     graph_of_differential,
     identity_relation,
     is_lagrangian,
@@ -815,8 +817,6 @@ def test_snake_identities():
 
 def test_symplectification_of_functions():
     # S(f) pulls potentials back and pushes currents forward.
-    from blackbox.corel import corel_from_cospan
-
     rng = random.Random(13)
     for _ in range(20):
         m, n = rng.randint(0, 4), rng.randint(1, 4)
@@ -862,3 +862,182 @@ def test_pushforward_naturality_with_forms():
         lhs = pushforward_lagrangian(f, labels, graph_of_differential(q), codomain)
         rhs = graph_of_differential(pushforward_form(f, q, codomain))
         assert lhs == rhs
+
+
+# -- closed forms against rref ----------------------------------------------------
+#
+# symplectify, graph_of_differential, tensor_relations and the composite of
+# two graphs of maps write their reduced rows down directly.  Each must equal
+# rref of the generators it used to reduce, row for row.
+
+
+def _reference_symplectify(corel):
+    """symplectify through rref: one potential generator per block, the
+    indicator of its potentials, and the current generators solved from the
+    block constraints."""
+    m, n = corel.left_size, corel.right_size
+    phi = [{k if k < m else m + k: ONE for k in block} for block in corel.blocks]
+    cur = reference_current_generators(corel)
+    width = 2 * (m + n)
+    return (Subspace(phi, width), Subspace(cur, width),
+            LagrangianRelation(port_space(m), port_space(n), phi + cur))
+
+
+def test_symplectify_rows_equal_rref_of_its_generators():
+    rng = random.Random(47)
+    cases = [(Corelation(0, 0, []), "random")]
+    cases += [(rand_corel(rng, rng.randint(0, 4), rng.randint(0, 4)), "random") for _ in range(150)]
+    for _ in range(50):
+        # The boundary of a cospan, as cospan_relation takes it: every node is
+        # a block of its own on X, some nodes carry no port.
+        k = rng.randint(1, 5)
+        ports = [rng.randrange(k) for _ in range(rng.randint(0, 4))]
+        cases.append((corel_from_cospan(range(k), ports), "portless" if set(ports) != set(range(k)) else "cospan"))
+    seen = set()
+    for corel, kind in cases:
+        m, n = corel.left_size, corel.right_size
+        seen.add(kind)
+        if m == 0:
+            seen.add("empty X")
+        if n == 0:
+            seen.add("empty Y")
+        for block in corel.blocks:
+            if len(block) == 1:
+                seen.add("singleton")
+            elif block[0] < m <= block[-1]:
+                seen.add("across X and Y")
+        pots, curs, rel = _reference_symplectify(corel)
+        assert symplectify_potentials(corel).sparse == pots.sparse
+        assert symplectify_currents(corel).sparse == curs.sparse
+        assert symplectify(corel).sub.sparse == rel.sub.sparse
+        assert symplectify(corel) == rel
+    assert seen == {"random", "portless", "cospan", "empty X", "empty Y", "singleton",
+                    "across X and Y"}
+
+
+def test_graph_of_differential_rows_equal_rref_of_its_generators():
+    rng = random.Random(48)
+    for k in range(60):
+        labels = [f"v{j}" for j in range(k % 6)]
+        form = rand_form(rng, labels, rng.choice([0.3, 0.7, 1.0]), constant=k % 2 == 0)
+        rows = []
+        for x in labels:
+            indicator = {y: ONE if y == x else ZERO for y in labels}
+            grad = gradient(form, indicator)
+            rows.append([indicator[y] for y in labels] + [grad[y] for y in labels])
+        assert graph_of_differential(form).sparse == rref(rows, 2 * len(labels))
+
+
+def _reference_tensor(first, second):
+    """tensor_relations through rref of the embedded generators."""
+    s1, t1, s2, t2 = first.source, first.target, second.source, second.target
+    m1, m, n1, n = s1.num_ports, s1.num_ports + s2.num_ports, t1.num_ports, t1.num_ports + t2.num_ports
+
+    def cols(xs, ys):
+        return [*xs, *(m + x for x in xs), *(2 * m + y for y in ys), *(2 * m + n + y for y in ys)]
+
+    rows = [embed(r, cols(range(m1), range(n1))) for r in first.sub.sparse]
+    rows += [embed(r, cols(range(m1, m), range(n1, n))) for r in second.sub.sparse]
+    return rows, LagrangianRelation(s1.oplus(s2), t1.oplus(t2), rows)
+
+
+def _relation_pool(rng):
+    pool = [LagrangianRelation(EMPTY_SPACE, EMPTY_SPACE, []), twist(port_space(2)),
+            identity_relation(port_space(1))]
+    for _ in range(12):
+        pool.append(blackbox(rand_circuit(rng, max_nodes=4, max_edges=4)))
+        pool.append(symplectify(rand_corel(rng, rng.randint(0, 3), rng.randint(0, 3))))
+    return pool
+
+
+def test_tensor_rows_equal_rref_of_the_embedded_rows():
+    rng = random.Random(49)
+    pool = _relation_pool(rng)
+    interleaved = 0
+    for _ in range(120):
+        a, b = rng.choice(pool), rng.choice(pool)
+        rows, expected = _reference_tensor(a, b)
+        got = tensor_relations(a, b)
+        assert got.sub.sparse == expected.sub.sparse
+        assert got == expected
+        interleaved += [min(r) for r in rows] != sorted(min(r) for r in rows)
+    # Most sums need their rows merged, not just concatenated.
+    assert interleaved >= 60
+
+
+def _graph_pairs():
+    """(first, second) from CASES where both are graphs of maps."""
+    return [(first, second) for _, first, second, path in CASES
+            if path == "second" and _spans_its_first_columns(first, first.source.dim)]
+
+
+def test_graph_composites_equal_rref_of_their_rows():
+    rng = random.Random(50)
+    pairs = _graph_pairs()
+    for series, shunt in LADDER_KINDS:
+        rels = [blackbox(g) for g in rung_sections(
+            ladder_circuit(rng, rng.randint(4, 6), series, shunt, two_node=True))]
+        acc = rels[0]
+        for rel in rels[1:]:
+            pairs.append((acc, rel))
+            acc = compose_relations(acc, rel)
+        pairs.append((acc, dagger_relation(acc)))
+    assert len(pairs) >= 30
+    for first, second in pairs:
+        assert _spans_its_first_columns(first, first.source.dim)
+        assert _spans_its_first_columns(second, second.source.dim)
+        expected = reference_compose(first, second)
+        got = compose_relations(first, second)
+        assert got.sub.sparse == expected.sub.sparse
+        assert got == LagrangianRelation(first.source, second.target,
+                                         lagrel.composite_rows(first, second))
+
+
+def test_closed_forms_call_no_rref(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("rref called")
+
+    rng = random.Random(51)
+    corels = [rand_corel(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(30)]
+    pool = _relation_pool(rng)
+    tensor_pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+    graph_pairs = _graph_pairs()
+    assert len(graph_pairs) >= 15
+    forms = [rand_form(rng, [f"v{j}" for j in range(k % 5)]) for k in range(10)]
+    expected = ([_reference_symplectify(c)[2] for c in corels],
+                [_reference_tensor(a, b)[1] for a, b in tensor_pairs],
+                [reference_compose(a, b) for a, b in graph_pairs])
+    monkeypatch.setattr(lagrel, "rref", refuse)
+    got = ([symplectify(c) for c in corels],
+           [tensor_relations(a, b) for a, b in tensor_pairs],
+           [compose_relations(a, b) for a, b in graph_pairs])
+    graphs = [graph_of_differential(q) for q in forms]
+    # Every other path still canonicalizes.
+    with pytest.raises(AssertionError, match="rref called"):
+        dagger_relation(pool[3])
+    with pytest.raises(AssertionError, match="rref called"):
+        compose_relations(*next((a, b) for _, a, b, path in CASES if path == "general"))
+    monkeypatch.undo()
+    assert got == expected
+    assert graphs == [Subspace(g.sparse, g.ncols) for g in graphs]
+
+
+def test_reduced_rows_that_are_not_lagrangian_are_refused():
+    # symplectify of one wire x0 -- y0 with its current row's sign flipped:
+    # reduced, of half dimension, but omega(phi row, iota row) = -2.
+    v = port_space(1)
+    flipped = [{0: ONE, 2: ONE}, {1: ONE, 3: -ONE}]
+    with pytest.raises(ValueError, match="Lagrangian"):
+        LagrangianRelation(v, v, flipped, _sub=Subspace._reduced(flipped, 4))
+    with pytest.raises(ValueError, match="Lagrangian"):
+        lagrel._reduced_relation(v, v, flipped)
+    # Isotropic but of the wrong dimension.
+    with pytest.raises(ValueError, match="Lagrangian"):
+        lagrel._reduced_relation(v, v, [{0: ONE, 2: ONE}])
+    assert lagrel._reduced_relation(v, v, [{0: ONE, 2: ONE}, {1: ONE, 3: ONE}]) == identity_relation(v)
+
+
+def test_structural_caches_are_bounded():
+    for cached in (port_space, lagrel._partners):
+        assert cached.cache_info().maxsize is not None
+    assert port_space(3) is port_space(3)

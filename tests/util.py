@@ -4,6 +4,7 @@ Deterministic seeds throughout: every suite builds its own ``random.Random``
 so cases are reproducible and independent of execution order.
 """
 
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -11,8 +12,8 @@ from math import gcd
 from blackbox.behavior import _port_behavior
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
-from blackbox.dirichlet import DirichletForm
-from blackbox.errors import NodeNotInSupport, NonPositiveImpedance, ParseError
+from blackbox.dirichlet import DirichletForm, evaluate
+from blackbox.errors import EngineError, NodeNotInSupport, NonPositiveImpedance, ParseError
 from blackbox.field import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -105,6 +106,49 @@ def rand_form(rng, labels, density=0.7, constant=False):
                     c = rand_impedance(rng)
                 coeffs.append(((labels[i], labels[j]), c))
     return DirichletForm(labels, coeffs)
+
+
+class NonConstantCoefficients(EngineError):
+    """A form given to ``markov_check_real`` has a coefficient that depends
+    on s."""
+
+
+def sample_markov_property(qfun, labels, trials, rng):
+    """Sample condition (iii) of the Dirichlet characterization over Q.
+
+    ``qfun`` maps a dict of Fraction potentials to a Fraction.  Checks that
+    the form vanishes on constants and that clipping at 1 never increases
+    it, on ``trials`` random rational vectors.
+    """
+    labels = list(labels)
+    ones = {n: Fraction(1) for n in labels}
+    if qfun(ones) != 0:
+        return False
+    for _ in range(trials):
+        const = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if qfun({n: const for n in labels}) != 0:
+            return False
+        psi = {
+            n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in labels
+        }
+        clipped = {n: min(v, Fraction(1)) for n, v in psi.items()}
+        if qfun(clipped) > qfun(psi):
+            return False
+    return True
+
+
+def markov_check_real(form, trials, rng=None):
+    """Sampled Markov-property check for a form with constant coefficients."""
+    if rng is None:
+        rng = random.Random(0)
+    for c in form.coeffs.values():
+        if not c.is_constant():
+            raise NonConstantCoefficients(f"coefficient {c} is not degree 0")
+
+    def qfun(psi):
+        return evaluate(form, {n: from_rat(v) for n, v in psi.items()}).as_rat()
+
+    return sample_markov_property(qfun, form.support, trials, rng)
 
 
 def rand_coefficient(rng):
