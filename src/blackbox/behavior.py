@@ -6,8 +6,8 @@ the terminals, then read the port relation off the reduced form with no
 solve (``port_relation``).  Three references compute the same relation and
 are cross-checked against it by the tests and by ``check``.  They share the
 field and ``nullspace``, which ``blackbox`` never calls; ``blackbox_fast``
-also shares Kron reduction with ``blackbox`` and ``cospan_relation`` with
-``blackbox_categorical``:
+also shares ``cospan_relation`` with ``blackbox_categorical``, but not Kron
+reduction with ``blackbox``:
 
 * ``blackbox_categorical`` -- the categorical composite, factored through
                               cospans decorated by Dirichlet forms and
@@ -16,8 +16,10 @@ also shares Kron reduction with ``blackbox`` and ``cospan_relation`` with
                               with its boundary through the k Kirchhoff
                               equations iota = dQ phi and canonicalizes the
                               rows once, in the relation it returns;
-* ``blackbox_fast``        -- eliminate interior nodes first, then
-                              symplectify the corestricted boundary cospan;
+* ``blackbox_fast``        -- eliminate interior nodes first, one
+                              ``eliminate_node`` each in sorted label order,
+                              then symplectify the corestricted boundary
+                              cospan;
 * ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
                               and node and solve the linear system outright.
 
@@ -29,7 +31,13 @@ from __future__ import annotations
 
 from .circuits import Record, pushout
 from .corel import corel_from_cospan
-from .dirichlet import DirichletForm, extended_power_functional, power_functional, pushforward_form
+from .dirichlet import (
+    DirichletForm,
+    eliminate_node,
+    extended_power_functional,
+    power_functional,
+    pushforward_form,
+)
 from .errors import InterfaceMismatch, NodeNotInSupport, NotAGraph
 from .field import MINUS_ONE, ONE, ZERO
 from .lagrel import (
@@ -214,8 +222,14 @@ def blackbox_categorical(g):
 
 
 def blackbox_fast(g):
-    """The behavior via interior-node elimination of the power functional."""
-    q = power_functional(extended_power_functional(g), g.boundary)
+    """The behavior via interior-node elimination of the power functional:
+    one ``eliminate_node`` per interior node, in sorted label order, so that
+    this reference shares no Kron reduction with ``blackbox``.  The result
+    does not depend on the order, but the cost does: a hub that sorts early,
+    such as a ladder's interior ground, fills its whole neighbourhood."""
+    q = extended_power_functional(g)
+    for n in sorted(set(q.support) - set(g.boundary)):
+        q = eliminate_node(q, n)
     return cospan_relation(to_lagr_cospan(DirichletCospan(g.inputs, g.outputs, q)))
 
 

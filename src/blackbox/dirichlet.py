@@ -40,6 +40,16 @@ class DirichletForm:
         self.support = support
         self.coeffs = table
 
+    @classmethod
+    def _trusted(cls, support, coeffs):
+        """The form with a sorted ``support`` tuple and a dict ``coeffs``
+        already keyed by ``_pair`` and holding no zero.  Nothing is checked
+        or summed."""
+        form = cls.__new__(cls)
+        form.support = support
+        form.coeffs = coeffs
+        return form
+
     def coefficient(self, i, j):
         return self.coeffs.get(_pair(i, j), ZERO)
 
@@ -114,6 +124,16 @@ def gradient(form, psi):
     return entries
 
 
+def _inverse_mass(n, incident):
+    """1 / sum_k c_kn over the nonzero coefficients incident to ``n``."""
+    denom = ZERO
+    for c in incident.values():
+        denom = denom + c
+    if denom.is_zero():
+        raise EngineError(f"node {n!r} cannot be eliminated: its coefficients sum to zero")
+    return denom.inv()
+
+
 def eliminate_node(form, n):
     """The form on S minus {n} given by formal minimization over n.
 
@@ -135,15 +155,10 @@ def eliminate_node(form, n):
         else:
             rest.append(((i, j), c))
     new_support = tuple(x for x in form.support if x != n)
-    denom = ZERO
-    for c in incident.values():
-        denom = denom + c
     if not incident:
         return DirichletForm(new_support, rest)
-    if denom.is_zero():
-        raise EngineError(f"node {n!r} cannot be eliminated: its coefficients sum to zero")
     neighbors = sorted(incident)
-    inv_d = denom.inv()
+    inv_d = _inverse_mass(n, incident)
     for a in range(len(neighbors)):
         for b in range(a + 1, len(neighbors)):
             i, j = neighbors[a], neighbors[b]
@@ -152,10 +167,15 @@ def eliminate_node(form, n):
 
 
 def _eliminate_interior(form, boundary):
-    """Minimize the form over everything outside ``boundary``, one
-    ``eliminate_node`` per interior node, in greedy min-degree order: each
-    step takes the interior node with the fewest incident coefficients in
-    the current form, ties going to the smaller label.
+    """Minimize the form over everything outside ``boundary`` (Kron
+    reduction) on one adjacency map ``node -> {neighbour: coefficient}``,
+    in greedy min-degree order: each step takes the interior node with the
+    fewest incident coefficients in the current form, ties going to the
+    smaller label.  A step pops the node's incident coefficients and adds
+    each fill term c_in c_jn / sum_k c_kn to the pair it lands on, dropping
+    a pair that cancels, exactly as ``eliminate_node`` would; one form is
+    built at the end.  With nothing interior the input form is returned
+    as it is.
 
     Returns the reduced form and, per step, the node with its incident
     coefficients at the moment of elimination.
@@ -164,19 +184,34 @@ def _eliminate_interior(form, boundary):
     if not bset <= support:
         raise NodeNotInSupport(f"{sorted(bset - support)} not in support")
     interior = support - bset
+    if not interior:
+        return form, []
+    adj = {n: {} for n in form.support}
+    for (i, j), c in form.coeffs.items():
+        adj[i][j] = c
+        adj[j][i] = c
     steps = []
     while interior:
-        incident = {n: {} for n in interior}
-        for (i, j), c in form.coeffs.items():
-            if i in incident:
-                incident[i][j] = c
-            if j in incident:
-                incident[j][i] = c
-        n = min(interior, key=lambda x: (len(incident[x]), x))
-        steps.append((n, incident[n]))
-        form = eliminate_node(form, n)
+        n = min(interior, key=lambda x: (len(adj[x]), x))
         interior.remove(n)
-    return form, steps
+        incident = adj.pop(n)
+        steps.append((n, incident))
+        for i in incident:
+            del adj[i][n]
+        if len(incident) < 2:
+            continue  # no pair to fill, and one nonzero coefficient cannot cancel
+        inv_d = _inverse_mass(n, incident)
+        neighbors = list(incident.items())
+        for a, (i, ci) in enumerate(neighbors[:-1]):
+            row, ci = adj[i], ci * inv_d
+            for j, cj in neighbors[a + 1:]:
+                c = row.get(j, ZERO) + ci * cj
+                if c.is_zero():
+                    del row[j], adj[j][i]
+                else:
+                    row[j] = adj[j][i] = c
+    coeffs = {(i, j): c for i, row in adj.items() for j, c in row.items() if i < j}
+    return DirichletForm._trusted(tuple(x for x in form.support if x in adj), coeffs), steps
 
 
 def power_functional(form, boundary):
@@ -184,7 +219,9 @@ def power_functional(form, boundary):
 
     Interior nodes are eliminated in greedy min-degree order, which keeps
     the fill low: on a ladder it creates at most one new pair.  The result
-    is independent of the order.
+    is independent of the order.  The reduction runs on one adjacency map
+    and builds one form at the end (``_eliminate_interior``); when nothing
+    is interior the input form itself is returned.
     """
     return _eliminate_interior(form, boundary)[0]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blackbox import behavior, lagrel
+from blackbox import behavior, dirichlet, lagrel
 from blackbox.behavior import (
     LagrCospan,
     as_impedance,
@@ -49,6 +49,7 @@ from util import (
     rand_circuit,
     rand_coefficient,
     rand_composable_pair,
+    reference_eliminate_interior,
     reference_port_relation,
 )
 
@@ -437,6 +438,52 @@ def test_the_production_route_solves_no_nullspace(monkeypatch, tmp_path, capsys)
     refs = [blackbox_categorical(g) for g in circuits]
     assert rels == refs
     assert same == [ref == refs[k - 1] for k, ref in enumerate(refs)]
+
+
+def test_kron_reduction_calls_no_eliminate_node(monkeypatch, tmp_path, capsys):
+    # blackbox, power_functional and the eliminate verb run the one-map
+    # kernel; an eliminate_node on their path fails here.
+    def refuse(form, n):
+        raise AssertionError("eliminate_node called")
+
+    monkeypatch.setattr(dirichlet, "eliminate_node", refuse)
+    monkeypatch.setattr(behavior, "eliminate_node", refuse)
+    rng = random.Random(37)
+    circuits = [ladder_circuit(rng, 6), mesh_circuit(rng, 3)]
+    circuits += [rand_circuit(rng) for _ in range(20)]
+    rels, forms = [], []
+    for k, g in enumerate(circuits):
+        rels.append(blackbox(g))
+        forms.append(power_functional(extended_power_functional(g), g.boundary))
+        path = tmp_path / f"g{k}.net"
+        path.write_text(print_netlist(g))
+        assert main(["eliminate", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert rels == [blackbox_fast(g) for g in circuits]
+    assert forms == [reference_eliminate_interior(extended_power_functional(g), g.boundary)[0]
+                     for g in circuits]
+
+
+def test_blackbox_fast_eliminates_through_eliminate_node(monkeypatch):
+    # The reference keeps its own path: one eliminate_node per interior
+    # node, in sorted label order, and no call of the kernel.
+    calls = []
+
+    def recording(form, n):
+        calls.append(n)
+        return dirichlet.eliminate_node(form, n)
+
+    def refuse(form, boundary):
+        raise AssertionError("Kron kernel called")
+
+    monkeypatch.setattr(behavior, "eliminate_node", recording)
+    monkeypatch.setattr(dirichlet, "_eliminate_interior", refuse)
+    g = ladder_circuit(random.Random(38), 4)
+    rel = blackbox_fast(g)
+    monkeypatch.undo()
+    assert calls == sorted(set(g.graph.nodes) - set(g.boundary)) == ["gnd", "n1", "n2", "n3"]
+    assert rel == blackbox(g)
 
 
 def test_associativity_at_behavior_level():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blackbox import dirichlet
+from blackbox.behavior import blackbox, blackbox_fast
 from blackbox.circuits import circuit, compose_circuits
 from blackbox.dirichlet import (
     DirichletForm,
@@ -21,9 +22,12 @@ from blackbox.field import ONE, ZERO, RatFunc, from_rat, impedance, s
 
 from util import (
     NonConstantCoefficients,
+    ladder_circuit,
     markov_check_real,
+    mesh_circuit,
     rand_form,
     rand_rat,
+    reference_eliminate_interior,
     sample_markov_property,
 )
 
@@ -215,20 +219,18 @@ def _fill(before, after):
     return sum(1 for pair in after.coeffs if pair not in before.coeffs)
 
 
-def test_min_degree_order_keeps_ladder_fill_low(monkeypatch):
+def test_min_degree_order_keeps_ladder_fill_low():
     for rungs in (2, 5, 9):
         p = _ladder_form(rungs)
-        fills = []
-
-        def counted(form, n, eliminate=eliminate_node):
-            out = eliminate(form, n)
-            fills.append(_fill(form, out))
-            return out
-
-        monkeypatch.setattr(dirichlet, "eliminate_node", counted)
-        q = power_functional(p, ["n0", "gnd"])
-        monkeypatch.undo()
+        q, steps = dirichlet._eliminate_interior(p, ["n0", "gnd"])
+        # Replay the kernel's order one eliminate_node at a time.
+        fills, replay = [], p
+        for n, _ in steps:
+            out = eliminate_node(replay, n)
+            fills.append(_fill(replay, out))
+            replay = out
         assert len(fills) == rungs and sum(fills) <= 1
+        assert replay == q
         # Lexicographic order joins n0 to every later rung: N new pairs.
         lex, lex_fill = p, 0
         for n in sorted(f"n{k}" for k in range(1, rungs + 1)):
@@ -236,6 +238,91 @@ def test_min_degree_order_keeps_ladder_fill_low(monkeypatch):
             lex_fill += _fill(lex, out)
             lex = out
         assert lex_fill == rungs and lex == q
+
+
+def _extension_from_steps(boundary, psi, steps):
+    """``realizable_extension``'s back-substitution over recorded steps."""
+    phi = {n: psi[n] for n in boundary}
+    for n, incident in reversed(steps):
+        denom = sum(incident.values(), ZERO)
+        phi[n] = ZERO if denom.is_zero() else sum(
+            (c * phi[k] for k, c in incident.items()), ZERO) / denom
+    return phi
+
+
+def test_kron_kernel_equals_the_per_node_elimination():
+    # The kernel against the parent's one-eliminate_node-per-step loop
+    # (``reference_eliminate_interior``): same order, same incident
+    # coefficients per step, the same reduced form, and the same form from a
+    # chain in sorted label order; ``realizable_extension`` is unchanged.
+    rng = random.Random(41)
+    seen = set()
+    for k in range(120):
+        labels = [f"v{x}" for x in range(rng.randint(1, 8))]
+        constant = k % 2 == 0
+        q = rand_form(rng, labels, density=rng.choice([0.3, 0.6, 0.9]), constant=constant)
+        pick = k % 4
+        if pick == 0:
+            boundary = [rng.choice(labels)]
+        elif pick == 1:
+            boundary = list(labels)
+        else:
+            boundary = rng.sample(labels, rng.randint(1, len(labels)))
+        reduced, steps = dirichlet._eliminate_interior(q, boundary)
+        ref, ref_steps = reference_eliminate_interior(q, boundary)
+        assert reduced == ref and steps == ref_steps
+        assert reduced == DirichletForm(reduced.support, reduced.coeffs.items())
+        chain = q
+        for n in sorted(set(labels) - set(boundary)):
+            chain = eliminate_node(chain, n)
+        assert chain == reduced
+        psi = {n: from_rat(rand_rat(rng)) * s ** rng.randint(0, 1) for n in boundary}
+        assert realizable_extension(q, boundary, psi) == _extension_from_steps(
+            boundary, psi, ref_steps)
+        touched = {x for pair in q.coeffs for x in pair}
+        seen |= {
+            "constant" if constant else "s-dependent",
+            "isolated interior node" if set(labels) - set(boundary) - touched else "",
+            "fill" if any(pair not in q.coeffs for pair in reduced.coeffs) else "",
+            "one boundary node" if len(set(boundary)) == 1 < len(labels) else "",
+        }
+        if set(boundary) == set(labels):
+            assert reduced is q and steps == []
+            seen.add("whole support")
+    assert seen - {""} == {"constant", "s-dependent", "isolated interior node", "fill",
+                           "one boundary node", "whole support"}
+
+
+def test_kron_kernel_cancellations_match_eliminate_node():
+    # A fill that cancels a stored pair drops it: u's fill 1/2 meets -1/2.
+    q = DirichletForm(["a", "b", "u"], [(("a", "b"), -half), (("a", "u"), ONE),
+                                        (("b", "u"), ONE)])
+    assert power_functional(q, ["a", "b"]) == eliminate_node(q, "u") == DirichletForm(["a", "b"])
+    # A node whose coefficients cancel only after an earlier step's fill:
+    # eliminating u gives a-v the coefficient 1/2, against v-b's -1/2.
+    q = DirichletForm(["a", "b", "u", "v"], [(("a", "u"), ONE), (("u", "v"), ONE),
+                                             (("b", "v"), -half)])
+    with pytest.raises(EngineError) as kernel:
+        power_functional(q, ["a", "b"])
+    with pytest.raises(EngineError) as chain:
+        eliminate_node(eliminate_node(q, "u"), "v")
+    assert str(kernel.value) == str(chain.value) == (
+        "node 'v' cannot be eliminated: its coefficients sum to zero")
+
+
+def test_kron_kernel_equals_the_reference_route_on_large_circuits():
+    # blackbox_fast eliminates in sorted label order through eliminate_node.
+    # The ladder's gnd is a terminal: eliminated first, as "gnd" sorts, it
+    # would join every rung to every other.
+    rng = random.Random(43)
+    for g in (ladder_circuit(rng, 64, two_node=True), mesh_circuit(rng, 5),
+              mesh_circuit(rng, 14, kinds="R")):
+        p = extended_power_functional(g)
+        chain = p
+        for n in sorted(set(p.support) - set(g.boundary)):
+            chain = eliminate_node(chain, n)
+        assert power_functional(p, g.boundary) == chain
+        assert blackbox(g) == blackbox_fast(g)
 
 
 def test_realizable_extension_minimizes_over_rational_scalars():

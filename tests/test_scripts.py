@@ -66,6 +66,33 @@ def test_import_cost_reports_each_engine_module_once(tmp_path):
     assert all(t > 0 for t in times) and times[-1] >= times[-2]
 
 
+def test_large_routes_times_every_route_on_the_two_smallest_circuits(tmp_path):
+    decoy = tmp_path / "blackbox"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text("raise ImportError('decoy blackbox imported')\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/large_routes.py"),
+         "--circuits", "rc-ladder-64,rlc-mesh-5"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "| circuit | `blackbox` | categorical | `blackbox_fast` | oracle |"
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| 64-rung RC ladder", "| 5×5 RLC mesh"]
+    assert all(line.count(" s |") == 4 for line in lines[2:])
+
+
+def test_large_routes_exits_1_when_a_route_disagrees(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src and bench
+    lr = _load_script("large_routes")
+    monkeypatch.setitem(lr.ROUTES, "oracle", lambda g: lr.blackbox(lr.parse_netlist(
+        "nodes: a b\ninputs: a\noutputs: b\nR a b 1\n")))
+    monkeypatch.setattr(sys, "argv", ["large_routes.py", "--circuits", "rc-ladder-64"])
+    assert lr.main() == 1
+    assert capsys.readouterr().err == "64-rung RC ladder: oracle disagrees with `blackbox`\n"
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

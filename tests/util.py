@@ -12,7 +12,7 @@ from math import gcd
 from blackbox.behavior import _port_behavior
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
-from blackbox.dirichlet import DirichletForm, evaluate
+from blackbox.dirichlet import DirichletForm, eliminate_node, evaluate
 from blackbox.errors import EngineError, NodeNotInSupport, NonPositiveImpedance, ParseError
 from blackbox.field import (
     MAX_DIGITS,
@@ -312,16 +312,18 @@ def ladder_circuit(rng, rungs, series="R", shunt="C", two_node=False):
     return circuit(nodes, edges, ["n0", *ends], [f"n{rungs}", *ends])
 
 
-def mesh_circuit(rng, side, two_node=False):
-    """A side x side grid of random R/L/C edges, driven corner to corner, or
-    with ``two_node`` from the first column's two ends to the last's."""
+def mesh_circuit(rng, side, two_node=False, kinds="RLC"):
+    """A side x side grid of random edges of the given kinds, driven corner
+    to corner, or with ``two_node`` from the first column's two ends to the
+    last's."""
     cell = [[f"r{i}c{j}" for j in range(side)] for i in range(side)]
     edges = []
     for i in range(side):
         for j in range(side):
             for a, b in ((i + 1, j), (i, j + 1)):
                 if a < side and b < side:
-                    edges.append((cell[i][j], cell[a][b], rand_impedance(rng)))
+                    edges.append((cell[i][j], cell[a][b],
+                                  impedance(rng.choice(kinds), rand_rat(rng))))
     first, last = [cell[0][0]], [cell[-1][-1]]
     if two_node:
         first, last = [cell[0][0], cell[-1][0]], [cell[0][-1], cell[-1][-1]]
@@ -487,6 +489,29 @@ def reference_port_relation(form, inputs, outputs):
     cols = [col[p] for p in inputs] + [col[p] for p in outputs]
     vecs = nullspace(list(rows.values()), m + n + len(nodes))
     return _port_behavior(vecs, cols, range(m + n), m)
+
+
+def reference_eliminate_interior(form, boundary):
+    """``dirichlet._eliminate_interior`` one ``eliminate_node`` per interior
+    node: each step recounts every interior node's incident coefficients in
+    the current form and takes the fewest, ties to the smaller label.  The
+    reference for the kernel, which keeps one adjacency map instead.
+    Returns the reduced form and, per step, the node with its incident
+    coefficients."""
+    interior = set(form.support) - set(boundary)
+    steps = []
+    while interior:
+        incident = {n: {} for n in interior}
+        for (i, j), c in form.coeffs.items():
+            if i in incident:
+                incident[i][j] = c
+            if j in incident:
+                incident[j][i] = c
+        n = min(interior, key=lambda x: (len(incident[x]), x))
+        steps.append((n, incident[n]))
+        form = eliminate_node(form, n)
+        interior.remove(n)
+    return form, steps
 
 
 def reference_gcd(a, b):
