@@ -17,9 +17,9 @@ reduction with ``blackbox``:
                               equations iota = dQ phi and canonicalizes the
                               rows once, in the relation it returns;
 * ``blackbox_fast``        -- eliminate interior nodes first, one
-                              ``eliminate_node`` each in sorted label order,
-                              then symplectify the corestricted boundary
-                              cospan;
+                              ``eliminate_node`` each, fewest incident
+                              coefficients first, recounted per step, then
+                              symplectify the corestricted boundary cospan;
 * ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
                               and node and solve the linear system outright.
 
@@ -29,8 +29,10 @@ generators, flips their sign); output ports report current flowing outward.
 
 from __future__ import annotations
 
-from .circuits import Record, pushout
-from .corel import corel_from_cospan
+from collections import Counter
+
+from .circuits import pushout
+from .corel import Record, corel_from_cospan
 from .dirichlet import (
     DirichletForm,
     eliminate_node,
@@ -223,12 +225,17 @@ def blackbox_categorical(g):
 
 def blackbox_fast(g):
     """The behavior via interior-node elimination of the power functional:
-    one ``eliminate_node`` per interior node, in sorted label order, so that
-    this reference shares no Kron reduction with ``blackbox``.  The result
-    does not depend on the order, but the cost does: a hub that sorts early,
-    such as a ladder's interior ground, fills its whole neighbourhood."""
+    one ``eliminate_node`` per interior node, so that this reference shares
+    no Kron reduction with ``blackbox``, fewest incident coefficients first,
+    recounted in the current form, ties to the smaller label.  The order
+    does not change the result, only the cost: a hub eliminated early, such
+    as a ladder's interior ground, would fill its whole neighbourhood."""
     q = extended_power_functional(g)
-    for n in sorted(set(q.support) - set(g.boundary)):
+    interior = set(q.support) - set(g.boundary)
+    while interior:
+        degree = Counter(x for pair in q.coeffs for x in pair)
+        n = min(interior, key=lambda x: (degree[x], x))
+        interior.remove(n)
         q = eliminate_node(q, n)
     return cospan_relation(to_lagr_cospan(DirichletCospan(g.inputs, g.outputs, q)))
 

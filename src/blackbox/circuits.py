@@ -9,32 +9,9 @@ Ports are positional lists of node labels and may repeat or omit nodes.
 
 from __future__ import annotations
 
-from .corel import merge_map
+from .corel import Record, merge_map
 from .errors import InterfaceMismatch
 from .field import RatFunc
-
-
-class Record:
-    """A class whose fields are its ``__slots__``: equality, hashing and repr
-    compare and show those fields, in order.  Records are immutable by
-    convention; nothing assigns to a field after ``__init__``."""
-
-    __slots__ = ()
-
-    def _fields(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
 
 
 def _check_label(label):

@@ -64,17 +64,11 @@ def _cmd_blackbox(args):
     return 0
 
 
-def _cmd_compose(args):
+def _cmd_glue(args):
+    """``compose`` and ``tensor``: the subparser sets ``args.glue``."""
     g1 = _load(args.first, args)
     g2 = _load(args.second, args)
-    sys.stdout.write(print_netlist(compose_circuits(g1, g2)))
-    return 0
-
-
-def _cmd_tensor(args):
-    g1 = _load(args.first, args)
-    g2 = _load(args.second, args)
-    sys.stdout.write(print_netlist(tensor_circuits(g1, g2)))
+    sys.stdout.write(print_netlist(args.glue(g1, g2)))
     return 0
 
 
@@ -185,11 +179,13 @@ def build_parser():
         help="print the scalar Z(s) of a 1-in/1-out Ohm-law behavior",
     )
 
-    p = add("compose", _cmd_compose, "glue two circuits and emit the netlist")
+    p = add("compose", _cmd_glue, "glue two circuits and emit the netlist")
+    p.set_defaults(glue=compose_circuits)
     p.add_argument("first")
     p.add_argument("second")
 
-    p = add("tensor", _cmd_tensor, "put two circuits side by side")
+    p = add("tensor", _cmd_glue, "put two circuits side by side")
+    p.set_defaults(glue=tensor_circuits)
     p.add_argument("first")
     p.add_argument("second")
 

@@ -1,5 +1,6 @@
-"""Corelations: partitions of X+Y, the algebra of ideal-wire interconnection,
-and ``merge_map``, the one union-find that every quotient in the package uses.
+"""Corelations: partitions of X+Y, the algebra of ideal-wire interconnection;
+``merge_map``, the one union-find that every quotient in the package uses;
+and ``Record``, the one value base of the engine's immutable values.
 
 Ports are positional, so a corelation is stored over the integer index set
 {0 .. |X|+|Y|-1}, with the first ``left_size`` indices belonging to X.
@@ -9,7 +10,38 @@ smallest member.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import InterfaceMismatch
+
+
+class Record:
+    """The base of every immutable engine value: a class whose fields are its
+    ``__slots__``.  Equality, hashing and repr compare and show those fields,
+    in order, and values of different classes never compare equal.  Records
+    are immutable by convention; nothing assigns to a field after the value
+    is built.  A subclass with an unhashable field (a dict, a list) defines
+    its own ``__hash__``.  ``_fields``, an ``attrgetter`` of the slots, is
+    built once per class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 def merge_map(nodes, pairs):
@@ -40,7 +72,7 @@ def _canonical(blocks):
     return tuple(out)
 
 
-class Corelation:
+class Corelation(Record):
     """A partition of X+Y regarded as a morphism X -> Y."""
 
     __slots__ = ("left_size", "right_size", "blocks")
@@ -59,17 +91,6 @@ class Corelation:
         self.left_size = left_size
         self.right_size = right_size
         self.blocks = blocks
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Corelation)
-            and self.left_size == other.left_size
-            and self.right_size == other.right_size
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.left_size, self.right_size, self.blocks))
 
     def _name(self, k):
         if k < self.left_size:

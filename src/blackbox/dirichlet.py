@@ -8,15 +8,16 @@ exactly the boundary current, with no stray factor of two.
 
 from __future__ import annotations
 
+from .corel import Record
 from .errors import EngineError, MissingAssignment, NodeNotInSupport
-from .field import ZERO, as_ratfunc
+from .field import ZERO
 
 
 def _pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
-class DirichletForm:
+class DirichletForm(Record):
     """A quadratic form sum c_ij (psi_i - psi_j)^2 on an ordered support."""
 
     __slots__ = ("support", "coeffs")
@@ -30,7 +31,6 @@ class DirichletForm:
                 raise ValueError("no diagonal coefficients in a Dirichlet form")
             if i not in sset or j not in sset:
                 raise ValueError(f"pair ({i}, {j}) outside support")
-            c = as_ratfunc(c)
             key = _pair(i, j)
             c = table.get(key, ZERO) + c
             if c.is_zero():
@@ -52,13 +52,6 @@ class DirichletForm:
 
     def coefficient(self, i, j):
         return self.coeffs.get(_pair(i, j), ZERO)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletForm)
-            and self.support == other.support
-            and self.coeffs == other.coeffs
-        )
 
     def __hash__(self):
         return hash((self.support, tuple(sorted(self.coeffs.items()))))
@@ -105,7 +98,7 @@ def evaluate(form, psi):
     _require_assignment(form.support, psi)
     total = ZERO
     for (i, j), c in form.coeffs.items():
-        d = as_ratfunc(psi[i]) - as_ratfunc(psi[j])
+        d = psi[i] - psi[j]
         if d:
             total = total + c * d * d
     return total
@@ -116,7 +109,7 @@ def gradient(form, psi):
     _require_assignment(form.support, psi)
     entries = {n: ZERO for n in form.support}
     for (i, j), c in form.coeffs.items():
-        d = as_ratfunc(psi[i]) - as_ratfunc(psi[j])
+        d = psi[i] - psi[j]
         if d:
             t = 2 * c * d
             entries[i] = entries[i] + t
@@ -236,7 +229,7 @@ def realizable_extension(form, boundary, psi):
     """
     _require_assignment(boundary, psi)
     _, steps = _eliminate_interior(form, boundary)
-    phi = {n: as_ratfunc(psi[n]) for n in boundary}
+    phi = {n: psi[n] for n in boundary}
     for n, incident in reversed(steps):
         denom = sum(incident.values(), ZERO)
         if denom.is_zero():

@@ -511,13 +511,6 @@ def from_rat(q):
     return _new((q.numerator,), (q.denominator,))
 
 
-def as_ratfunc(x):
-    """Coerce an int, Fraction, or RatFunc to a RatFunc."""
-    if isinstance(x, RatFunc):
-        return x
-    return from_rat(x)
-
-
 def impedance(kind, value):
     """The impedance of an R, L, or C component with the given positive value.
 

@@ -15,7 +15,7 @@ Conventions fixed once and for all:
 * Subspaces are kept in reduced row-echelon form, which is unique, so
   structural equality is subspace equality.  Its rows are stored sparse, as
   {column: entry} dicts holding only the nonzeros; ``Subspace.rows`` is the
-  dense tuple view, built on first use.  The rows come from ``rref``, or are
+  dense tuple view, built on each access.  The rows come from ``rref``, or are
   written down reduced by one of four closed forms: ``symplectify``,
   ``graph_of_differential``, ``tensor_relations``, and ``compose_relations``
   of two graphs of maps.  Either way every ``LagrangianRelation`` checks
@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .corel import corel_from_cospan
+from .corel import Record, corel_from_cospan
 from .dirichlet import gradient
 from .errors import InterfaceMismatch
 from .field import MINUS_ONE, ONE, ZERO
@@ -200,7 +200,7 @@ def embed(row, cols):
     return {cols[c]: e for c, e in _items(row) if e}
 
 
-class Subspace:
+class Subspace(Record):
     """A linear subspace stored as its reduced row-echelon generator matrix:
     ``sparse`` holds the rows as {column: entry} dicts, ``rows`` as tuples.
 
@@ -208,12 +208,11 @@ class Subspace:
     rows that a closed form already wrote reduced.
     """
 
-    __slots__ = ("ncols", "sparse", "_rows")
+    __slots__ = ("ncols", "sparse")
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
         self.sparse = rref(rows, ncols)
-        self._rows = None
 
     @classmethod
     def _reduced(cls, rows, ncols):
@@ -223,26 +222,16 @@ class Subspace:
         sub = cls.__new__(cls)
         sub.ncols = ncols
         sub.sparse = rows
-        sub._rows = None
         return sub
 
     @property
     def rows(self):
-        if self._rows is None:
-            n = self.ncols
-            self._rows = tuple(tuple(map(r.get, range(n), repeat(ZERO, n))) for r in self.sparse)
-        return self._rows
+        n = self.ncols
+        return tuple(tuple(map(r.get, range(n), repeat(ZERO, n))) for r in self.sparse)
 
     @property
     def dim(self):
         return len(self.sparse)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ncols == other.ncols
-            and self.sparse == other.sparse
-        )
 
     def __hash__(self):
         return hash((self.ncols, self.rows))
@@ -255,7 +244,7 @@ class Subspace:
 # -- symplectic spaces -----------------------------------------------------------
 
 
-class SymplSpace:
+class SymplSpace(Record):
     """The symplectic space F^{2n} of n ports, given by their n signs."""
 
     __slots__ = ("signs",)
@@ -278,12 +267,6 @@ class SymplSpace:
 
     def oplus(self, other):
         return SymplSpace(self.signs + other.signs)
-
-    def __eq__(self, other):
-        return isinstance(other, SymplSpace) and self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
 
     def __repr__(self):
         marks = "".join("-" if s < 0 else "+" for s in self.signs)
@@ -345,7 +328,7 @@ def is_lagrangian(sub, space):
 # -- Lagrangian relations ---------------------------------------------------------
 
 
-class LagrangianRelation:
+class LagrangianRelation(Record):
     """A Lagrangian subspace of conj(source) (+) target, read as a morphism.
 
     Construction canonicalizes the generators by ``rref``, unless a closed
@@ -366,17 +349,6 @@ class LagrangianRelation:
                 f"(dim {sub.dim}, expected {half})"
             )
         self.sub = sub
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LagrangianRelation)
-            and self.source == other.source
-            and self.target == other.target
-            and self.sub == other.sub
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.sub))
 
     def column_names(self):
         xs = [f"x{k}" for k in range(self.source.num_ports)]

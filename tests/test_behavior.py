@@ -467,7 +467,8 @@ def test_kron_reduction_calls_no_eliminate_node(monkeypatch, tmp_path, capsys):
 
 def test_blackbox_fast_eliminates_through_eliminate_node(monkeypatch):
     # The reference keeps its own path: one eliminate_node per interior
-    # node, in sorted label order, and no call of the kernel.
+    # node, fewest incident coefficients first (recounted per step, ties to
+    # the smaller label), and no call of the kernel.
     calls = []
 
     def recording(form, n):
@@ -482,7 +483,27 @@ def test_blackbox_fast_eliminates_through_eliminate_node(monkeypatch):
     g = ladder_circuit(random.Random(38), 4)
     rel = blackbox_fast(g)
     monkeypatch.undo()
-    assert calls == sorted(set(g.graph.nodes) - set(g.boundary)) == ["gnd", "n1", "n2", "n3"]
+    order = [n for n, _ in reference_eliminate_interior(extended_power_functional(g), g.boundary)[1]]
+    assert calls == order == ["n1", "n2", "gnd", "n3"]
+    assert rel == blackbox(g)
+
+
+def test_blackbox_fast_eliminates_a_hub_once_it_is_small(monkeypatch):
+    # A 64-rung ladder driven n0 -> n64 keeps its ground interior, joined to
+    # every rung.  Eliminated first, as "gnd" sorts, it would join every rung
+    # to every other; fewest coefficients first, no step meets more than 3.
+    degrees = []
+
+    def recording(form, n):
+        degrees.append(sum(n in pair for pair in form.coeffs))
+        return dirichlet.eliminate_node(form, n)
+
+    monkeypatch.setattr(behavior, "eliminate_node", recording)
+    g = ladder_circuit(random.Random(43), 64)
+    rel = blackbox_fast(g)
+    monkeypatch.undo()
+    assert "gnd" not in g.boundary and len(degrees) == 64
+    assert max(degrees) == 3
     assert rel == blackbox(g)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import blackbox
 from blackbox.circuits import (
     Circuit,
     LabelledGraph,
@@ -16,9 +19,23 @@ from blackbox.circuits import (
     merge_parallel_edges,
     tensor_circuits,
 )
-from blackbox.dirichlet import extended_power_functional, power_functional
+from blackbox.corel import Corelation, Record, corel_from_cospan
+from blackbox.dirichlet import (
+    DirichletForm,
+    extended_power_functional,
+    power_functional,
+    pushforward_form,
+)
 from blackbox.errors import InterfaceMismatch
-from blackbox.field import impedance
+from blackbox.field import ONE, ZERO, impedance, int_impedance, s
+from blackbox.lagrel import (
+    LagrangianRelation,
+    Subspace,
+    SymplSpace,
+    is_lagrangian,
+    port_space,
+    symplectify,
+)
 
 from util import old_label_rule, rand_circuit, rand_composable_pair
 
@@ -149,6 +166,79 @@ def test_edge_validation():
         circuit(["a", "b"], [], ["z"], [])
     with pytest.raises(ValueError):
         circuit(["bad label"], [])
+
+
+_AB = DirichletForm(["a", "b"], [(("a", "b"), ONE)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Corelation(1, 1, [(0, 2)]), "do not partition"),
+    (lambda: Corelation(1, 1, [(0, 1), (1,)]), "do not partition"),
+    (lambda: Corelation(1, 1, [(0,)]), "do not cover"),
+    (lambda: DirichletForm(["a"], [(("a", "a"), ONE)]), "no diagonal"),
+    (lambda: DirichletForm(["a"], [(("a", "b"), ONE)]), "outside support"),
+    (lambda: pushforward_form({"a": "x"}, _AB, ["x"]), "undefined at b"),
+    (lambda: LabelledGraph(["a", "b"], [("a", "b", ZERO)]), "nonzero RatFunc"),
+    (lambda: LabelledGraph(["a", "b"], [("a", "b", 1)]), "nonzero RatFunc"),
+    (lambda: is_lagrangian(Subspace([], 2), port_space(2)), "does not live"),
+    (lambda: int_impedance("X", 1, 1), "unknown component kind"),
+], ids=["index outside", "index twice", "index missing", "diagonal pair",
+        "pair outside support", "incomplete map", "zero impedance",
+        "int impedance", "wrong space", "unknown kind"])
+def test_malformed_arguments_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_only_record_and_ratfunc_define_equality():
+    # Every immutable engine value takes __eq__ and __hash__ from Record;
+    # RatFunc also equals ints and Fractions, and DirichletForm and Subspace
+    # hold a dict or a list of dicts, which Record cannot hash.
+    eq, hashed = set(), set()
+    for info in pkgutil.iter_modules(blackbox.__path__):
+        module = importlib.import_module(f"blackbox.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                if "__eq__" in vars(obj):
+                    eq.add(obj.__name__)
+                if "__hash__" in vars(obj):
+                    hashed.add(obj.__name__)
+    assert eq == {"Record", "RatFunc"}
+    assert hashed == {"Record", "RatFunc", "DirichletForm", "Subspace"}
+
+
+def test_records_compare_by_class_and_fields():
+    # Equal relations, one written reduced by symplectify and one reduced by
+    # rref from scaled, shuffled rows, are equal and hash equal; so are forms whose coefficients arrive in another order.
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(0, 4)
+        corel = corel_from_cospan([rng.randrange(3) for _ in range(n)],
+                                  [rng.randrange(3) for _ in range(rng.randint(0, 4))])
+        written = symplectify(corel)
+        rows = [{c: e * (k + 2) for c, e in r.items()} for k, r in enumerate(written.sub.sparse)]
+        rng.shuffle(rows)
+        by_rref = LagrangianRelation(written.source, written.target, rows)
+        assert by_rref.sub is not written.sub
+        assert by_rref == written and hash(by_rref) == hash(written)
+        assert by_rref.sub == written.sub and hash(by_rref.sub) == hash(written.sub)
+    pairs = [(("a", "b"), ONE), (("b", "c"), s), (("a", "c"), 2 * s + 1)]
+    forward, backward = DirichletForm("abc", pairs), DirichletForm("abc", pairs[::-1])
+    assert list(forward.coeffs) != list(backward.coeffs)
+    assert forward == backward and hash(forward) == hash(backward)
+
+    # A value never equals one of another class, even with the same fields.
+    class Signs(Record):
+        __slots__ = ("signs",)
+
+        def __init__(self, signs):
+            self.signs = signs
+
+    space = SymplSpace((1, -1))
+    assert Signs((1, -1)) != space and not space == Signs((1, -1))
+    assert space != (1, -1) and space == SymplSpace([1, -1])
+    assert Corelation(1, 1, [(0, 1)]) != symplectify(Corelation(1, 1, [(0, 1)]))
+    assert not isinstance(ONE, Record)
 
 
 def test_graphs_and_circuits_compare_and_hash_by_structure():

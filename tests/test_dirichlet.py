@@ -311,9 +311,10 @@ def test_kron_kernel_cancellations_match_eliminate_node():
 
 
 def test_kron_kernel_equals_the_reference_route_on_large_circuits():
-    # blackbox_fast eliminates in sorted label order through eliminate_node.
-    # The ladder's gnd is a terminal: eliminated first, as "gnd" sorts, it
-    # would join every rung to every other.
+    # The kernel against a chain in sorted label order through
+    # eliminate_node, and blackbox against blackbox_fast.  The ladder's gnd
+    # is a terminal: eliminated first, as "gnd" sorts, it would join every
+    # rung to every other.
     rng = random.Random(43)
     for g in (ladder_circuit(rng, 64, two_node=True), mesh_circuit(rng, 5),
               mesh_circuit(rng, 14, kinds="R")):
