@@ -135,28 +135,34 @@ def eliminate_node(form, n):
     leave the constraint sum_j c_nj phi_j = 0, which no form expresses, and
     raise ``EngineError``.  Netlist input never gets there: every R/L/C or
     vetted raw ``Z`` coefficient, fill included, is positive at s = 1.
+    The coefficients away from n are copied as they are, each fill term is
+    added to its pair, a pair that cancels is dropped, and the form is
+    built by ``DirichletForm._trusted``.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
     incident = {}
-    rest = []
-    for (i, j), c in form.coeffs.items():
+    coeffs = {}
+    for pair, c in form.coeffs.items():
+        i, j = pair
         if i == n:
             incident[j] = c
         elif j == n:
             incident[i] = c
         else:
-            rest.append(((i, j), c))
-    new_support = tuple(x for x in form.support if x != n)
-    if not incident:
-        return DirichletForm(new_support, rest)
-    neighbors = sorted(incident)
-    inv_d = _inverse_mass(n, incident)
-    for a in range(len(neighbors)):
-        for b in range(a + 1, len(neighbors)):
-            i, j = neighbors[a], neighbors[b]
-            rest.append(((i, j), incident[i] * incident[j] * inv_d))
-    return DirichletForm(new_support, rest)
+            coeffs[pair] = c
+    if len(incident) > 1:  # one coefficient makes no pair and cannot cancel
+        neighbors = sorted(incident)
+        inv_d = _inverse_mass(n, incident)
+        for a, i in enumerate(neighbors):
+            for j in neighbors[a + 1:]:
+                fill = incident[i] * incident[j] * inv_d
+                c = coeffs[i, j] + fill if (i, j) in coeffs else fill
+                if c.is_zero():
+                    del coeffs[i, j]
+                else:
+                    coeffs[i, j] = c
+    return DirichletForm._trusted(tuple(x for x in form.support if x != n), coeffs)
 
 
 def _eliminate_interior(form, boundary):

@@ -18,8 +18,10 @@ Conventions fixed once and for all:
   dense tuple view, built on each access.  The rows come from ``rref``, or are
   written down reduced by one of four closed forms: ``symplectify``,
   ``graph_of_differential``, ``tensor_relations``, and ``compose_relations``
-  of two graphs of maps.  Either way every ``LagrangianRelation`` checks
-  the Lagrangian property of its rows when it is built.
+  of two graphs of maps (the sparse product through the second factor's
+  echelon rows, which solves nothing).  Every other composite is
+  canonicalized by ``rref``.  Either way every ``LagrangianRelation``
+  checks the Lagrangian property of its rows when it is built.
 """
 
 from __future__ import annotations
@@ -432,24 +434,27 @@ def composite_rows(first, second):
     and ``second``: V2 -> V3, over its columns [V1, V3]; canonical only when
     both factors are graphs of maps.
 
-    When ``second`` is the graph of a map V2 -> V3 (its canonical rows pivot
-    on the shared V2 columns, one row each), row c is e_c + S_c with S_c in
-    V3, and the composite is spanned by (x, sum_c y_c S_c) over the
-    generators (x, y) of ``first``: a sparse product, the chain matrix of
-    two-port theory.  When ``first`` is a graph too, row c of it is e_c plus
-    V2 entries, so these rows are already canonical: each holds its pivot 1
-    at c < dim V1 and nothing else in V1.
+    The echelon path reads ``second`` through its canonical rows.  A row
+    pivoting on a shared column p is e_p + N_p + S_p, with N_p on the free
+    shared columns (those that are no row's pivot) and S_p in V3; every
+    other row lies in V3 alone.  A generator (x, y) of ``first`` lies over
+    ``second`` exactly when its residual y|free - sum_p y_p N_p vanishes,
+    and then it composes to (x, sum_p y_p S_p): a sparse product, the chain
+    matrix of two-port theory.  The rows in V3 alone are added as they
+    are.  So ``nullspace`` solves only the residual, one equation per free
+    column and one unknown per generator, and the products are formed for
+    its solutions alone.  When every shared column is a pivot nothing is
+    solved; when ``second`` is moreover a graph (no row in V3 alone) and
+    ``first`` is one too, row c of the product holds its pivot 1 at c < dim
+    V1 and nothing else in V1, so the rows are already canonical.
 
     When ``first`` is a name whose k canonical rows pivot on the k potential
-    columns of V2, it is the graph of iota = A phi, row j holding column j
+    columns of V2 and ``second`` is not a graph, the graph-name path runs
+    instead: ``first`` is the graph of iota = A phi, row j holding column j
     of A at the currents.  A combination sum_t b_t h_t of the rows of
     ``second`` lies over it when its currents equal A times its potentials:
     k equations in the b_t, whose solutions are projected onto V3.
-
-    Otherwise generators of both relations are stacked over unknown
-    coefficient rows (a, b); the constraint a*G restricted to the shared
-    space equals b*H restricted to it is solved exactly, and the solutions
-    are projected to the outer coordinates.
+    ``cospan_relation`` takes this path whenever its boundary is no graph.
     """
     if first.target != second.source:
         raise InterfaceMismatch(
@@ -459,21 +464,16 @@ def composite_rows(first, second):
     b2 = first.target.dim
     grows = first.sub.sparse
     hrows = second.sub.sparse
-    if _is_graph(second, b2):
-        # S_c moved to the composite's columns; rref left no V2 entry but the 1.
-        tails = [{a2 - b2 + k: e for k, e in h.items() if k >= b2} for h in hrows]
-        out_rows = []
-        for grow in grows:
-            row = {}
-            for c, e in grow.items():
-                if c < a2:
-                    row[c] = e
-                else:
-                    _add_multiple(row, e, tails[c - a2])
-            out_rows.append(row)
-        return out_rows
+    # rref puts the rows pivoting in V2 first; the others have no V2 entry.
+    pivots = []
+    for h in hrows:
+        p = min(h)
+        if p >= b2:
+            break
+        pivots.append(p)
+    second_is_graph = len(pivots) == b2 == len(hrows)
     k = b2 // 2
-    if not a2 and _is_graph(first, k):
+    if not a2 and not second_is_graph and _is_graph(first, k):
         # One row per current of V2: sum_t b_t (h_t|iota - A h_t|phi) = 0.
         constraint = [{} for _ in range(k)]
         outer = []
@@ -488,29 +488,50 @@ def composite_rows(first, second):
                     for i, a in grows[c].items():
                         if i >= k:
                             constraint[i - k][t] = constraint[i - k].get(t, ZERO) - a * e
-    else:
-        # Columns of the constraint matrix: one per stacked generator; rows:
-        # one per shared coordinate.  Solve x . vstack(G|shared, -H|shared) = 0.
-        # The rest of each generator, moved to the composite's columns, is
-        # what the solutions combine.
-        constraint = [{} for _ in range(b2)]
+        return _combined(nullspace(constraint, len(outer)), outer)
+    shift = a2 - b2  # from a column of ``second`` to the composite's
+    # S_p in the composite's columns, keyed by p's column in ``first``.
+    tails = {a2 + p: {shift + c: e for c, e in h.items() if c >= b2}
+             for p, h in zip(pivots, hrows)}
+    if len(pivots) < b2:
+        # Each generator cut to V1 and the pivots, and its residual, one entry
+        # per free column's equation; y_p adds y_p times -N_p to it.
+        free = {a2 + c: f for f, c in enumerate(sorted(set(range(b2)) - set(pivots)))}
+        heads = {a2 + p: {free[a2 + c]: -e for c, e in h.items() if p < c < b2}
+                 for p, h in zip(pivots, hrows)}
+        constraint = [{} for _ in free]
         outer = []
         for j, grow in enumerate(grows):
-            outer.append({})
+            row, res = {}, {}
             for c, e in grow.items():
-                if c < a2:
-                    outer[j][c] = e
+                if c in free:
+                    f = free[c]
+                    res[f] = res[f] + e if f in res else e
                 else:
-                    constraint[c - a2][j] = e
-        for j, hrow in enumerate(hrows, len(outer)):
-            outer.append({})
-            for c, e in hrow.items():
-                if c < b2:
-                    constraint[c][j] = -e
-                else:
-                    outer[j][a2 - b2 + c] = e
+                    row[c] = e
+                    if c >= a2:
+                        _add_multiple(res, e, heads[c])
+            for f, e in res.items():
+                if e:
+                    constraint[f][j] = e
+            outer.append(row)
+        grows = _combined(nullspace(constraint, len(outer)), outer)
     out_rows = []
-    for vec in nullspace(constraint, len(outer)):
+    for grow in grows:
+        row = {}
+        for c, e in grow.items():
+            if c < a2:
+                row[c] = e
+            else:
+                _add_multiple(row, e, tails[c])
+        out_rows.append(row)
+    return out_rows + [{shift + c: e for c, e in h.items()} for h in hrows[len(pivots):]]
+
+
+def _combined(vecs, outer):
+    """The rows sum_j vec_j outer_j, one per vector of ``vecs``."""
+    out_rows = []
+    for vec in vecs:
         row = {}
         for j, f in vec.items():
             _add_multiple(row, f, outer[j])
@@ -520,8 +541,9 @@ def composite_rows(first, second):
 
 def compose_relations(first, second):
     """The relational composite V1 -> V3 of ``first``: V1 -> V2 and
-    ``second``: V2 -> V3, spanned by ``composite_rows``, whose rows are
-    taken as reduced when both factors are graphs of maps."""
+    ``second``: V2 -> V3, spanned by ``composite_rows``.  Its rows are taken
+    as reduced when both factors are graphs of maps, and canonicalized by
+    ``rref`` otherwise; the Lagrangian check runs on every result."""
     rows = composite_rows(first, second)
     if _is_graph(second, second.source.dim) and _is_graph(first, first.source.dim):
         return _reduced_relation(first.source, second.target, rows)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -51,6 +52,7 @@ from util import (
     mesh_circuit,
     mesh_columns,
     rand_circuit,
+    rand_composable_pair,
     rand_corel,
     rand_degenerate_matrix,
     rand_entry,
@@ -482,16 +484,26 @@ def _spans_its_first_columns(rel, cols):
     return rel.sub.dim == cols and len(gauss_jordan([r[:cols] for r in rel.sub.rows], cols)) == cols
 
 
+def _shared_rank(second):
+    """The rank of the rows of ``second`` cut to its source columns, by
+    ``gauss_jordan`` on the dense rows: the count of shared columns that
+    are pivots of its echelon rows."""
+    b2 = second.source.dim
+    return len(gauss_jordan([r[:b2] for r in second.sub.rows], b2))
+
+
 def composition_path(first, second):
     """The path ``compose_relations`` must take, judged by ranks alone:
-    "second" when ``second`` is the graph of a map out of the shared space,
-    "first" when ``first`` is a name that is the graph of iota = A phi, and
-    "general" otherwise."""
-    if _spans_its_first_columns(second, second.source.dim):
-        return "second"
+    "graph" when ``second`` is the graph of a map out of the shared space;
+    "name" when ``first`` is a name that is the graph of iota = A phi and
+    ``second`` is not a graph; "pivoted" when every shared column is a
+    pivot of ``second``; and "residual" otherwise."""
+    b2 = second.source.dim
+    if _spans_its_first_columns(second, b2):
+        return "graph"
     if first.source.num_ports == 0 and _spans_its_first_columns(first, first.target.num_ports):
-        return "first"
-    return "general"
+        return "name"
+    return "pivoted" if _shared_rank(second) == b2 else "residual"
 
 
 def _graph_name(rng, k, constant):
@@ -558,6 +570,11 @@ def composition_cases():
                       None))
         if k // 2 == 2:
             cases.append((f"graph name {k} into a section", name, sections[k % 3], True))
+    # A random behavior followed by its dagger: a dagger that is no graph
+    # pivots on all of V2 and has rows in V3 alone, or leaves V2 columns free.
+    for k in range(8):
+        rel = blackbox(rand_circuit(rng, max_nodes=5, n_in=1 + k % 3, n_out=1 + k // 3 % 3))
+        cases.append((f"mirror {k}", rel, dagger_relation(rel), None))
     # A name whose second row pivots on a current: phi_0 = phi_1, i_0 = i_1.
     wire = symplectify(Corelation(0, 2, [[0, 1]]))
     assert [min(r) for r in wire.sub.sparse] == [0, 2]
@@ -567,11 +584,11 @@ def composition_cases():
     for name, first, second, graph in cases:
         path = composition_path(first, second)
         if graph is not None:
-            assert (path == "second") == graph, name
+            assert (path == "graph") == graph, name
         if name.startswith("graph name"):
-            assert path in ("first", "second"), name
+            assert path in ("name", "graph"), name
         if name.startswith("current pivot"):
-            assert path in ("general", "second"), name
+            assert path in ("residual", "pivoted", "graph"), name
         out.append((name, first, second, path))
     return out
 
@@ -585,13 +602,17 @@ def test_compose_matches_the_constraint_nullspace(name, first, second, path):
 
 
 def test_compose_through_a_graph_solves_nothing(monkeypatch):
+    # No solve whenever every shared column is a pivot of ``second``: a
+    # graph of a map, or rows pivoting on all of V2 plus rows in V3 alone.
+    # Only a graph name ahead of a second that is not a graph still solves.
     def refuse(rows, ncols):
         raise AssertionError("nullspace called")
 
     monkeypatch.setattr(lagrel, "nullspace", refuse)
-    assert sum(path == "second" for *_, path in CASES) >= 40
+    paths = [path for *_, path in CASES]
+    assert paths.count("graph") >= 40 and paths.count("pivoted") >= 5
     for name, first, second, path in CASES:
-        if path == "second":
+        if path in ("graph", "pivoted"):
             assert compose_relations(first, second) == reference_compose(first, second), name
         else:
             with pytest.raises(AssertionError, match="nullspace called"):
@@ -599,6 +620,9 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch):
 
 
 def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch):
+    # The graph-name path solves k equations, one per current of V2, in the
+    # rows of ``second``; the residual path one equation per shared column
+    # that is no pivot of ``second``, in the generators of ``first``.
     shapes = []
 
     def recording(rows, ncols):
@@ -607,13 +631,51 @@ def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch):
 
     monkeypatch.setattr(lagrel, "nullspace", recording)
     paths = [path for *_, path in CASES]
-    assert paths.count("first") >= 20 and paths.count("general") >= 10
+    assert paths.count("name") >= 20 and paths.count("residual") >= 10
     for name, first, second, path in CASES:
         shapes.clear()
         assert compose_relations(first, second) == reference_compose(first, second), name
-        b2, dims = first.target.dim, first.sub.dim + second.sub.dim
-        want = {"second": [], "first": [(b2 // 2, second.sub.dim)], "general": [(b2, dims)]}
+        b2 = first.target.dim
+        want = {"graph": [], "pivoted": [], "name": [(b2 // 2, second.sub.dim)],
+                "residual": [(b2 - _shared_rank(second), first.sub.dim)]}
         assert shapes == want[path], name
+
+
+def _benchmark_shaped_pairs(rng):
+    """(first, second) pairs shaped like the benchmark's compositions: random
+    composable behaviors with 0 to 3 shared ports, a random behavior followed
+    by its dagger, and seconds that pivot on every shared column and have
+    rows in V3 alone (a two-port section, or the identity or twist of V2,
+    beside a random name)."""
+    pairs = []
+    for _ in range(30):
+        g1, g2 = rand_composable_pair(rng)
+        pairs.append((blackbox(g1), blackbox(g2)))
+        rel = blackbox(rand_circuit(rng, max_nodes=7, max_edges=8))
+        pairs.append((rel, dagger_relation(rel)))
+        first = blackbox(rand_circuit(rng, max_nodes=5, n_out=rng.randint(1, 2)))
+        v2 = first.target
+        if v2.num_ports == 2:
+            onto = blackbox(rung_sections(ladder_circuit(rng, 1, "RL", "C", two_node=True))[0])
+        else:
+            onto = rng.choice([identity_relation(v2), twist(v2)])
+        name = blackbox(rand_circuit(rng, max_nodes=4, n_in=0, n_out=rng.randint(1, 2)))
+        pairs.append((first, tensor_relations(onto, name)))
+    return pairs
+
+
+def test_compose_matches_the_stacked_reference_on_benchmark_shapes():
+    rng = random.Random(61)
+    seen = Counter()
+    for first, second in _benchmark_shaped_pairs(rng):
+        path = composition_path(first, second)
+        seen[path] += 1
+        seen["rows in V3"] += path == "pivoted" and second.sub.dim > second.source.dim
+        assert compose_relations(first, second) == reference_compose(first, second)
+    # Empty residuals (a graph, or pivots on all of V2 with rows in V3 alone)
+    # and nonempty ones all occur.
+    assert seen["graph"] >= 5 and seen["residual"] >= 10
+    assert seen["rows in V3"] == seen["pivoted"] >= 20
 
 
 def test_blackbox_is_a_functor_on_rung_sections():
@@ -968,7 +1030,7 @@ def test_tensor_rows_equal_rref_of_the_embedded_rows():
 def _graph_pairs():
     """(first, second) from CASES where both are graphs of maps."""
     return [(first, second) for _, first, second, path in CASES
-            if path == "second" and _spans_its_first_columns(first, first.source.dim)]
+            if path == "graph" and _spans_its_first_columns(first, first.source.dim)]
 
 
 def test_graph_composites_equal_rref_of_their_rows():
@@ -1016,7 +1078,7 @@ def test_closed_forms_call_no_rref(monkeypatch):
     with pytest.raises(AssertionError, match="rref called"):
         dagger_relation(pool[3])
     with pytest.raises(AssertionError, match="rref called"):
-        compose_relations(*next((a, b) for _, a, b, path in CASES if path == "general"))
+        compose_relations(*next((a, b) for _, a, b, path in CASES if path == "residual"))
     monkeypatch.undo()
     assert got == expected
     assert graphs == [Subspace(g.sparse, g.ncols) for g in graphs]

@@ -93,6 +93,27 @@ def test_large_routes_exits_1_when_a_route_disagrees(monkeypatch, capsys):
     assert capsys.readouterr().err == "64-rung RC ladder: oracle disagrees with `blackbox`\n"
 
 
+def test_large_routes_times_the_relation_fold_of_mesh_columns(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/large_routes.py"), "--circuits", "rlc-mesh-5-columns"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["| mesh columns | flat `blackbox` | relation fold |", "|---|---|---|"]
+    assert len(lines) == 3 and lines[2].startswith("| 5×5 | ") and lines[2].count(" s |") == 2
+
+
+def test_large_routes_exits_1_when_the_relation_fold_disagrees(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src and bench
+    lr = _load_script("large_routes")
+    monkeypatch.setattr(lr, "relation_fold", lambda blocks: lr.blackbox(blocks[0]))
+    monkeypatch.setattr(sys, "argv", ["large_routes.py", "--circuits", "rlc-mesh-5-columns"])
+    assert lr.main() == 1
+    assert capsys.readouterr().err == (
+        "5×5 mesh columns: the relation fold disagrees with `blackbox`\n")
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

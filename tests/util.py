@@ -395,7 +395,8 @@ def reference_compose(first, second):
     """``compose_relations`` by the constraint nullspace alone: the stacked
     generators' coefficients (a, b) with a*G equal to b*H on the shared
     coordinates, each solution projected to the outer coordinates.  The
-    reference for the sparse product through a graph."""
+    reference for every path of ``composite_rows``: the product through the
+    second relation's echelon rows, its residual solve and the graph name."""
     a2, b2 = first.source.dim, first.target.dim
     constraint = [{} for _ in range(b2)]
     outer = []
