@@ -33,15 +33,18 @@ from .netlist import parse_netlist, print_netlist
 
 def _read(path):
     """The netlist text of a file, or of standard input for "-", decoded
-    strictly as UTF-8 whatever the locale."""
+    strictly as UTF-8 whatever the locale, less one leading byte-order
+    mark.  A byte that is not UTF-8 is reported at its offset in the raw
+    data."""
     if path == "-":
         name, data = "standard input", sys.stdin.buffer.read()
     else:
         name, data = path, Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EngineError(f"{name}: not UTF-8 text at byte {exc.start}") from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _load(path, args):

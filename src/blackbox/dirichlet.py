@@ -117,13 +117,19 @@ def gradient(form, psi):
     return entries
 
 
+def _massless(n, mass):
+    """Refuse to eliminate ``n`` when ``mass``, the sum of its incident
+    coefficients or of their inverses, is zero."""
+    if mass.is_zero():
+        raise EngineError(f"node {n!r} cannot be eliminated: its coefficients sum to zero")
+
+
 def _inverse_mass(n, incident):
     """1 / sum_k c_kn over the nonzero coefficients incident to ``n``."""
     denom = ZERO
     for c in incident.values():
         denom = denom + c
-    if denom.is_zero():
-        raise EngineError(f"node {n!r} cannot be eliminated: its coefficients sum to zero")
+    _massless(n, denom)
     return denom.inv()
 
 
@@ -165,6 +171,16 @@ def eliminate_node(form, n):
     return DirichletForm._trusted(tuple(x for x in form.support if x != n), coeffs)
 
 
+def _add_fill(adj, i, j, fill):
+    """Add ``fill`` to the pair (i, j) of the adjacency map, dropping the
+    pair if it cancels."""
+    c = adj[i].get(j, ZERO) + fill
+    if c.is_zero():
+        del adj[i][j], adj[j][i]
+    else:
+        adj[i][j] = adj[j][i] = c
+
+
 def _eliminate_interior(form, boundary):
     """Minimize the form over everything outside ``boundary`` (Kron
     reduction) on one adjacency map ``node -> {neighbour: coefficient}``,
@@ -173,8 +189,10 @@ def _eliminate_interior(form, boundary):
     smaller label.  A step pops the node's incident coefficients and adds
     each fill term c_in c_jn / sum_k c_kn to the pair it lands on, dropping
     a pair that cancels, exactly as ``eliminate_node`` would; one form is
-    built at the end.  With nothing interior the input form is returned
-    as it is.
+    built at the end.  A node with two coefficients is a series pair: its
+    one fill is (1/c_in + 1/c_jn)^-1, the same value, reached by one sum
+    since an inverse only swaps numerator and denominator.  With nothing
+    interior the input form is returned as it is.
 
     Returns the reduced form and, per step, the node with its incident
     coefficients at the moment of elimination.
@@ -199,16 +217,18 @@ def _eliminate_interior(form, boundary):
             del adj[i][n]
         if len(incident) < 2:
             continue  # no pair to fill, and one nonzero coefficient cannot cancel
+        if len(incident) == 2:  # the series law: 1/fill = 1/c_i + 1/c_j
+            (i, ci), (j, cj) = incident.items()
+            mass = ci.inv() + cj.inv()
+            _massless(n, mass)
+            _add_fill(adj, i, j, mass.inv())
+            continue
         inv_d = _inverse_mass(n, incident)
         neighbors = list(incident.items())
         for a, (i, ci) in enumerate(neighbors[:-1]):
-            row, ci = adj[i], ci * inv_d
+            ci = ci * inv_d
             for j, cj in neighbors[a + 1:]:
-                c = row.get(j, ZERO) + ci * cj
-                if c.is_zero():
-                    del row[j], adj[j][i]
-                else:
-                    row[j] = adj[j][i] = c
+                _add_fill(adj, i, j, ci * cj)
     coeffs = {(i, j): c for i, row in adj.items() for j, c in row.items() if i < j}
     return DirichletForm._trusted(tuple(x for x in form.support if x in adj), coeffs), steps
 
@@ -219,8 +239,9 @@ def power_functional(form, boundary):
     Interior nodes are eliminated in greedy min-degree order, which keeps
     the fill low: on a ladder it creates at most one new pair.  The result
     is independent of the order.  The reduction runs on one adjacency map
-    and builds one form at the end (``_eliminate_interior``); when nothing
-    is interior the input form itself is returned.
+    and builds one form at the end (``_eliminate_interior``), eliminating a
+    node with two neighbours by the series law; when nothing is interior the
+    input form itself is returned.
     """
     return _eliminate_interior(form, boundary)[0]
 

@@ -18,9 +18,10 @@ all where one side is a constant.  Operands that need no general path get
 short ones: a product with ``ONE`` is the other operand, a product with -1
 is a negation, 1 and -1 negate to the shared ``MINUS_ONE`` and ``ONE``, a
 product of two constants p/q and p'/q' is reduced by the one integer gcd of
-pp' and qq', and a result over the denominator 1 needs no content gcd.  No
-floating point anywhere; the categorical laws downstream are checked by
-exact comparison.
+pp' and qq', a numerator equal to the other denominator, or to its
+negative, cancels to 1 or -1 with no gcd (``_cancel``), and a result over
+the denominator 1 needs no content gcd.  No floating point anywhere; the
+categorical laws downstream are checked by exact comparison.
 """
 
 from __future__ import annotations
@@ -453,7 +454,16 @@ class RatFunc:
 
 
 def _cancel(a, b):
-    """``a`` and ``b`` divided by their primitive gcd, both nonconstant."""
+    """``a`` and ``b`` divided by their primitive gcd, both nonconstant.
+
+    Equal operands give 1/1 and opposite ones -1/1 with no gcd: the full
+    path would leave c/c or c/-c, whose constant the caller's content
+    normalization removes anyway.
+    """
+    if a == b:
+        return (1,), (1,)
+    if a[-1] == -b[-1] and a == tuple([-x for x in b]):
+        return (-1,), (1,)
     g = poly_gcd(a, b)
     if len(g) == 1:
         return a, b

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -504,6 +505,69 @@ def test_blackbox_fast_eliminates_a_hub_once_it_is_small(monkeypatch):
     monkeypatch.undo()
     assert "gnd" not in g.boundary and len(degrees) == 64
     assert max(degrees) == 3
+    assert rel == blackbox(g)
+
+
+def _recounted_order(form, interior):
+    """The elimination order with every degree recounted per step by a
+    ``Counter`` over all coefficients, ties to the smaller label, and
+    whether some step made a fill pair and whether one cancelled a pair.
+    Stops after a node whose coefficients sum to zero, whose elimination
+    raises."""
+    order, fill, cancel = [], False, False
+    interior = set(interior)
+    while interior:
+        degree = Counter(x for pair in form.coeffs for x in pair)
+        n = min(interior, key=lambda x: (degree[x], x))
+        interior.remove(n)
+        order.append(n)
+        try:
+            out = dirichlet.eliminate_node(form, n)
+        except EngineError:
+            break
+        fill |= any(pair not in form.coeffs for pair in out.coeffs)
+        cancel |= any(pair not in out.coeffs and n not in pair for pair in form.coeffs)
+        form = out
+    return order, fill, cancel
+
+
+def test_blackbox_fast_order_equals_the_recount(monkeypatch):
+    # The adjacency sets blackbox_fast keeps give the order of a full
+    # recount per step, on random forms whose signed coefficients make fill
+    # pairs appear and cancel, and on the 64-rung ladder with an interior hub.
+    calls = []
+
+    def recording(form, n):
+        calls.append(n)
+        return dirichlet.eliminate_node(form, n)
+
+    monkeypatch.setattr(behavior, "eliminate_node", recording)
+    rng = random.Random(44)
+    weights = [from_rat(Fraction(k, d)) for k in (-2, -1, 1, 2, 3) for d in (1, 2)]
+    seen = set()
+    for k in range(150):
+        labels = [f"v{x}" for x in range(rng.randint(2, 9))]
+        pairs = [(a, b) for x, a in enumerate(labels) for b in labels[x + 1:]]
+        density = rng.choice([0.3, 0.5, 0.8])
+        q = DirichletForm(labels, [(pair, rng.choice(weights)) for pair in pairs
+                                   if rng.random() < density])
+        interior = rng.sample(labels, rng.randint(1, len(labels)))
+        want, fill, cancel = _recounted_order(q, interior)
+        calls.clear()
+        try:
+            behavior._eliminate_fewest_first(q, interior)
+            seen.add("completed")
+        except EngineError:
+            seen.add("refused")
+        assert calls == want
+        seen |= {"fill" if fill else "", "cancel" if cancel else ""}
+    assert seen - {""} == {"completed", "refused", "fill", "cancel"}
+    g = ladder_circuit(random.Random(43), 64)
+    q = extended_power_functional(g)
+    want = _recounted_order(q, set(q.support) - set(g.boundary))[0]
+    calls.clear()
+    rel = blackbox_fast(g)
+    assert calls == want and len(want) == 64
     assert rel == blackbox(g)
 
 

@@ -285,12 +285,13 @@ def test_kron_kernel_equals_the_per_node_elimination():
             "isolated interior node" if set(labels) - set(boundary) - touched else "",
             "fill" if any(pair not in q.coeffs for pair in reduced.coeffs) else "",
             "one boundary node" if len(set(boundary)) == 1 < len(labels) else "",
+            "series step" if any(len(incident) == 2 for _, incident in steps) else "",
         }
         if set(boundary) == set(labels):
             assert reduced is q and steps == []
             seen.add("whole support")
     assert seen - {""} == {"constant", "s-dependent", "isolated interior node", "fill",
-                           "one boundary node", "whole support"}
+                           "one boundary node", "whole support", "series step"}
 
 
 def test_kron_kernel_cancellations_match_eliminate_node():
@@ -308,6 +309,40 @@ def test_kron_kernel_cancellations_match_eliminate_node():
         eliminate_node(eliminate_node(q, "u"), "v")
     assert str(kernel.value) == str(chain.value) == (
         "node 'v' cannot be eliminated: its coefficients sum to zero")
+
+
+def test_series_step_refuses_opposite_coefficients_like_eliminate_node():
+    # u has two coefficients, s/(s+1) and its negative: the kernel's series
+    # step and eliminate_node refuse it with one message, as does a node of
+    # degree 3 whose coefficients cancel.
+    c = s / (s + 1)
+    for q in (DirichletForm(["a", "b", "u"], [(("a", "u"), c), (("b", "u"), -c)]),
+              DirichletForm(["a", "b", "u"], [(("a", "u"), c), (("b", "u"), -c),
+                                              (("a", "b"), ONE)]),
+              DirichletForm(["a", "b", "d", "u"], [(("a", "u"), c), (("b", "u"), -2 * c),
+                                                   (("d", "u"), c)])):
+        with pytest.raises(EngineError) as kernel:
+            power_functional(q, [x for x in q.support if x != "u"])
+        with pytest.raises(EngineError) as chain:
+            eliminate_node(q, "u")
+        assert str(kernel.value) == str(chain.value) == (
+            "node 'u' cannot be eliminated: its coefficients sum to zero")
+
+
+def test_series_fill_that_cancels_a_stored_pair_drops_it():
+    # u joins a and b through s and 1/s, in series s/(s^2+1); the stored
+    # a-b coefficient is its negative, so the pair is gone, and b-d stays.
+    q = DirichletForm(["a", "b", "d", "u"], [
+        (("a", "u"), s), (("b", "u"), s.inv()), (("a", "b"), -s / (s * s + 1)),
+        (("b", "d"), ONE)])
+    reduced, steps = dirichlet._eliminate_interior(q, ["a", "b", "d"])
+    assert [(n, len(incident)) for n, incident in steps] == [("u", 2)]
+    assert reduced == eliminate_node(q, "u") == DirichletForm(
+        ["a", "b", "d"], [(("b", "d"), ONE)])
+    assert reduced.coeffs == {("b", "d"): ONE}
+    # Without the stored pair the series fill lands on it as a new pair.
+    q = DirichletForm(["a", "b", "u"], [(("a", "u"), s), (("b", "u"), s.inv())])
+    assert power_functional(q, ["a", "b"]).coeffs == {("a", "b"): s / (s * s + 1)}
 
 
 def test_kron_kernel_equals_the_reference_route_on_large_circuits():

@@ -506,6 +506,62 @@ def test_henrici_matches_full_reduction(a, b, f):
         _assert_canonical(r)
 
 
+# -- a numerator equal to the other denominator ----------------------------------
+
+
+@st.composite
+def matched_products(draw):
+    """(x, y) with y's denominator drawn as x's numerator or its negative, so
+    that x * y often meets ``_cancel`` on equal or opposite operands."""
+    x = draw(ratfuncs(allow_zero=False))
+    sign = draw(st.sampled_from([1, -1]))
+    y = RatFunc(draw(st.lists(rats, min_size=1, max_size=3).filter(any)),
+                [sign * c for c in x.n])
+    return x, y
+
+
+@settings(max_examples=300)
+@given(matched_products())
+def test_products_over_the_other_numerator_match_full_reduction(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x), (x, y.inv()), (-x, y)):
+        r = a * b
+        want = _fully_reduced("*", a, b)
+        assert (r.n, r.d) == (want.n, want.d)
+        _assert_canonical(r)
+
+
+def test_equal_factors_cancel_to_a_unit():
+    p = (3, -1, 2)
+    for x in (RatFunc(p), RatFunc([-2, 0, 4]), RatFunc([1, 1], [0, 2, 6]), 2 * s / (s + 1)):
+        assert x * x.inv() == ONE and (x * x.inv()).is_one()
+        assert x * (-x).inv() == -1 and (-x).inv() * x == MINUS_ONE
+        for r in (x * x.inv(), x * (-x).inv()):
+            _assert_canonical(r)
+    assert RatFunc(p, p) == ONE and RatFunc(p, [-c for c in p]) == MINUS_ONE
+    assert RatFunc([2, 4], [1, 2]) == 2 and RatFunc([2, 4], [-1, -2]) == -2
+    # A numerator equal to the other denominator up to sign, one side left:
+    # 2s/(s+1) * (s+3)/(-2s) and (s+1)/(3s-1) * 5/(s+1).
+    for a, b in ((2 * s / (s + 1), (s + 3) / (-2 * s)), ((s + 1) / (3 * s - 1), 5 / (s + 1))):
+        r = a * b
+        want = _fully_reduced("*", a, b)
+        assert (r.n, r.d) == (want.n, want.d)
+    assert (2 * s / (s + 1)) * ((s + 3) / (-2 * s)) == -(s + 3) / (s + 1)
+
+
+def test_equal_factors_run_no_gcd(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("poly_gcd called")
+
+    xs = (RatFunc([3, -1, 2]), RatFunc([0, -4, 0, 1]), (s + 1) / (s * s + 2))
+    monkeypatch.setattr(field, "poly_gcd", refuse)
+    for x in xs:
+        assert x * x.inv() == ONE
+        assert x * (-x).inv() == MINUS_ONE
+    p = [3, -1, 2]
+    assert RatFunc(p, p) == ONE and RatFunc(p, [-c for c in p]) == MINUS_ONE
+
+
 # -- short paths for constant and unit operands ---------------------------------
 
 

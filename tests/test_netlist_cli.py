@@ -412,6 +412,35 @@ def test_piped_input_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(piped.stdout)["outputs"] == ["n\u0153ud"]
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    # The same netlist with and without a BOM prints the same, from a file
+    # and through a pipe.
+    plain = SERIES.encode("utf-8")
+    marked = b"\xef\xbb\xbf" + plain
+    path = tmp_path / "series.net"
+    for verb in (["blackbox"], ["blackbox", "--json"], ["check"], ["eliminate"]):
+        outs = []
+        for data in (plain, marked):
+            path.write_bytes(data)
+            assert main([verb[0], str(path), *verb[1:]]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+    piped = [_piped(["blackbox", "-", "--json"], data) for data in (plain, marked)]
+    assert piped[0].returncode == piped[1].returncode == 0
+    assert piped[0].stdout == piped[1].stdout and piped[1].stderr == b""
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_raw_offset(tmp_path, capsys):
+    bad = b"\xef\xbb\xbfab\xff"
+    proc = _piped(["blackbox", "-"], bad)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: standard input: not UTF-8 text at byte 5\n"
+    path = tmp_path / "bad.net"
+    path.write_bytes(bad)
+    assert main(["blackbox", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text at byte 5\n"
+
+
 def test_cli_eval_point_caps(tmp_path, capsys):
     rlc = _write(tmp_path, "rlc.net", "nodes: a b c\ninputs: a\noutputs: c\n"
                  "R a b 1\nL b c 2\nC a c 1/3\n")
