@@ -11,9 +11,11 @@ behaviors folded with ``compose_relations`` (``tensor_relations`` side by
 side, and a mirrored chain composed with its dagger) by ``bench/run.py``'s
 ``analyse``, the fold that the benchmark times.  The flat composites come
 from its ``flatten``.  A sixth digest, ``netlists``, covers
-``print_netlist`` of every circuit, block and flat composite.  Two
-checkouts whose digests agree print byte-identical behaviors and netlists
-on all of it.  The engine is imported from this checkout's ``src``,
+``print_netlist`` of every circuit, block and flat composite, and a seventh,
+``cli_json``, the JSON text that ``blackbox --json`` prints for each of
+them: ``json.dumps`` of ``behavior_to_json`` of its ``blackbox`` relation.
+Two checkouts whose digests agree print byte-identical behaviors, netlists
+and JSON on all of it.  The engine is imported from this checkout's ``src``,
 whatever ``blackbox`` is installed.
 
     python3 scripts/route_digest.py --seeds 1,5,7
@@ -21,6 +23,7 @@ whatever ``blackbox`` is installed.
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -39,6 +42,7 @@ from blackbox import (  # noqa: E402
     parse_netlist,
     print_netlist,
 )
+from blackbox.behavior import behavior_to_json  # noqa: E402
 
 ROUTES = {
     "blackbox": blackbox,
@@ -65,14 +69,19 @@ def main():
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    digests = {name: hashlib.sha256() for name in [*ROUTES, "compose_folds", "netlists"]}
+    digests = {name: hashlib.sha256()
+               for name in [*ROUTES, "compose_folds", "netlists", "cli_json"]}
     for seed in seeds:
         for wname, make in gen.WORKLOADS.items():
             workload = make(seed)
             for name, g in circuits(workload):
-                for route, fn in ROUTES.items():
-                    digests[route].update(f"{wname} {seed} {name}\n{fn(g).pretty()}\n".encode())
-                digests["netlists"].update(f"{wname} {seed} {name}\n{print_netlist(g)}".encode())
+                head = f"{wname} {seed} {name}\n"
+                rels = {route: fn(g) for route, fn in ROUTES.items()}
+                for route, rel in rels.items():
+                    digests[route].update(f"{head}{rel.pretty()}\n".encode())
+                digests["netlists"].update(f"{head}{print_netlist(g)}".encode())
+                doc = json.dumps(behavior_to_json(g, rels["blackbox"]))
+                digests["cli_json"].update(f"{head}{doc}\n".encode())
             for chain in workload.chains:
                 blocks = [parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
                 rel = run.analyse(engine, chain.combinator, blocks)

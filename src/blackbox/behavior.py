@@ -303,11 +303,17 @@ def equivalent(g1, g2):
 
 
 def behavior_to_json(g, rel):
-    return {
-        "inputs": list(g.inputs),
-        "outputs": list(g.outputs),
-        "generators": [[str(e) for e in row] for row in rel.sub.rows],
-    }
+    """The JSON document of a behavior: the port labels and the canonical
+    rows, each entry printed, read from the sparse rows with "0" for a
+    column a row does not hold."""
+    width = rel.sub.ncols
+    generators = []
+    for sparse in rel.sub.sparse:
+        row = ["0"] * width
+        for col, e in sparse.items():
+            row[col] = str(e)
+        generators.append(row)
+    return {"inputs": list(g.inputs), "outputs": list(g.outputs), "generators": generators}
 
 
 def as_impedance(rel):

@@ -6,6 +6,11 @@ exit status 2 with nothing on stdout.  ``equiv`` exits 0 when the two
 behaviors are exactly equal and 1 otherwise.  With ``--allow-raw-z`` a
 netlist may hold ``Z`` directives; each raw impedance must be positive at
 every point of the fixed grid ``field.DEFAULT_SAMPLE_POINTS``.
+
+The parser is built once per process.  An argv that starts with a verb is
+parsed by that verb's subparser alone; any other argv, and one that the
+subparser cannot take whole, goes through the full parser, so help, errors
+and exit statuses are those of ``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ def _read(path):
     if path == "-":
         name, data = "standard input", sys.stdin.buffer.read()
     else:
-        name, data = path, Path(path).read_bytes()
+        with open(path, "rb") as f:
+            name, data = path, f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -157,15 +163,21 @@ def _cmd_check(args):
 
 
 def build_parser():
+    return _build()[0]
+
+
+def _build():
+    """The full parser and its map from each verb to the verb's subparser."""
     parser = argparse.ArgumentParser(
         prog="blackbox",
         description="Exact compositional analysis of passive linear circuits.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = {}
 
     def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p = verbs[name] = sub.add_parser(name, help=help_)
+        p.set_defaults(fn=fn, verb=name)
         p.add_argument(
             "--allow-raw-z",
             action="store_true",
@@ -210,16 +222,29 @@ def build_parser():
     p.add_argument("file", nargs="?")
     p.add_argument("--corpus", help="directory of .net files")
 
-    return parser
+    return parser, verbs
 
 
 @functools.cache
 def _parser():
-    return build_parser()
+    return _build()
+
+
+def _parse(argv):
+    """The namespace of ``argv``, parsed by the subparser of the verb that
+    ``argv[0]`` names.  Anything else, and any argument that subparser
+    leaves over, goes through the full parser, which then prints the same
+    help or error as it always does."""
+    parser, verbs = _parser()
+    if argv and argv[0] in verbs:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (EngineError, OSError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .corel import Record
 from .errors import EngineError, MissingAssignment, NodeNotInSupport
-from .field import ZERO
+from .field import ZERO, half_inverse
 
 
 def _pair(i, j):
@@ -78,12 +78,13 @@ class DirichletForm(Record):
 
 
 def extended_power_functional(g):
-    """The form on all nodes of a circuit: each edge adds 1/(2Z) to its pair."""
+    """The form on all nodes of a circuit: each edge adds 1/(2Z) to its
+    pair, built by ``field.half_inverse``."""
     coeffs = []
     for src, tgt, z in g.graph.edges:
         if src == tgt:
             continue
-        coeffs.append((_pair(src, tgt), (2 * z).inv()))
+        coeffs.append((_pair(src, tgt), half_inverse(z)))
     return DirichletForm(g.graph.nodes, coeffs)
 
 
@@ -141,9 +142,10 @@ def eliminate_node(form, n):
     leave the constraint sum_j c_nj phi_j = 0, which no form expresses, and
     raise ``EngineError``.  Netlist input never gets there: every R/L/C or
     vetted raw ``Z`` coefficient, fill included, is positive at s = 1.
-    The coefficients away from n are copied as they are, each fill term is
-    added to its pair, a pair that cancels is dropped, and the form is
-    built by ``DirichletForm._trusted``.
+    The coefficients away from n are copied as they are.  Each neighbour's
+    coefficient is scaled once by 1 / sum_k c_kn, so a fill term costs one
+    product; it is added to its pair, a pair that cancels is dropped, and
+    the form is built by ``DirichletForm._trusted``.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
@@ -160,9 +162,10 @@ def eliminate_node(form, n):
     if len(incident) > 1:  # one coefficient makes no pair and cannot cancel
         neighbors = sorted(incident)
         inv_d = _inverse_mass(n, incident)
-        for a, i in enumerate(neighbors):
+        for a, i in enumerate(neighbors[:-1]):
+            ci = incident[i] * inv_d
             for j in neighbors[a + 1:]:
-                fill = incident[i] * incident[j] * inv_d
+                fill = ci * incident[j]
                 c = coeffs[i, j] + fill if (i, j) in coeffs else fill
                 if c.is_zero():
                     del coeffs[i, j]

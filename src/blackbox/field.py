@@ -544,6 +544,21 @@ def int_impedance(kind, p, q):
     raise ValueError(f"unknown component kind {kind!r}")
 
 
+def half_inverse(z):
+    """1/(2z) in canonical form, for a nonzero z = n/d: d/(2n), normalized
+    once.  n and d are coprime with content 1 together, so the content of
+    d and 2n is 2 when every coefficient of d is even and 1 otherwise; the
+    sign is that of n's leading coefficient.  This is the coefficient an
+    edge of impedance z gives its pair in a Dirichlet form."""
+    n, d = z.n, z.d
+    if not n:
+        raise DivisionByZero("inverse of zero")
+    sign = 1 if n[-1] > 0 else -1
+    if gcd(*d) & 1:
+        return _new(_scale(d, sign), _scale(n, 2 * sign))
+    return _new(tuple([sign * x // 2 for x in d]), _scale(n, sign))
+
+
 def component(z):
     """The inverse of ``impedance``: the (kind, value) pair whose impedance is
     ``z``, or None when ``z`` is not that of an R, L or C."""

@@ -52,6 +52,7 @@ from util import (
     rand_composable_pair,
     reference_eliminate_interior,
     reference_port_relation,
+    workload_circuits,
 )
 
 
@@ -591,3 +592,18 @@ def test_behavior_json_schema():
         "outputs": ["b"],
         "generators": [["1", "0", "1", "0"], ["0", "1", "2", "1"]],
     }
+
+
+def test_behavior_json_prints_the_dense_rows():
+    # The benchmark checks --json against behavior_to_json of the oracle, the
+    # same renderer, so only this comparison with the dense rows guards it.
+    rng = random.Random(26)
+    cases = workload_circuits(1) + workload_circuits(5)
+    cases += [(f"random {k}", rand_circuit(rng)) for k in range(150)]
+    for name, g in cases:
+        rel = blackbox(g)
+        assert behavior_to_json(g, rel) == {
+            "inputs": list(g.inputs),
+            "outputs": list(g.outputs),
+            "generators": [[str(e) for e in row] for row in rel.sub.rows],
+        }, name

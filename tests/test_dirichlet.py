@@ -29,6 +29,7 @@ from util import (
     rand_rat,
     reference_eliminate_interior,
     sample_markov_property,
+    workload_circuits,
 )
 
 half = from_rat(Fraction(1, 2))
@@ -64,6 +65,16 @@ def test_extended_power_functional_examples():
     assert p3.coefficient("a", "b") == from_rat(Fraction(1, 4))
     assert p3.coefficient("b", "c") == RatFunc((Fraction(1, 6),), (0, 1))
     assert p3.coefficient("c", "d") == s / 4
+
+
+def test_extended_power_functional_matches_the_product_route_on_the_workloads():
+    # Each edge's coefficient comes from field.half_inverse; the form must be
+    # the one built from (2 * z).inv(), stored pair for stored pair (RatFunc
+    # equality compares the canonical n and d).
+    for name, g in workload_circuits(1):
+        edges = [(a, b, z) for a, b, z in g.graph.edges if a != b]
+        want = DirichletForm(g.graph.nodes, [((a, b), (2 * z).inv()) for a, b, z in edges])
+        assert extended_power_functional(g) == want, name
 
 
 def test_self_loops_contribute_nothing():

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from blackbox import field
@@ -15,8 +15,10 @@ from blackbox.field import (
     ONE,
     ZERO,
     RatFunc,
+    MAX_DIGITS,
     component,
     from_rat,
+    half_inverse,
     impedance,
     is_positive_sampled,
     parse_ratfunc,
@@ -624,3 +626,68 @@ def test_short_path_examples():
             for r in (minus * x, x * minus, -x):
                 assert (r.n, r.d) == (want.n, want.d)
                 _assert_canonical(r)
+
+
+# -- the edge coefficient 1/(2z) -------------------------------------------------
+
+
+def _assert_half_inverse(z):
+    """``half_inverse`` gives exactly the stored pair of (2 * z).inv()."""
+    got, want = half_inverse(z), (2 * z).inv()
+    assert (got.n, got.d) == (want.n, want.d)
+    _assert_canonical(got)
+
+
+component_values = st.integers(1, 10**MAX_DIGITS - 1)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from("RLC"), component_values, component_values)
+def test_half_inverse_of_a_component(kind, p, q):
+    _assert_half_inverse(impedance(kind, Fraction(p, q)))
+
+
+@st.composite
+def positive_factors(draw):
+    """A content times factors s + b and a - s, every one positive on the
+    sample grid (b > 0, a > 7)."""
+    poly = [draw(st.integers(1, 12))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            poly = _conv(poly, [draw(st.integers(1, 9)), 1])
+        else:
+            poly = _conv(poly, [draw(st.integers(8, 20)), -1])
+    return poly
+
+
+@st.composite
+def vetted_raw_z(draw):
+    """A raw impedance that passes the positivity sampling, with a numerator
+    whose leading coefficient is negative or whose coefficients share a
+    factor."""
+    z = RatFunc(draw(positive_factors()), draw(positive_factors()))
+    assert is_positive_sampled(z)
+    assume(z.n[-1] < 0 or math.gcd(*z.n) > 1)
+    return z
+
+
+@settings(max_examples=300)
+@given(vetted_raw_z())
+def test_half_inverse_of_a_vetted_raw_impedance(z):
+    _assert_half_inverse(z)
+
+
+def test_half_inverse_cases():
+    # d/(2n) with content 2 removed when d is even; the sign moved onto d.
+    cases = [
+        (RatFunc(3, 2), ((1,), (3,))),
+        (RatFunc([1, 2], [4, 6]), ((2, 3), (1, 2))),
+        (RatFunc([8, -1], [1, 1]), ((-1, -1), (-16, 2))),
+        (RatFunc([4, 2], [3]), ((3,), (8, 4))),
+    ]
+    for z, pair in cases:
+        got = half_inverse(z)
+        assert (got.n, got.d) == pair
+        _assert_half_inverse(z)
+    with pytest.raises(DivisionByZero):
+        half_inverse(ZERO)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blackbox import cli, netlist
-from blackbox.cli import main
+from blackbox.cli import build_parser, main
 from blackbox.errors import (
     NonPositiveImpedance,
     ParseError,
@@ -292,6 +292,68 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
     assert main(["blackbox", series, "--as-impedance"]) == 0
     assert capsys.readouterr().out.strip() == "2"
     assert cli._parser() is cli._parser()
+
+
+NET = "<net>"  # stands for a netlist file in the argv below
+VERB_ARGS = {  # each verb's positionals, then its options, in a valid call
+    "blackbox": ([NET], ["--json"]),
+    "compose": ([NET, NET], []),
+    "tensor": ([NET, NET], []),
+    "dagger": ([NET], []),
+    "eliminate": ([NET], []),
+    "equiv": ([NET, NET], []),
+    "eval": ([NET], ["--at", "1"]),
+    "check": ([NET], []),
+}
+PARITY_CASES = {
+    **{f"{verb} {case}": argv
+       for verb, (pos, opts) in VERB_ARGS.items()
+       for case, argv in [
+           ("valid", [verb, *pos, *opts]),
+           ("-h", [verb, "-h"]),
+           ("missing positional", [verb, *pos[:-1], *opts]),
+           ("extra positional", [verb, *pos, "extra.net", *opts]),
+           ("unknown option", [verb, *pos, "--bogus", *opts]),
+       ]},
+    "no argv": [],
+    "-h": ["-h"],
+    "unknown verb": ["frobnicate", NET],
+    "--allow-raw-z before the verb": ["--allow-raw-z", "blackbox", NET],
+    "--allow-raw-z after the verb": ["blackbox", NET, "--allow-raw-z"],
+    "a file after --": ["blackbox", "--", NET],
+    "an abbreviated option": ["blackbox", NET, "--js"],
+}
+
+
+@pytest.mark.parametrize("argv", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_main_parses_argv_as_the_full_parser_does(argv, tmp_path, capsys, monkeypatch):
+    net = _write(tmp_path, "series.net", SERIES)
+    argv = [net if a == NET else a for a in argv]
+    try:
+        want = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == exc.code
+        assert capsys.readouterr() == want_out
+        assert exc.code == 0 or want_out.out == ""
+        return
+    seen = []
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda a: seen.append(parse(a)) or seen[0])
+    if main(argv) == 2:  # check with no file fails after parsing
+        assert capsys.readouterr().out == ""
+    assert vars(seen[0]) == vars(want)
+
+
+def test_main_reads_sys_argv_when_given_none(tmp_path, capsys, monkeypatch):
+    series = _write(tmp_path, "series.net", SERIES)
+    assert main(["blackbox", series, "--json"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["blackbox", "blackbox", series, "--json"])
+    assert main() == 0
+    assert capsys.readouterr().out == want
 
 
 def test_cli_check_and_corpus(tmp_path, capsys):

@@ -40,7 +40,7 @@ def test_route_digest_prints_one_digest_per_route_and_the_folds(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
         "blackbox", "blackbox_categorical", "oracle_behavior", "blackbox_fast", "compose_folds",
-        "netlists",
+        "netlists", "cli_json",
     ]
     assert all(len(line.split()[1]) == 64 for line in lines)
 

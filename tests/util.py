@@ -6,9 +6,12 @@ so cases are reproducible and independent of execution order.
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import blackbox
 from blackbox.behavior import _port_behavior
 from blackbox.circuits import circuit
 from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
@@ -36,6 +39,32 @@ from blackbox.lagrel import (
     tensor_relations,
     twist,
 )
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def workload_circuits(seed):
+    """(name, circuit) for every circuit, every chain block and every checked
+    flat composite of the benchmark's workloads (``bench/gen.py``) at
+    ``seed``: the circuits that ``scripts/route_digest.py`` covers."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    import gen
+    import run
+
+    out = []
+    for wname, make in gen.WORKLOADS.items():
+        workload = make(seed)
+        out += [(f"{wname}/{net.name}", blackbox.parse_netlist(gen.netlist_text(net)))
+                for net in workload.circuits]
+        for chain in workload.chains:
+            blocks = [blackbox.parse_netlist(gen.netlist_text(b)) for b in chain.blocks]
+            out += [(f"{wname}/{chain.name}/{k}", g) for k, g in enumerate(blocks)]
+            if chain.flat_verbs:
+                out.append((f"{wname}/{chain.name}/flat",
+                            run.flatten(blackbox, chain.combinator, blocks)))
+    return out
 
 
 def rand_rat(rng, lo=1, hi=4):
