@@ -25,6 +25,11 @@ reduction with ``blackbox``:
 
 Input ports report current flowing inward (the twist, applied to the
 generators, flips their sign); output ports report current flowing outward.
+
+``compose_dirichlet_cospans`` has no verb yet: it is kept for the
+compositional fold of Dirichlet cospans that ROADMAP.md plans.  The
+composition of Lagrangian cospans, which only the functoriality tests need,
+lives with them in ``tests/util.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .dirichlet import (
     power_functional,
     pushforward_form,
 )
-from .errors import InterfaceMismatch, NodeNotInSupport, NotAGraph
+from .errors import NodeNotInSupport, NotAGraph
 from .field import MINUS_ONE, ONE, ZERO
 from .lagrel import (
     LagrangianRelation,
@@ -46,10 +51,8 @@ from .lagrel import (
     graph_of_differential,
     nullspace,
     port_space,
-    pushforward_lagrangian,
     subspace_as_relation,
     symplectify,
-    tensor_relations,
 )
 
 # -- decorated cospans -------------------------------------------------------
@@ -96,8 +99,6 @@ def to_lagr_cospan(dc):
 
 def compose_dirichlet_cospans(a, b):
     """Pushout of cospans, decorations pushed forward and summed."""
-    if len(a.outputs) != len(b.inputs):
-        raise InterfaceMismatch("port lists do not match")
     map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
     qa = pushforward_form(map1, a.form, nodes)
     qb = pushforward_form(map2, b.form, nodes)
@@ -106,26 +107,6 @@ def compose_dirichlet_cospans(a, b):
         tuple(map1[p] for p in a.inputs),
         tuple(map2[p] for p in b.outputs),
         form,
-    )
-
-
-def compose_lagr_cospans(a, b):
-    """Pushout of cospans; the decorations' direct sum is pushed forward."""
-    if len(a.outputs) != len(b.inputs):
-        raise InterfaceMismatch("port lists do not match")
-    map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
-    # The disjoint union is indexed by position, so no label can collide.
-    union = tensor_relations(
-        subspace_as_relation(a.sub, port_space(len(a.nodes))),
-        subspace_as_relation(b.sub, port_space(len(b.nodes))),
-    )
-    f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
-    pushed = pushforward_lagrangian(f, range(len(f)), union.sub, nodes)
-    return LagrCospan(
-        tuple(map1[p] for p in a.inputs),
-        tuple(map2[p] for p in b.outputs),
-        nodes,
-        pushed,
     )
 
 

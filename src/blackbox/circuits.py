@@ -5,6 +5,8 @@ lexicographically; that order fixes canonical representatives everywhere
 (pushout classes are named by their smallest member, so composite circuits
 are deterministic).
 Ports are positional lists of node labels and may repeat or omit nodes.
+``identity_circuit`` stays for the acceptance suite's identity law
+(criterion 7).
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ def pushout(nodes1, outs1, nodes2, ins2):
 
     The right apex is first made disjoint by priming its colliding labels.
     Returns the two legs into the pushout, as dicts, and its sorted nodes.
+    Port lists of unequal length raise ``InterfaceMismatch``.
     """
+    if len(outs1) != len(ins2):
+        raise InterfaceMismatch(f"{len(outs1)} outputs cannot meet {len(ins2)} inputs")
     rename = _fresh_labels(nodes1, nodes2)
     pairs = [(a, rename[b]) for a, b in zip(outs1, ins2)]
     j = merge_map([*nodes1, *rename.values()], pairs)
@@ -103,10 +108,6 @@ def pushout(nodes1, outs1, nodes2, ins2):
 
 def compose_circuits(g1, g2):
     """Glue g2's inputs onto g1's outputs by pushout of the underlying cospans."""
-    if len(g1.outputs) != len(g2.inputs):
-        raise InterfaceMismatch(
-            f"{len(g1.outputs)} outputs cannot meet {len(g2.inputs)} inputs"
-        )
     map1, map2, nodes = pushout(g1.graph.nodes, g1.outputs, g2.graph.nodes, g2.inputs)
     edges = [(map1[s], map1[t], z) for s, t, z in g1.graph.edges]
     edges += [(map2[s], map2[t], z) for s, t, z in g2.graph.edges]
@@ -133,24 +134,3 @@ def tensor_circuits(g1, g2):
 def dagger_circuit(g):
     """Swap inputs and outputs, keeping the graph."""
     return Circuit(g.graph, g.outputs, g.inputs)
-
-
-def merge_parallel_edges(graph):
-    """Collapse each parallel bundle to one edge with 1/Z'' = sum of 1/Z.
-
-    Self-loops contribute nothing to the power functional and are deleted.
-    The collapsed edge runs between the sorted node pair.
-    """
-    bundles = {}
-    for src, tgt, z in graph.edges:
-        if src == tgt:
-            continue
-        key = (min(src, tgt), max(src, tgt))
-        bundles.setdefault(key, []).append(z)
-    edges = []
-    for (a, b), zs in sorted(bundles.items()):
-        acc = zs[0].inv()
-        for z in zs[1:]:
-            acc = acc + z.inv()
-        edges.append((a, b, acc.inv()))
-    return LabelledGraph(graph.nodes, edges)

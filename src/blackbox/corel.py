@@ -6,6 +6,11 @@ Ports are positional, so a corelation is stored over the integer index set
 {0 .. |X|+|Y|-1}, with the first ``left_size`` indices belonging to X.
 Blocks are canonical: each block sorted ascending, blocks sorted by their
 smallest member.
+
+The verbs reach corelations through ``corel_from_cospan`` alone.  The
+category's operations (identity, composition, tensor, cup and cap) stay for
+the acceptance suite: criterion 11, the functoriality of ``symplectify``
+over composition and identities, and criterion 12, the snake identities.
 """
 
 from __future__ import annotations
@@ -152,16 +157,6 @@ def tensor_corelations(a, b):
     blocks = [[shift_a(k) for k in blk] for blk in a.blocks]
     blocks += [[shift_b(k) for k in blk] for blk in b.blocks]
     return Corelation(nx + mx, ny + my, blocks)
-
-
-def dagger_corelation(a):
-    """The same partition read as a morphism Y -> X."""
-    nx, ny = a.left_size, a.right_size
-
-    def swap(k):
-        return k + ny if k < nx else k - nx
-
-    return Corelation(ny, nx, [[swap(k) for k in blk] for blk in a.blocks])
 
 
 def cup_corelation(n):

@@ -4,6 +4,13 @@ A form on a finite node set S is Q(psi) = sum over stored pairs of
 c_ij (psi_i - psi_j)^2, with one coefficient per unordered pair.  An edge of
 impedance Z contributes 1/(2Z), so the formal gradient of the form is
 exactly the boundary current, with no stray factor of two.
+
+Three functions have no verb behind them.  ``eliminate_node`` is the step
+of ``behavior.blackbox_fast``, the benchmark's reference, whose fill it
+traces; the acceptance suite checks ``compose_forms``, the semicategory
+composition; ``pushforward_form`` glues Dirichlet cospans for
+``behavior.compose_dirichlet_cospans``, kept for the fold of forms that
+ROADMAP.md plans.
 """
 
 from __future__ import annotations
@@ -70,12 +77,6 @@ class DirichletForm(Record):
     def __repr__(self):
         return f"<DirichletForm on {self.support}: {self.pretty()}>"
 
-    def to_json(self):
-        return [
-            {"i": i, "j": j, "coeff": str(c)}
-            for (i, j), c in sorted(self.coeffs.items())
-        ]
-
 
 def extended_power_functional(g):
     """The form on all nodes of a circuit: each edge adds 1/(2Z) to its
@@ -88,26 +89,11 @@ def extended_power_functional(g):
     return DirichletForm(g.graph.nodes, coeffs)
 
 
-def _require_assignment(nodes, psi):
-    missing = [n for n in nodes if n not in psi]
-    if missing:
-        raise MissingAssignment(f"no potential assigned at {missing}")
-
-
-def evaluate(form, psi):
-    """The exact field value of the form at the potential psi."""
-    _require_assignment(form.support, psi)
-    total = ZERO
-    for (i, j), c in form.coeffs.items():
-        d = psi[i] - psi[j]
-        if d:
-            total = total + c * d * d
-    return total
-
-
 def gradient(form, psi):
     """The formal differential at psi as a dict: node n -> sum_j 2 c_nj (psi_n - psi_j)."""
-    _require_assignment(form.support, psi)
+    missing = [n for n in form.support if n not in psi]
+    if missing:
+        raise MissingAssignment(f"no potential assigned at {missing}")
     entries = {n: ZERO for n in form.support}
     for (i, j), c in form.coeffs.items():
         d = psi[i] - psi[j]
@@ -198,7 +184,8 @@ def _eliminate_interior(form, boundary):
     interior the input form is returned as it is.
 
     Returns the reduced form and, per step, the node with its incident
-    coefficients at the moment of elimination.
+    coefficients at the moment of elimination, from which the tests
+    compare elimination orders and back-substitute interior potentials.
     """
     support, bset = set(form.support), set(boundary)
     if not bset <= support:
@@ -247,26 +234,6 @@ def power_functional(form, boundary):
     input form itself is returned.
     """
     return _eliminate_interior(form, boundary)[0]
-
-
-def realizable_extension(form, boundary, psi):
-    """Extend boundary data to the whole support so interior gradients vanish.
-
-    Interior potentials are the weighted averages of their neighbours at the
-    moment of elimination, back-substituted in reverse; nodes with no
-    incident mass get potential zero (the vanishing convention for
-    components that do not touch the boundary).
-    """
-    _require_assignment(boundary, psi)
-    _, steps = _eliminate_interior(form, boundary)
-    phi = {n: psi[n] for n in boundary}
-    for n, incident in reversed(steps):
-        denom = sum(incident.values(), ZERO)
-        if denom.is_zero():
-            phi[n] = ZERO
-            continue
-        phi[n] = sum((c * phi[k] for k, c in incident.items()), ZERO) / denom
-    return phi
 
 
 def compose_forms(q, p):

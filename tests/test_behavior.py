@@ -13,7 +13,6 @@ from blackbox.behavior import (
     blackbox_categorical,
     blackbox_fast,
     compose_dirichlet_cospans,
-    compose_lagr_cospans,
     cospan_relation,
     equivalent,
     oracle_behavior,
@@ -44,7 +43,9 @@ from blackbox.lagrel import (
 from blackbox.netlist import print_netlist
 
 from util import (
+    compose_lagr_cospans,
     composed_cospan_relation,
+    dagger_corelation,
     ladder_circuit,
     mesh_circuit,
     rand_circuit,
@@ -274,7 +275,7 @@ def test_minimization_equals_boundary_restriction_of_the_graph():
         subspace_as_relation,
         symplectify,
     )
-    from blackbox.corel import corel_from_cospan, dagger_corelation
+    from blackbox.corel import corel_from_cospan
 
     rng = random.Random(9)
     for _ in range(20):

@@ -16,7 +16,6 @@ from blackbox.circuits import (
     compose_circuits,
     dagger_circuit,
     identity_circuit,
-    merge_parallel_edges,
     tensor_circuits,
 )
 from blackbox.corel import Corelation, Record, corel_from_cospan
@@ -30,14 +29,11 @@ from blackbox.errors import InterfaceMismatch
 from blackbox.field import ONE, ZERO, impedance, int_impedance, s
 from blackbox.lagrel import (
     LagrangianRelation,
-    Subspace,
     SymplSpace,
-    is_lagrangian,
-    port_space,
     symplectify,
 )
 
-from util import old_label_rule, rand_circuit, rand_composable_pair
+from util import merge_parallel_edges, old_label_rule, rand_circuit, rand_composable_pair
 
 R1 = impedance("R", 1)
 
@@ -54,7 +50,7 @@ def test_compose_series_example():
 def test_compose_port_count_mismatch():
     g1 = circuit(["A"], [], ["A"], ["A", "A"])
     g2 = circuit(["B"], [], ["B"], ["B"])
-    with pytest.raises(InterfaceMismatch):
+    with pytest.raises(InterfaceMismatch, match="^2 outputs cannot meet 1 inputs$"):
         compose_circuits(g1, g2)
 
 
@@ -180,11 +176,10 @@ _AB = DirichletForm(["a", "b"], [(("a", "b"), ONE)])
     (lambda: pushforward_form({"a": "x"}, _AB, ["x"]), "undefined at b"),
     (lambda: LabelledGraph(["a", "b"], [("a", "b", ZERO)]), "nonzero RatFunc"),
     (lambda: LabelledGraph(["a", "b"], [("a", "b", 1)]), "nonzero RatFunc"),
-    (lambda: is_lagrangian(Subspace([], 2), port_space(2)), "does not live"),
     (lambda: int_impedance("X", 1, 1), "unknown component kind"),
 ], ids=["index outside", "index twice", "index missing", "diagonal pair",
         "pair outside support", "incomplete map", "zero impedance",
-        "int impedance", "wrong space", "unknown kind"])
+        "int impedance", "unknown kind"])
 def test_malformed_arguments_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -10,13 +10,12 @@ from blackbox.corel import (
     compose_corelations,
     corel_from_cospan,
     cup_corelation,
-    dagger_corelation,
     identity_corelation,
     tensor_corelations,
 )
 from blackbox.errors import InterfaceMismatch
 
-from util import rand_corel, rand_cospan
+from util import dagger_corelation, rand_corel, rand_cospan
 
 
 @st.composite

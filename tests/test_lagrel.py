@@ -13,7 +13,6 @@ from blackbox.corel import (
     cap_corelation,
     compose_corelations,
     corel_from_cospan,
-    dagger_corelation,
     identity_corelation,
 )
 from blackbox.dirichlet import DirichletForm, gradient, pushforward_form
@@ -31,26 +30,24 @@ from blackbox.lagrel import (
     embed,
     graph_of_differential,
     identity_relation,
-    is_lagrangian,
     nullspace,
     port_space,
-    pushforward_lagrangian,
     rref,
     subspace_as_relation,
     symplectify,
-    symplectify_currents,
-    symplectify_potentials,
     tensor_relations,
     twist,
 )
 
 from util import (
     circuit_kirchhoff_matrix,
+    dagger_corelation,
     dense,
     gauss_jordan,
     ladder_circuit,
     mesh_circuit,
     mesh_columns,
+    pushforward_lagrangian,
     rand_circuit,
     rand_composable_pair,
     rand_corel,
@@ -235,29 +232,26 @@ def test_a_space_is_its_signs():
     assert port_space(2).conj() == SymplSpace((-1, -1))
 
 
-def test_is_lagrangian_examples():
-    space = port_space(2)
-    potential_axis = Subspace(
-        [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]], 4
-    )
-    assert is_lagrangian(potential_axis, space)
-    everything = Subspace(
-        [[ONE if i == j else ZERO for j in range(4)] for i in range(4)], 4
-    )
-    assert not is_lagrangian(everything, space)
-    rng = random.Random(4)
-    for _ in range(15):
-        labels = [f"q{k}" for k in range(rng.randint(1, 4))]
-        q = rand_form(rng, labels)
-        assert is_lagrangian(graph_of_differential(q), port_space(len(labels)))
-
-
 def _accepted(source, target, rows):
     try:
         LagrangianRelation(source, target, rows)
     except ValueError:
         return False
     return True
+
+
+def test_is_lagrangian_examples():
+    # A subspace of V is Lagrangian iff it is accepted as a relation 0 -> V.
+    space = port_space(2)
+    potential_axis = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]]
+    assert _accepted(EMPTY_SPACE, space, potential_axis)
+    everything = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    assert not _accepted(EMPTY_SPACE, space, everything)
+    rng = random.Random(4)
+    for _ in range(15):
+        labels = [f"q{k}" for k in range(rng.randint(1, 4))]
+        q = rand_form(rng, labels)
+        assert _accepted(EMPTY_SPACE, port_space(len(labels)), graph_of_differential(q).sparse)
 
 
 def _relation_pairing(source, target):
@@ -307,7 +301,7 @@ def test_isotropy_check_matches_the_dense_reference():
             extra = [ONE if j == d + rng.randrange(d) else ZERO for j in range(2 * d)]
             for cand in (rows, mixed, rows[:-1], rows + [extra]):
                 expected = reference_lagrangian(cand, 2 * d, pairing)
-                assert is_lagrangian(Subspace(cand, 2 * d), space) == expected
+                assert _accepted(EMPTY_SPACE, space, cand) == expected
                 seen.add((s_mat is sym, len(cand) == d, expected))
             # The same rows as a relation: the first m ports are the
             # source, whose signs the relation's ambient flips.
@@ -330,7 +324,7 @@ def test_isotropy_check_matches_the_dense_reference():
             flips = [s < 0 and rng.random() < 0.7 for s in signs]
             rows = _negate_columns(sub.rows, [d + x for x, f in enumerate(flips) if f])
             expected = reference_lagrangian(rows, 2 * d, [(k, d + k, s) for k, s in enumerate(signs)])
-            assert is_lagrangian(Subspace(rows, 2 * d), SymplSpace(signs)) == expected
+            assert _accepted(EMPTY_SPACE, SymplSpace(signs), rows) == expected
             seen.add(("graph", all(s > 0 or f for s, f in zip(signs, flips)), expected))
         else:
             rel = blackbox(rand_circuit(rng, max_nodes=4, max_edges=4))
@@ -724,22 +718,33 @@ def test_dagger_of_ohm_is_ohm():
     assert dagger_relation(ohm) == ohm
 
 
+def _halves(corel):
+    """The potential rows and the current rows of ``symplectify(corel)``,
+    each in pivot order: a row pivots on a potential column (before the
+    source currents, or among the target potentials) or on a current."""
+    m, n = corel.left_size, corel.right_size
+    pots, curs = [], []
+    for row in symplectify(corel).sub.sparse:
+        p = min(row)
+        (pots if p < m or 2 * m <= p < 2 * m + n else curs).append(row)
+    return pots, curs
+
+
 def test_symplectify_identity_examples():
     idc = identity_corelation(1)
-    pots = symplectify_potentials(idc)
-    assert pots == Subspace([[ONE, ZERO, ONE, ZERO]], 4)
-    curs = symplectify_currents(idc)
-    assert curs == Subspace([[ZERO, ONE, ZERO, ONE]], 4)
+    pots, curs = _halves(idc)
+    assert Subspace(pots, 4) == Subspace([[ONE, ZERO, ONE, ZERO]], 4)
+    assert Subspace(curs, 4) == Subspace([[ZERO, ONE, ZERO, ONE]], 4)
     assert symplectify(idc) == identity_relation(port_space(1))
 
 
 def test_symplectify_block_examples():
     merge = Corelation(2, 1, [(0, 1, 2)])
-    pots = symplectify_potentials(merge)
+    pots, curs = _halves(merge)
     # potentials equal across the block: phi_x0 = phi_x1 = phi_y0
-    assert pots == Subspace([[ONE, ONE, ZERO, ZERO, ONE, ZERO]], 6)
+    assert Subspace(pots, 6) == Subspace([[ONE, ONE, ZERO, ZERO, ONE, ZERO]], 6)
     # currents split: lambda_x0 + lambda_x1 = lambda_y0
-    curs = symplectify_currents(merge)
+    curs = Subspace(curs, 6)
     for row in curs.rows:
         assert row[2] + row[3] == row[5]
     assert curs.dim == 2
@@ -774,7 +779,7 @@ def test_current_generators_match_the_constraint_nullspace():
             else:
                 seen.add("mixed")
         expected = Subspace(reference_current_generators(corel), 2 * (m + n))
-        assert symplectify_currents(corel) == expected
+        assert Subspace(_halves(corel)[1], 2 * (m + n)) == expected
         assert expected.dim == m + n - len(corel.blocks)
     assert seen == {"empty side", "singleton", "all X", "all Y", "mixed"}
 
@@ -807,20 +812,14 @@ def _compose_linear(a_rows, b_rows, m, k, n):
 
 def _phi_part(corel):
     m, n = corel.left_size, corel.right_size
-    sub = symplectify_potentials(corel)
-    return [
-        [row[c] for c in list(range(m)) + list(range(2 * m, 2 * m + n))]
-        for row in sub.rows
-    ]
+    cols = [*range(m), *range(2 * m, 2 * m + n)]
+    return [[row.get(c, ZERO) for c in cols] for row in _halves(corel)[0]]
 
 
 def _cur_part(corel):
     m, n = corel.left_size, corel.right_size
-    sub = symplectify_currents(corel)
-    return [
-        [row[c] for c in list(range(m, 2 * m)) + list(range(2 * m + n, 2 * (m + n)))]
-        for row in sub.rows
-    ]
+    cols = [*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
+    return [[row.get(c, ZERO) for c in cols] for row in _halves(corel)[1]]
 
 
 def test_phi_and_current_functors_compose():
@@ -969,8 +968,7 @@ def test_symplectify_rows_equal_rref_of_its_generators():
             elif block[0] < m <= block[-1]:
                 seen.add("across X and Y")
         pots, curs, rel = _reference_symplectify(corel)
-        assert symplectify_potentials(corel).sparse == pots.sparse
-        assert symplectify_currents(corel).sparse == curs.sparse
+        assert _halves(corel) == (pots.sparse, curs.sparse)
         assert symplectify(corel).sub.sparse == rel.sub.sparse
         assert symplectify(corel) == rel
     assert seen == {"random", "portless", "cospan", "empty X", "empty Y", "singleton",

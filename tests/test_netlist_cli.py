@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blackbox import cli, netlist
-from blackbox.cli import build_parser, main
+from blackbox.cli import main
 from blackbox.errors import (
     NonPositiveImpedance,
     ParseError,
@@ -330,7 +330,7 @@ def test_main_parses_argv_as_the_full_parser_does(argv, tmp_path, capsys, monkey
     net = _write(tmp_path, "series.net", SERIES)
     argv = [net if a == NET else a for a in argv]
     try:
-        want = build_parser().parse_args(argv)
+        want = cli._build()[0].parse_args(argv)
     except SystemExit as exc:
         want_out = capsys.readouterr()
         with pytest.raises(SystemExit) as got:
@@ -363,6 +363,22 @@ def test_cli_check_and_corpus(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 2
     assert main(["check", str(tmp_path / "series.net")]) == 0
+
+
+def test_cli_check_corpus_with_a_failing_file_prints_nothing_and_names_it_once(tmp_path, capsys):
+    # The passing file sorts first: its "ok" line must not reach stdout.
+    _write(tmp_path, "a.net", SERIES)
+    bad = _write(tmp_path, "b.net", "nodes: a\nR a b 1\n")
+    assert main(["check", "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: node 'b' not declared\n"
+    # A file that is not UTF-8 is named once, by the reader's own message.
+    Path(bad).write_bytes(b"nodes: a\xff\n")
+    assert main(["check", "--corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 text at byte 8\n"
 
 
 def test_cli_check_refuses_a_file_and_a_corpus_together(tmp_path, capsys):

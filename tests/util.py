@@ -12,10 +12,10 @@ from math import gcd
 from pathlib import Path
 
 import blackbox
-from blackbox.behavior import _port_behavior
-from blackbox.circuits import circuit
-from blackbox.corel import Corelation, corel_from_cospan, dagger_corelation
-from blackbox.dirichlet import DirichletForm, eliminate_node, evaluate
+from blackbox.behavior import LagrCospan, _port_behavior
+from blackbox.circuits import LabelledGraph, circuit, pushout
+from blackbox.corel import Corelation, corel_from_cospan
+from blackbox.dirichlet import DirichletForm, eliminate_node
 from blackbox.errors import EngineError, NodeNotInSupport, NonPositiveImpedance, ParseError
 from blackbox.field import (
     MAX_DIGITS,
@@ -30,6 +30,7 @@ from blackbox.field import (
 )
 from blackbox.lagrel import (
     LagrangianRelation,
+    compose_relations,
     embed,
     identity_relation,
     nullspace,
@@ -418,6 +419,82 @@ def composed_cospan_relation(lc):
     cols = [*range(m), *range(2 * m, 2 * m + n), *range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
     rows = [embed(r, cols) for r in name.sub.sparse]
     return LagrangianRelation(port_space(m), port_space(n), rows)
+
+
+# -- operations the law tests use as oracles; no verb needs them -------------
+
+
+def evaluate(form, psi):
+    """The exact field value of the form at the potential psi."""
+    total = ZERO
+    for (i, j), c in form.coeffs.items():
+        d = psi[i] - psi[j]
+        if d:
+            total = total + c * d * d
+    return total
+
+
+def dagger_corelation(a):
+    """The same partition read as a morphism Y -> X."""
+    nx, ny = a.left_size, a.right_size
+
+    def swap(k):
+        return k + ny if k < nx else k - nx
+
+    return Corelation(ny, nx, [[swap(k) for k in blk] for blk in a.blocks])
+
+
+def merge_parallel_edges(graph):
+    """Collapse each parallel bundle to one edge with 1/Z'' = sum of 1/Z.
+
+    Self-loops contribute nothing to the power functional and are deleted.
+    The collapsed edge runs between the sorted node pair.
+    """
+    bundles = {}
+    for src, tgt, z in graph.edges:
+        if src == tgt:
+            continue
+        key = (min(src, tgt), max(src, tgt))
+        bundles.setdefault(key, []).append(z)
+    edges = []
+    for (a, b), zs in sorted(bundles.items()):
+        acc = zs[0].inv()
+        for z in zs[1:]:
+            acc = acc + z.inv()
+        edges.append((a, b, acc.inv()))
+    return LabelledGraph(graph.nodes, edges)
+
+
+def pushforward_lagrangian(f, domain, sub, codomain):
+    """The image of a Lagrangian subspace of V_S under S(f) for f: S -> M.
+
+    The corelation of f is that of the cospan S -> M <- M of f and the
+    identity: an element of M outside the image of f is a singleton block.
+    """
+    domain = tuple(domain)
+    index = {lab: k for k, lab in enumerate(codomain)}
+    images = [index[f[n]] for n in domain]
+    corel = corel_from_cospan(images, range(len(codomain)))
+    name = subspace_as_relation(sub, port_space(len(domain)))
+    return compose_relations(name, symplectify(corel)).sub
+
+
+def compose_lagr_cospans(a, b):
+    """Pushout of cospans; the decorations' direct sum is pushed forward."""
+    map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
+    # The disjoint union is indexed by position, so no label can collide.
+    union = tensor_relations(
+        subspace_as_relation(a.sub, port_space(len(a.nodes))),
+        subspace_as_relation(b.sub, port_space(len(b.nodes))),
+    )
+    f = [map1[n] for n in a.nodes] + [map2[n] for n in b.nodes]
+    pushed = pushforward_lagrangian(f, range(len(f)), union.sub, nodes)
+    return LagrCospan(
+        tuple(map1[p] for p in a.inputs),
+        tuple(map2[p] for p in b.outputs),
+        nodes,
+        pushed,
+    )
 
 
 def reference_compose(first, second):
