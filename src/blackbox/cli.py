@@ -7,19 +7,22 @@ behaviors are exactly equal and 1 otherwise.  With ``--allow-raw-z`` a
 netlist may hold ``Z`` directives; each raw impedance must be positive at
 every point of the fixed grid ``field.DEFAULT_SAMPLE_POINTS``.
 
-The parser is built once per process.  An argv that starts with a verb is
-parsed by that verb's subparser alone; any other argv, and one that the
-subparser cannot take whole, goes through the full parser, so help, errors
-and exit statuses are those of ``_build()[0].parse_args``.
+The verbs are described once, in the table ``_VERBS``.  An argv made of a
+verb and then only that verb's exact option strings, their values and its
+positionals is read straight from the table.  Every other argv (help,
+abbreviations, ``--opt=value``, ``--``, values that start with "-" and
+every error) goes to the full argparse parser, built from the same table on
+first need, so help, errors and exit statuses are those of
+``_build().parse_args``.  A well-formed argv never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .behavior import (
     as_impedance,
@@ -36,20 +39,25 @@ from .field import from_rat, parse_rational
 from .netlist import parse_netlist, print_netlist
 
 
+def _name(path):
+    """How an error message names the netlist at ``path``."""
+    return "standard input" if path == "-" else path
+
+
 def _read(path):
     """The netlist text of a file, or of standard input for "-", decoded
     strictly as UTF-8 whatever the locale, less one leading byte-order
     mark.  A byte that is not UTF-8 is reported at its offset in the raw
     data."""
     if path == "-":
-        name, data = "standard input", sys.stdin.buffer.read()
+        data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as f:
-            name, data = path, f.read()
+            data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EngineError(f"{name}: not UTF-8 text at byte {exc.start}") from None
+        raise EngineError(f"{_name(path)}: not UTF-8 text at byte {exc.start}") from None
     return text[1:] if text.startswith("\ufeff") else text
 
 
@@ -74,7 +82,7 @@ def _cmd_blackbox(args):
 
 
 def _cmd_glue(args):
-    """``compose`` and ``tensor``: the subparser sets ``args.glue``."""
+    """``compose`` and ``tensor``: the verb table sets ``args.glue``."""
     g1 = _load(args.first, args)
     g2 = _load(args.second, args)
     sys.stdout.write(print_netlist(args.glue(g1, g2)))
@@ -145,7 +153,7 @@ def _check_one(path, args):
                     f"({_first_difference(rel, ref)})"
                 )
     except EngineError as exc:
-        raise EngineError(f"{path}: {exc}") from None
+        raise EngineError(f"{_name(path)}: {exc}") from None
 
 
 def _cmd_check(args):
@@ -166,63 +174,74 @@ def _cmd_check(args):
     return 0
 
 
+# Every verb takes this flag, ahead of its own arguments.
+_RAW_Z = ("--allow-raw-z", "accept Z directives (validated by positivity sampling)")
+
+
+def _dest(option):
+    """The namespace field of a long option, named as argparse names it."""
+    return option[2:].replace("-", "_")
+
+
+class _Verb:
+    """A verb: its handler and help, its positionals as (name, nargs) pairs,
+    its store-true flags as {option: help}, its valued options as
+    {option: (metavar, required, help)} and defaults that no argument sets.
+    ``fields`` is its namespace when no argument is given."""
+
+    def __init__(self, fn, help_, positionals, flags=(), options=(), **defaults):
+        self.fn, self.help, self.positionals = fn, help_, positionals
+        self.flags, self.options, self.defaults = dict(flags), dict(options), defaults
+        self.switches = {o: _dest(o) for o in (_RAW_Z[0], *self.flags)}
+        self.valued = {o: _dest(o) for o in self.options}
+        self.required = [self.valued[o] for o, (_, required, _) in self.options.items() if required]
+        self.min_positionals = sum(nargs is None for _, nargs in positionals)
+        self.fields = {"fn": fn, **defaults, **dict.fromkeys(self.switches.values(), False),
+                       **dict.fromkeys(self.valued.values()),
+                       **dict.fromkeys(name for name, _ in positionals)}
+
+
+_FILE = [("file", None)]
+_TWO_FILES = [("first", None), ("second", None)]
+_VERBS = {
+    "blackbox": _Verb(_cmd_blackbox, "print the behavior of a circuit", _FILE, flags={
+        "--json": "emit the JSON schema",
+        "--as-impedance": "print the scalar Z(s) of a 1-in/1-out Ohm-law behavior",
+    }),
+    "compose": _Verb(_cmd_glue, "glue two circuits and emit the netlist", _TWO_FILES,
+                     glue=compose_circuits),
+    "tensor": _Verb(_cmd_glue, "put two circuits side by side", _TWO_FILES, glue=tensor_circuits),
+    "dagger": _Verb(_cmd_dagger, "swap inputs and outputs", _FILE),
+    "eliminate": _Verb(_cmd_eliminate, "print the P and Q forms", _FILE),
+    "equiv": _Verb(_cmd_equiv, "exit 0 iff the behaviors are exactly equal", _TWO_FILES),
+    "eval": _Verb(_cmd_eval, "evaluate the behavior matrix at s = sigma", _FILE,
+                  options={"--at": ("SIGMA", True, None)}),
+    "check": _Verb(_cmd_check, "run the invariant suite on circuits", [("file", "?")],
+                   options={"--corpus": (None, False, "directory of .net files")}),
+}
+
+
 def _build():
-    """The full parser and its map from each verb to the verb's subparser."""
+    """The full parser, made from ``_VERBS``.  Each verb takes
+    ``--allow-raw-z``, then its positionals, flags and valued options."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="blackbox",
         description="Exact compositional analysis of passive linear circuits.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {}
-
-    def add(name, fn, help_):
-        p = verbs[name] = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn, verb=name)
-        p.add_argument(
-            "--allow-raw-z",
-            action="store_true",
-            help="accept Z directives (validated by positivity sampling)",
-        )
-        return p
-
-    p = add("blackbox", _cmd_blackbox, "print the behavior of a circuit")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="emit the JSON schema")
-    p.add_argument(
-        "--as-impedance",
-        action="store_true",
-        help="print the scalar Z(s) of a 1-in/1-out Ohm-law behavior",
-    )
-
-    p = add("compose", _cmd_glue, "glue two circuits and emit the netlist")
-    p.set_defaults(glue=compose_circuits)
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("tensor", _cmd_glue, "put two circuits side by side")
-    p.set_defaults(glue=tensor_circuits)
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("dagger", _cmd_dagger, "swap inputs and outputs")
-    p.add_argument("file")
-
-    p = add("eliminate", _cmd_eliminate, "print the P and Q forms")
-    p.add_argument("file")
-
-    p = add("equiv", _cmd_equiv, "exit 0 iff the behaviors are exactly equal")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("eval", _cmd_eval, "evaluate the behavior matrix at s = sigma")
-    p.add_argument("file")
-    p.add_argument("--at", required=True, metavar="SIGMA")
-
-    p = add("check", _cmd_check, "run the invariant suite on circuits")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--corpus", help="directory of .net files")
-
-    return parser, verbs
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        p.set_defaults(fn=verb.fn, verb=name, **verb.defaults)
+        p.add_argument(_RAW_Z[0], action="store_true", help=_RAW_Z[1])
+        for dest, nargs in verb.positionals:
+            p.add_argument(dest, nargs=nargs)
+        for option, help_ in verb.flags.items():
+            p.add_argument(option, action="store_true", help=help_)
+        for option, (metavar, required, help_) in verb.options.items():
+            p.add_argument(option, metavar=metavar, required=required, help=help_)
+    return parser
 
 
 @functools.cache
@@ -230,17 +249,45 @@ def _parser():
     return _build()
 
 
+def _read_argv(argv):
+    """The namespace of an argv that ``_VERBS`` reads whole, else None.
+
+    After the verb, each word must be an exact option string of that verb,
+    the value after a valued option, or a positional; neither a value nor a
+    positional may start with "-", though "-" alone is a positional.  Every
+    required option and positional must be given."""
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    fields = dict(verb.fields, verb=argv[0])
+    words = []
+    rest = iter(argv[1:])
+    for word in rest:
+        if word in verb.switches:
+            fields[verb.switches[word]] = True
+        elif word in verb.valued:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            fields[verb.valued[word]] = value
+        elif word == "-" or not word.startswith("-"):
+            words.append(word)
+        else:
+            return None
+    if not verb.min_positionals <= len(words) <= len(verb.positionals):
+        return None
+    if any(fields[dest] is None for dest in verb.required):
+        return None
+    fields.update(zip((name for name, _ in verb.positionals), words))
+    return SimpleNamespace(**fields)
+
+
 def _parse(argv):
-    """The namespace of ``argv``, parsed by the subparser of the verb that
-    ``argv[0]`` names.  Anything else, and any argument that subparser
-    leaves over, goes through the full parser, which then prints the same
-    help or error as it always does."""
-    parser, verbs = _parser()
-    if argv and argv[0] in verbs:
-        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    """The namespace of ``argv``: read from ``_VERBS`` when it is well
+    formed, else parsed by the full parser, which prints the same help or
+    error as it always does."""
+    args = _read_argv(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -79,14 +79,23 @@ class DirichletForm(Record):
 
 
 def extended_power_functional(g):
-    """The form on all nodes of a circuit: each edge adds 1/(2Z) to its
-    pair, built by ``field.half_inverse``."""
-    coeffs = []
+    """The form on all nodes of a circuit: each edge adds 1/(2Z), built by
+    ``field.half_inverse``, to its pair.  A self-loop adds nothing, and a
+    pair whose parallel edges cancel is dropped, as the constructor does;
+    the edges lie on the graph's sorted nodes, so nothing else is checked."""
+    coeffs = {}
     for src, tgt, z in g.graph.edges:
         if src == tgt:
             continue
-        coeffs.append((_pair(src, tgt), half_inverse(z)))
-    return DirichletForm(g.graph.nodes, coeffs)
+        key = _pair(src, tgt)
+        c = half_inverse(z)
+        if key in coeffs:
+            c = coeffs[key] + c
+            if c.is_zero():
+                del coeffs[key]
+                continue
+        coeffs[key] = c
+    return DirichletForm._trusted(g.graph.nodes, coeffs)
 
 
 def gradient(form, psi):

@@ -55,7 +55,8 @@ def _parse_value(text, lineno):
 
 
 def parse_netlist(text, allow_raw_z=False):
-    """Parse netlist text into a Circuit, applying W-merges before construction."""
+    """Parse netlist text into a Circuit, applying W-merges before
+    construction; a netlist with no ``W`` line skips the merge."""
     nodes = []
     node_set = set()
     inputs = []
@@ -113,6 +114,8 @@ def parse_netlist(text, allow_raw_z=False):
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
 
+    if not wires:
+        return Circuit(LabelledGraph(nodes, edges), inputs, outputs)
     j = merge_map(nodes, wires)
     merged_edges = [(j[a], j[b], z) for a, b, z in edges]
     graph = LabelledGraph({j[n] for n in nodes}, merged_edges)

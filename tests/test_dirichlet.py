@@ -24,6 +24,7 @@ from util import (
     ladder_circuit,
     markov_check_real,
     mesh_circuit,
+    rand_circuit,
     rand_form,
     rand_rat,
     reference_eliminate_interior,
@@ -82,6 +83,31 @@ def test_self_loops_contribute_nothing():
     # Nor does a pair whose two entries cancel.
     cancelled = DirichletForm(["A", "B"], [(("A", "B"), half), (("B", "A"), -half)])
     assert cancelled == DirichletForm(["A", "B"])
+
+
+def test_extended_power_functional_equals_the_checking_constructor():
+    # rand_circuit draws self-loops and parallel edges.  The form is built
+    # without the constructor's checks; it must equal the constructor's form,
+    # the order of its stored pairs included.
+    rng = random.Random(2801)
+    loops = parallel = 0
+    for _ in range(300):
+        g = rand_circuit(rng)
+        edges = [(a, b, z) for a, b, z in g.graph.edges if a != b]
+        loops += len(g.graph.edges) - len(edges)
+        parallel += len(edges) - len({frozenset((a, b)) for a, b, _ in edges})
+        want = DirichletForm(g.graph.nodes, [((a, b), (2 * z).inv()) for a, b, z in edges])
+        got = extended_power_functional(g)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+    assert loops >= 100 and parallel >= 100
+    # Parallel edges of opposite impedance cancel, and a later one re-adds the pair.
+    r = impedance("R", 2)
+    edges = [("A", "B", r), ("B", "A", -r), ("A", "C", r), ("A", "B", 2 * r)]
+    g = circuit(["A", "B", "C"], edges)
+    want = DirichletForm(g.graph.nodes, [((a, b), (2 * z).inv()) for a, b, z in edges])
+    assert extended_power_functional(g) == want
+    assert list(extended_power_functional(g).coeffs) == [("A", "C"), ("A", "B")]
 
 
 def test_evaluate_examples():

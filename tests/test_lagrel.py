@@ -587,15 +587,45 @@ def composition_cases():
     return out
 
 
-CASES = composition_cases()
+def composition_case_names():
+    """The names of ``composition_cases``, in order, with no relation built."""
+    names = [f"ladder {series}{shunt} {k}" for series, shunt in LADDER_KINDS
+             for k in [0, 1, 2, 3, "mirror"]]
+    names += [f"mesh {side} {k}" for side in (3, 4) for k in range(side - 1)]
+    names += [f"{case} {k}" for k in range(3) for case in ("identity", "twist")]
+    names += [f"{case} {k}" for k in range(6)
+              for case in ("name", "random first", "name twist", "b2 = 0, empty", "b2 = 0, name")]
+    names += [f"near miss {k}" for k in range(3)]
+    names += ["near miss from a name", "open into near miss"]
+    for k in range(12):
+        names += [f"graph name {k} into a corelation", f"graph name {k} into a boundary"]
+        if k // 2 == 2:
+            names.append(f"graph name {k} into a section")
+    names += [f"mirror {k}" for k in range(8)]
+    names += [f"current pivot {k}" for k in range(3)]
+    return names
 
 
-@pytest.mark.parametrize("name, first, second, path", CASES, ids=[c[0] for c in CASES])
-def test_compose_matches_the_constraint_nullspace(name, first, second, path):
+# The cases are built by the fixture, not at import, so that a broken
+# relation check fails the tests that use them rather than the whole module.
+CASE_NAMES = composition_case_names()
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """{name: (first, second, path)} of ``composition_cases``."""
+    built = composition_cases()
+    assert [name for name, *_ in built] == CASE_NAMES
+    return {name: rest for name, *rest in built}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_compose_matches_the_constraint_nullspace(name, cases):
+    first, second, path = cases[name]
     assert compose_relations(first, second) == reference_compose(first, second)
 
 
-def test_compose_through_a_graph_solves_nothing(monkeypatch):
+def test_compose_through_a_graph_solves_nothing(monkeypatch, cases):
     # No solve whenever every shared column is a pivot of ``second``: a
     # graph of a map, or rows pivoting on all of V2 plus rows in V3 alone.
     # Only a graph name ahead of a second that is not a graph still solves.
@@ -603,9 +633,9 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch):
         raise AssertionError("nullspace called")
 
     monkeypatch.setattr(lagrel, "nullspace", refuse)
-    paths = [path for *_, path in CASES]
+    paths = [path for *_, path in cases.values()]
     assert paths.count("graph") >= 40 and paths.count("pivoted") >= 5
-    for name, first, second, path in CASES:
+    for name, (first, second, path) in cases.items():
         if path in ("graph", "pivoted"):
             assert compose_relations(first, second) == reference_compose(first, second), name
         else:
@@ -613,7 +643,7 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch):
                 compose_relations(first, second)
 
 
-def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch):
+def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch, cases):
     # The graph-name path solves k equations, one per current of V2, in the
     # rows of ``second``; the residual path one equation per shared column
     # that is no pivot of ``second``, in the generators of ``first``.
@@ -624,9 +654,9 @@ def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch):
         return nullspace(rows, ncols)
 
     monkeypatch.setattr(lagrel, "nullspace", recording)
-    paths = [path for *_, path in CASES]
+    paths = [path for *_, path in cases.values()]
     assert paths.count("name") >= 20 and paths.count("residual") >= 10
-    for name, first, second, path in CASES:
+    for name, (first, second, path) in cases.items():
         shapes.clear()
         assert compose_relations(first, second) == reference_compose(first, second), name
         b2 = first.target.dim
@@ -1025,15 +1055,15 @@ def test_tensor_rows_equal_rref_of_the_embedded_rows():
     assert interleaved >= 60
 
 
-def _graph_pairs():
-    """(first, second) from CASES where both are graphs of maps."""
-    return [(first, second) for _, first, second, path in CASES
+def _graph_pairs(cases):
+    """(first, second) from ``cases`` where both are graphs of maps."""
+    return [(first, second) for first, second, path in cases.values()
             if path == "graph" and _spans_its_first_columns(first, first.source.dim)]
 
 
-def test_graph_composites_equal_rref_of_their_rows():
+def test_graph_composites_equal_rref_of_their_rows(cases):
     rng = random.Random(50)
-    pairs = _graph_pairs()
+    pairs = _graph_pairs(cases)
     for series, shunt in LADDER_KINDS:
         rels = [blackbox(g) for g in rung_sections(
             ladder_circuit(rng, rng.randint(4, 6), series, shunt, two_node=True))]
@@ -1053,7 +1083,7 @@ def test_graph_composites_equal_rref_of_their_rows():
                                          lagrel.composite_rows(first, second))
 
 
-def test_closed_forms_call_no_rref(monkeypatch):
+def test_closed_forms_call_no_rref(monkeypatch, cases):
     def refuse(rows, ncols):
         raise AssertionError("rref called")
 
@@ -1061,7 +1091,7 @@ def test_closed_forms_call_no_rref(monkeypatch):
     corels = [rand_corel(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(30)]
     pool = _relation_pool(rng)
     tensor_pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
-    graph_pairs = _graph_pairs()
+    graph_pairs = _graph_pairs(cases)
     assert len(graph_pairs) >= 15
     forms = [rand_form(rng, [f"v{j}" for j in range(k % 5)]) for k in range(10)]
     expected = ([_reference_symplectify(c)[2] for c in corels],
@@ -1076,7 +1106,7 @@ def test_closed_forms_call_no_rref(monkeypatch):
     with pytest.raises(AssertionError, match="rref called"):
         dagger_relation(pool[3])
     with pytest.raises(AssertionError, match="rref called"):
-        compose_relations(*next((a, b) for _, a, b, path in CASES if path == "residual"))
+        compose_relations(*next((a, b) for a, b, path in cases.values() if path == "residual"))
     monkeypatch.undo()
     assert got == expected
     assert graphs == [Subspace(g.sparse, g.ncols) for g in graphs]

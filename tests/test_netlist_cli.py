@@ -1,13 +1,17 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blackbox import cli, netlist
@@ -18,6 +22,7 @@ from blackbox.errors import (
     UnknownNode,
 )
 from blackbox.circuits import circuit
+from blackbox.corel import merge_map
 from blackbox.field import MAX_DIGITS, MAX_EXPONENT, impedance, parse_ratfunc
 from blackbox.netlist import parse_netlist, print_netlist
 
@@ -69,6 +74,28 @@ def test_wire_merges_are_transitive():
     assert g.graph.nodes == ("a", "d")
     assert g.graph.edges[0][:2] == ("a", "d")
     assert g.inputs == ("a",) and g.outputs == ("d",)
+
+
+def _merge_path(g, wires):
+    """The circuit that ``parse_netlist``'s merge path makes of the netlist
+    of ``g`` with a ``W`` line for each pair of ``wires``."""
+    j = merge_map(g.graph.nodes, wires)
+    return circuit({j[n] for n in g.graph.nodes}, [(j[a], j[b], z) for a, b, z in g.graph.edges],
+                   [j[p] for p in g.inputs], [j[p] for p in g.outputs])
+
+
+def test_a_netlist_parses_as_the_merge_path_does_with_and_without_wires():
+    rng = random.Random(2802)
+    for k in range(200):
+        g = rand_circuit(rng)
+        nodes = g.graph.nodes
+        wires = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(k % 3)]
+        text = print_netlist(g) + "".join(f"W {a} {b}\n" for a, b in wires)
+        assert parse_netlist(text) == _merge_path(g, wires), text
+    # Without W lines the result is the merge path's, which one wire from a
+    # node to itself forces.
+    text = print_netlist(g)
+    assert parse_netlist(text) == parse_netlist(text + f"W {nodes[0]} {nodes[0]}\n") == g
 
 
 def test_parse_errors():
@@ -330,7 +357,7 @@ def test_main_parses_argv_as_the_full_parser_does(argv, tmp_path, capsys, monkey
     net = _write(tmp_path, "series.net", SERIES)
     argv = [net if a == NET else a for a in argv]
     try:
-        want = cli._build()[0].parse_args(argv)
+        want = cli._build().parse_args(argv)
     except SystemExit as exc:
         want_out = capsys.readouterr()
         with pytest.raises(SystemExit) as got:
@@ -345,6 +372,72 @@ def test_main_parses_argv_as_the_full_parser_does(argv, tmp_path, capsys, monkey
     if main(argv) == 2:  # check with no file fails after parsing
         assert capsys.readouterr().out == ""
     assert vars(seen[0]) == vars(want)
+
+
+_OPTIONS = sorted({o for verb in cli._VERBS.values() for o in (*verb.switches, *verb.valued)})
+_ODD_WORDS = ["-h", "--help", "--js", "--as", "--a", "--al", "--co", "--at=1", "--json=x",
+              "--corpus=d", "--", "-", "-1", "-x", ""]
+_PLAIN_WORDS = [*cli._VERBS, "net", "1/2", "d"]
+
+
+@st.composite
+def _verb_argv(draw):
+    """A well-formed argv of a random verb, its pieces in a random order,
+    with up to two words inserted.  Each inserted word is, as likely, one of
+    the verb's exact option strings, a short abbreviation of one ("--a" is
+    ambiguous for ``blackbox`` and ``eval``), an odd word or a plain word."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    spec = cli._VERBS[verb]
+    plain = st.sampled_from(_PLAIN_WORDS)
+    pieces = [[draw(plain)] for _ in range(spec.min_positionals)]
+    pieces += [[o] for o in spec.switches if draw(st.booleans())]
+    pieces += [[o, draw(plain)] for o, dest in spec.valued.items()
+               if dest in spec.required or draw(st.booleans())]
+    argv = [word for piece in draw(st.permutations(pieces)) for word in piece]
+    own = [*spec.switches, *spec.valued]
+    short = sorted({o[:k] for o in own for k in (3, 4) if k < len(o)})
+    word = (st.sampled_from(own) | st.sampled_from(short) | st.sampled_from(_ODD_WORDS)
+            | st.sampled_from(_PLAIN_WORDS + _OPTIONS))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(word))
+    return [verb, *argv]
+
+
+def _main_parse(argv):
+    """The namespace that ``main(argv)`` parses; its handler is not run."""
+    seen = []
+    parse = cli._parse
+
+    def recording(a):
+        seen.append(parse(a))
+        return SimpleNamespace(fn=lambda args: 0)
+
+    with mock.patch.object(cli, "_parse", recording):
+        main(argv)
+    return seen[0]
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``: its namespace's fields or its exit status, then
+    what it printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@seed(2803)
+@settings(max_examples=1000)
+@given(_verb_argv()
+       | st.lists(st.sampled_from(_PLAIN_WORDS + _OPTIONS + _ODD_WORDS), max_size=4))
+def test_main_parses_any_argv_from_the_verb_vocabulary_as_the_full_parser_does(argv):
+    # Verbs, every exact option string, abbreviations, --x=y, --, -, -1, ""
+    # and plain words: the table's reader must take an argv exactly as
+    # argparse does, or leave it to argparse.
+    assert _parsed(_main_parse, argv) == _parsed(cli._parser().parse_args, argv)
 
 
 def test_main_reads_sys_argv_when_given_none(tmp_path, capsys, monkeypatch):
@@ -471,6 +564,29 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_well_formed_argv_never_imports_argparse(tmp_path):
+    net = _write(tmp_path, "series.net", SERIES)
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, blackbox.cli; "
+            f"code = blackbox.cli.main(['blackbox', {net!r}, '--json']); "
+            "print(code, 'argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    # Help still comes from argparse.
+    proc = _piped(["-h"], b"")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"usage: blackbox [-h]")
+
+
+def test_check_names_piped_input_standard_input():
+    proc = _piped(["check", "-"], b"nodes: a\nR a b 1\n")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: standard input: line 2: node 'b' not declared\n"
 
 
 def test_piped_input_is_read_as_utf8_whatever_the_locale(tmp_path):

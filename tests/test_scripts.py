@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,32 @@ def test_import_cost_reports_each_engine_module_once(tmp_path):
     assert lines[-2].startswith("blackbox.* self sum") and lines[-1].startswith("blackbox.cli total")
     times = [float(line.split()[-1]) for line in lines[1:]]
     assert all(t > 0 for t in times) and times[-1] >= times[-2]
+
+
+def test_import_cost_alternates_two_checkouts_and_prints_them_side_by_side(tmp_path):
+    # The other checkout's front end also imports a module of its own.
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src/blackbox", other / "src/blackbox",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (other / "src/blackbox/extra.py").write_text("X = 1\n")
+    cli = other / "src/blackbox/cli.py"
+    cli.write_text(cli.read_text().replace("from __future__ import annotations\n",
+                                           "from __future__ import annotations\nfrom . import extra\n", 1))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/import_cost.py"), "--runs", "2", "--other", str(other)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"import blackbox.cli: median of 2 cold runs of each engine (ms), this checkout then {other}"
+    rows = {line[:20].strip(): line[25:].split() for line in lines[1:]}
+    modules = sorted(["blackbox"] + [f"blackbox.{p.stem}" for p in (ROOT / "src/blackbox").glob("*.py")
+                                     if p.stem != "__init__"] + ["blackbox.extra"])
+    assert list(rows) == modules + ["blackbox.* self sum", "blackbox.cli total"]
+    extra = rows.pop("blackbox.extra")
+    assert extra[0] == "-" and float(extra[1]) > 0
+    assert all(len(cells) == 2 and all(float(c) > 0 for c in cells) for cells in rows.values())
+    assert all(float(t) >= float(s) for t, s in zip(rows["blackbox.cli total"], rows["blackbox.* self sum"]))
 
 
 def test_large_routes_times_every_route_on_the_two_smallest_circuits(tmp_path):
