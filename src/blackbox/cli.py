@@ -13,13 +13,13 @@ positionals is read straight from the table.  Every other argv (help,
 abbreviations, ``--opt=value``, ``--``, values that start with "-" and
 every error) goes to the full argparse parser, built from the same table on
 first need, so help, errors and exit statuses are those of
-``_build().parse_args``.  A well-formed argv never imports argparse.
+``_build().parse_args``.  A well-formed argv never imports argparse, and
+only ``blackbox --json`` imports json.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -70,6 +70,8 @@ def _print_behavior(g, rel, args):
         print(as_impedance(rel))
         return
     if args.json:
+        import json
+
         print(json.dumps(behavior_to_json(g, rel)))
         return
     print(rel.pretty())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .corel import Record
 from .errors import EngineError, MissingAssignment, NodeNotInSupport
-from .field import ZERO, half_inverse
+from .field import TWO, ZERO, half_inverse
 
 
 def _pair(i, j):
@@ -107,7 +107,7 @@ def gradient(form, psi):
     for (i, j), c in form.coeffs.items():
         d = psi[i] - psi[j]
         if d:
-            t = 2 * c * d
+            t = TWO * c * d
             entries[i] = entries[i] + t
             entries[j] = entries[j] - t
     return entries

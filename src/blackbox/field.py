@@ -21,7 +21,9 @@ product of two constants p/q and p'/q' is reduced by the one integer gcd of
 pp' and qq', a numerator equal to the other denominator, or to its
 negative, cancels to 1 or -1 with no gcd (``_cancel``), and a result over
 the denominator 1 needs no content gcd.  No floating point anywhere; the
-categorical laws downstream are checked by exact comparison.
+categorical laws downstream are checked by exact comparison.  Arithmetic and
+equality take ``RatFunc`` operands only; a rational enters the field by
+``from_rat``, and ``ZERO``, ``ONE``, ``MINUS_ONE`` and ``TWO`` are shared.
 """
 
 from __future__ import annotations
@@ -246,7 +248,9 @@ class RatFunc:
     gcd(*n, 1) is 1, so that step is skipped.  Every arithmetic result is
     built that way, so this normalization is the one shared by all paths;
     the one exception is a product of two constants, which ``__mul__``
-    reduces by a single integer gcd.
+    reduces by a single integer gcd.  The operators take RatFuncs only:
+    ``2 * x`` raises TypeError and ``x == 1`` is False; write ``TWO * x``, or
+    ``from_rat(q)`` for any rational q.
     """
 
     __slots__ = ("n", "d")
@@ -283,58 +287,31 @@ class RatFunc:
     def is_one(self):
         return self.n == (1,) and self.d == (1,)
 
-    def is_constant(self):
-        return len(self.n) <= 1 and len(self.d) == 1
-
     def size(self):
         """The number of stored coefficients, numerator plus denominator."""
         return len(self.n) + len(self.d)
-
-    def as_rat(self):
-        """The value as a Fraction; requires a constant."""
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return Fraction(self.n[0], self.d[0]) if self.n else Fraction(0)
 
     def __bool__(self):
         return bool(self.n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = from_rat(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        # A constant hashes like its Fraction value, since it compares equal
-        # to it (and to an int).
-        if self.is_constant():
-            return hash(self.as_rat())
         return hash((self.n, self.d))
 
     # -- arithmetic ------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return from_rat(other)
-        return None
-
     def __add__(self, other):
         if type(other) is not RatFunc:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if not self.n:
             return other
         if not other.n:
             return self
         return _combine(_padd, self, other)
-
-    __radd__ = __add__
 
     def __neg__(self):
         n = self.n
@@ -344,26 +321,16 @@ class RatFunc:
 
     def __sub__(self, other):
         if type(other) is not RatFunc:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if not other.n:
             return self
         if not self.n:
             return -other
         return _combine(_psub, self, other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if type(other) is not RatFunc:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         an, ad, bn, bd = self.n, self.d, other.n, other.d
         if not an or not bn:
             return ZERO
@@ -387,8 +354,6 @@ class RatFunc:
             bn, ad = _cancel(bn, ad)
         return RatFunc(_pmul(an, bn), _pmul(ad, bd), _coprime=True)
 
-    __rmul__ = __mul__
-
     def inv(self):
         if not self.n:
             raise DivisionByZero("inverse of zero")
@@ -397,32 +362,11 @@ class RatFunc:
         return _new(_scale(self.d, -1), _scale(self.n, -1))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not RatFunc:
             return NotImplemented
         if not other.n:
             raise DivisionByZero("division by zero")
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = ONE
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
 
     # -- evaluation ------------------------------------------------------------
 
@@ -508,6 +452,7 @@ def _horner(cs, sigma):
 ZERO = _new((), (1,))
 ONE = _new((1,), (1,))
 MINUS_ONE = _new((-1,), (1,))
+TWO = _new((2,), (1,))
 s = _new((0, 1), (1,))
 
 

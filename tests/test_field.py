@@ -13,6 +13,7 @@ from blackbox.errors import DivisionByZero, NonPositiveImpedance, ParseError, Po
 from blackbox.field import (
     MINUS_ONE,
     ONE,
+    TWO,
     ZERO,
     RatFunc,
     MAX_DIGITS,
@@ -44,7 +45,7 @@ def ratfuncs(draw, allow_zero=True):
 
 
 def test_canonicalization_examples():
-    assert RatFunc([-1, 0, 1], [-1, 1]) == s + 1
+    assert RatFunc([-1, 0, 1], [-1, 1]) == s + ONE
     r = RatFunc([1], [0, 2])
     assert (r.n, r.d) == ((1,), (0, 2))
     assert RatFunc([], [2, 0, 0, 1]) == ZERO
@@ -73,8 +74,8 @@ def test_eval_at():
 
 def test_impedance_constructors():
     assert impedance("R", 2) == from_rat(2)
-    assert impedance("L", 3) == 3 * s
-    assert impedance("C", Fraction(1, 2)) == 2 / s
+    assert impedance("L", 3) == from_rat(3) * s
+    assert impedance("C", Fraction(1, 2)) == TWO / s
     with pytest.raises(NonPositiveImpedance):
         impedance("R", 0)
     with pytest.raises(NonPositiveImpedance):
@@ -86,23 +87,23 @@ def test_component_inverts_impedance():
         for value in (Fraction(1), Fraction(7, 3), Fraction(3, 10**25), Fraction(10**30 + 1, 9)):
             assert component(impedance(kind, value)) == (kind, value)
     # Zero, negative values, and impedances of no single R, L or C.
-    for z in (ZERO, from_rat(-2), -s, -1 / s, s + 1, s * s, 1 / (s + 1), s.inv() ** 2):
+    for z in (ZERO, from_rat(-2), -s, MINUS_ONE / s, s + ONE, s * s, (s + ONE).inv(), s.inv() * s.inv()):
         assert component(z) is None
 
 
 def test_is_positive_sampled():
     # The grid is 1/3, 1/2, 1, 2, 3, 7, tried in that order.
     assert is_positive_sampled(s.inv())
-    assert is_positive_sampled((s * s - s + 1) / (s + 2))
-    assert not is_positive_sampled(s - 1)
-    assert not is_positive_sampled(7 - s)  # zero at the last point only
+    assert is_positive_sampled((s * s - s + ONE) / (s + TWO))
+    assert not is_positive_sampled(s - ONE)
+    assert not is_positive_sampled(from_rat(7) - s)  # zero at the last point only
     assert not is_positive_sampled(ZERO)
     with pytest.raises(PoleAtPoint):
-        is_positive_sampled((3 * s - 1).inv())  # pole at the first point
+        is_positive_sampled((from_rat(3) * s - ONE).inv())  # pole at the first point
     with pytest.raises(PoleAtPoint, match="s = 1 is"):
-        is_positive_sampled(((s - 1) ** 2).inv())  # positive before its pole
+        is_positive_sampled(((s - ONE) * (s - ONE)).inv())  # positive before its pole
     # A value that is not positive settles it before a later pole is met.
-    assert not is_positive_sampled((s - 1).inv())
+    assert not is_positive_sampled((s - ONE).inv())
 
 
 def test_impedance_equals_and_hashes_like_its_constant():
@@ -111,11 +112,20 @@ def test_impedance_equals_and_hashes_like_its_constant():
     assert a == b and hash(a) == hash(b)
 
 
-def test_constants_hash_like_their_values():
-    assert ONE == 1 and ONE == Fraction(1)
-    assert len({ONE, 1, Fraction(1)}) == 1
-    assert hash(from_rat(Fraction(3, 2))) == hash(Fraction(3, 2))
-    assert hash(ZERO) == hash(0)
+@given(ratfuncs())
+def test_mixed_operands_are_refused_and_hash_agrees_with_equality(x):
+    # Arithmetic and equality take RatFuncs only; rationals enter by from_rat.
+    for mixed in (lambda: x + 1, lambda: 1 + x, lambda: 2 * x, lambda: x * Fraction(1, 2),
+                  lambda: x / 2, lambda: x ** 2):
+        with pytest.raises(TypeError):
+            mixed()
+    assert (x == 1) is False and (ONE == 1) is False and (ZERO == 0) is False
+    same = RatFunc(list(x.n), list(x.d))
+    assert same == x and hash(same) == hash(x)
+    p = [3, -1, 2]
+    units = [ONE, from_rat(1), from_rat(Fraction(1)), RatFunc(p, p)]
+    assert all(u == ONE for u in units)
+    assert len({hash(u) for u in units}) == 1
 
 
 def test_int_embeds_like_its_fraction():
@@ -123,16 +133,15 @@ def test_int_embeds_like_its_fraction():
     for q in (0, 1, -1, 7, -7, -2**70, 10**30):
         fast, slow = from_rat(q), from_rat(Fraction(q))
         assert (fast.n, fast.d) == (slow.n, slow.d)
-        assert hash(fast) == hash(slow) == hash(q)
+        assert fast == slow and hash(fast) == hash(slow)
         assert str(fast) == str(slow)
-        assert fast == Fraction(q) and slow == Fraction(q)
     assert from_rat(0) is ZERO
     assert (from_rat(True).n, from_rat(False).n) == ((1,), ())
     rng = random.Random(9)
     for _ in range(50):
         c = impedance(rng.choice("RLC"), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
-        assert 2 * c == c + c and c * 2 == c + c
-        assert -3 * c == -(c + c + c) and 0 * c == ZERO
+        assert TWO * c == c + c and c * TWO == c + c
+        assert from_rat(-3) * c == -(c + c + c) and from_rat(0) * c == ZERO
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
@@ -181,10 +190,10 @@ def test_structural_closure_samples_positive():
 def test_parse_examples():
     assert parse_ratfunc("(3*s^2+2*s+2)/(s)") == RatFunc([2, 2, 3], [0, 1])
     assert parse_ratfunc("1/2") == from_rat(Fraction(1, 2))
-    assert parse_ratfunc("2/s") == 2 / s
+    assert parse_ratfunc("2/s") == TWO / s
     assert parse_ratfunc("(s^2+1)/(s+2)") == RatFunc([1, 0, 1], [2, 1])
-    assert parse_ratfunc("-s+3") == 3 - s
-    assert parse_ratfunc("3s^2 + 2s + 2") == 3 * s**2 + 2 * s + 2
+    assert parse_ratfunc("-s+3") == from_rat(3) - s
+    assert parse_ratfunc("3s^2 + 2s + 2") == from_rat(3) * s * s + TWO * s + TWO
 
 
 @given(ratfuncs())
@@ -220,8 +229,8 @@ def test_parse_ratfunc_named_cases():
         assert _read(parse_ratfunc, text) is ParseError is _read(reference_parse_ratfunc, text)
     # Whitespace around a part and inside its parentheses, tabs and
     # non-ASCII whitespace included; any decimal digit.
-    for text, value in [("\t(s)\t/ (2)", s / 2), ("( \ts+1\t)", s + 1), ("2*", ONE + 1),
-                        ("\u00a0s\u3000/\u2003(\x852)", s / 2), ("\u0663s", 3 * s)]:
+    for text, value in [("\t(s)\t/ (2)", s / TWO), ("( \ts+1\t)", s + ONE), ("2*", TWO),
+                        ("\u00a0s\u3000/\u2003(\x852)", s / TWO), ("\u0663s", from_rat(3) * s)]:
         assert parse_ratfunc(text) == reference_parse_ratfunc(text) == value
 
 
@@ -303,7 +312,7 @@ def test_nontrivial_gcd_of_non_primitive_inputs():
     r = RatFunc([-2, 4, 6], [20, 24, 4])
     assert (r.n, r.d) == ((-1, 3), (10, 2))
     assert str(r) == "(3*s-1)/(2*s+10)"
-    assert r == (3 * s - 1) / (2 * s + 10)
+    assert r == (from_rat(3) * s - ONE) / (TWO * s + from_rat(10))
 
 
 def test_large_coefficients():
@@ -445,18 +454,11 @@ def test_poly_gcd_settles_common_cases_without_the_sequence(monkeypatch):
 # -- Henrici cross-cancellation -----------------------------------------------
 
 
-def _parts(x):
-    """Numerator and denominator coefficient lists of a RatFunc or a scalar."""
-    if isinstance(x, RatFunc):
-        return list(x.n), list(x.d)
-    return [Fraction(x)], [1]
-
-
 def _fully_reduced(op, x, y):
     """x op y, built from the plain numerator and denominator by one full
     reduction, with no short path."""
-    xn, xd = _parts(x)
-    yn, yd = _parts(y)
+    xn, xd = list(x.n), list(x.d)
+    yn, yd = list(y.n), list(y.d)
     if op == "*":
         return RatFunc(_conv(xn, yn), _conv(xd, yd))
     p, q = _conv(xn, yd), _conv(yn, xd)
@@ -473,20 +475,20 @@ def _check_against_fractions(result, op, a, b):
 
 
 def test_henrici_shared_denominator_factors():
-    p1, p2, pm1 = s + 1, s + 2, s - 1
+    p1, p2, pm1 = s + ONE, s + TWO, s - ONE
     add, sub, mul = (lambda x, y: x + y), (lambda x, y: x - y), (lambda x, y: x * y)
     # gcd of the denominators is s + 1; the new numerator s + 3 is coprime to it.
-    a, b = 1 / p1, 1 / (p1 * p2)
+    a, b = p1.inv(), (p1 * p2).inv()
     r = a + b
     assert r == RatFunc([3, 1], [2, 3, 1])
     _check_against_fractions(r, add, a, b)
     # gcd s; the new numerator is the constant 1, so no second gcd is taken.
-    a, b = 1 / (s * p1), 1 / (s * p2)
+    a, b = (s * p1).inv(), (s * p2).inv()
     r = a - b
     assert r == RatFunc([1], [0, 2, 3, 1])
     _check_against_fractions(r, sub, a, b)
     # gcd s, and the new numerator 2s cancels against it: the second gcd.
-    a, b = 1 / (s * p1), 1 / (s * pm1)
+    a, b = (s * p1).inv(), (s * pm1).inv()
     r = a + b
     assert r == RatFunc([2], [-1, 0, 1])
     _check_against_fractions(r, add, a, b)
@@ -535,27 +537,29 @@ def test_products_over_the_other_numerator_match_full_reduction(pair):
 
 def test_equal_factors_cancel_to_a_unit():
     p = (3, -1, 2)
-    for x in (RatFunc(p), RatFunc([-2, 0, 4]), RatFunc([1, 1], [0, 2, 6]), 2 * s / (s + 1)):
+    for x in (RatFunc(p), RatFunc([-2, 0, 4]), RatFunc([1, 1], [0, 2, 6]), TWO * s / (s + ONE)):
         assert x * x.inv() == ONE and (x * x.inv()).is_one()
-        assert x * (-x).inv() == -1 and (-x).inv() * x == MINUS_ONE
+        assert x * (-x).inv() == MINUS_ONE and (-x).inv() * x == MINUS_ONE
         for r in (x * x.inv(), x * (-x).inv()):
             _assert_canonical(r)
     assert RatFunc(p, p) == ONE and RatFunc(p, [-c for c in p]) == MINUS_ONE
-    assert RatFunc([2, 4], [1, 2]) == 2 and RatFunc([2, 4], [-1, -2]) == -2
+    assert RatFunc([2, 4], [1, 2]) == TWO and RatFunc([2, 4], [-1, -2]) == -TWO
     # A numerator equal to the other denominator up to sign, one side left:
     # 2s/(s+1) * (s+3)/(-2s) and (s+1)/(3s-1) * 5/(s+1).
-    for a, b in ((2 * s / (s + 1), (s + 3) / (-2 * s)), ((s + 1) / (3 * s - 1), 5 / (s + 1))):
+    three = from_rat(3)
+    for a, b in ((TWO * s / (s + ONE), (s + three) / (-TWO * s)),
+                 ((s + ONE) / (three * s - ONE), from_rat(5) / (s + ONE))):
         r = a * b
         want = _fully_reduced("*", a, b)
         assert (r.n, r.d) == (want.n, want.d)
-    assert (2 * s / (s + 1)) * ((s + 3) / (-2 * s)) == -(s + 3) / (s + 1)
+    assert (TWO * s / (s + ONE)) * ((s + three) / (-TWO * s)) == -(s + three) / (s + ONE)
 
 
 def test_equal_factors_run_no_gcd(monkeypatch):
     def refuse(a, b):
         raise AssertionError("poly_gcd called")
 
-    xs = (RatFunc([3, -1, 2]), RatFunc([0, -4, 0, 1]), (s + 1) / (s * s + 2))
+    xs = (RatFunc([3, -1, 2]), RatFunc([0, -4, 0, 1]), (s + ONE) / (s * s + TWO))
     monkeypatch.setattr(field, "poly_gcd", refuse)
     for x in xs:
         assert x * x.inv() == ONE
@@ -580,7 +584,7 @@ def field_operands(draw):
     return draw(ratfuncs())
 
 
-scalars = st.one_of(st.integers(-6, 6), rats)
+scalars = st.one_of(st.integers(-6, 6), rats).map(from_rat)
 
 
 @settings(max_examples=300)
@@ -593,7 +597,7 @@ def test_short_paths_match_full_reduction(a, b):
         (b + a, _fully_reduced("+", b, a)),
         (a - b, _fully_reduced("-", a, b)),
         (b - a, _fully_reduced("-", b, a)),
-        (-a, _fully_reduced("-", 0, a)),
+        (-a, _fully_reduced("-", ZERO, a)),
     ]
     for got, want in results:
         assert type(got) is RatFunc
@@ -607,10 +611,10 @@ def test_short_path_examples():
     _assert_canonical(r)
     r = RatFunc(2, 3) * RatFunc(3, 2)
     assert r == ONE and r.is_one()
-    r = RatFunc([2, 4]) * 3
+    r = RatFunc([2, 4]) * from_rat(3)
     assert (r.n, r.d) == ((6, 12), (1,))
     # A one-coefficient denominator other than 1 still gets its content gcd.
-    r = RatFunc([4, 2]) * Fraction(1, 2)
+    r = RatFunc([4, 2]) * from_rat(Fraction(1, 2))
     assert (r.n, r.d) == ((2, 1), (1,))
     a = (5, -3, 7)
     assert field._scale(a, 1) is a
@@ -621,7 +625,7 @@ def test_short_path_examples():
     _assert_canonical(MINUS_ONE)
     assert -MINUS_ONE is ONE and -RatFunc(-1) is ONE and -RatFunc(1) is MINUS_ONE
     for x in (RatFunc([1, -2, 3]), p, RatFunc(-2, 7)):
-        for minus in (MINUS_ONE, RatFunc(-1), -1):
+        for minus in (MINUS_ONE, RatFunc(-1), from_rat(-1)):
             want = _fully_reduced("*", minus, x)
             for r in (minus * x, x * minus, -x):
                 assert (r.n, r.d) == (want.n, want.d)
@@ -632,8 +636,8 @@ def test_short_path_examples():
 
 
 def _assert_half_inverse(z):
-    """``half_inverse`` gives exactly the stored pair of (2 * z).inv()."""
-    got, want = half_inverse(z), (2 * z).inv()
+    """``half_inverse`` gives exactly the stored pair of (TWO * z).inv()."""
+    got, want = half_inverse(z), (TWO * z).inv()
     assert (got.n, got.d) == (want.n, want.d)
     _assert_canonical(got)
 

@@ -17,7 +17,7 @@ from blackbox.corel import (
 )
 from blackbox.dirichlet import DirichletForm, gradient, pushforward_form
 from blackbox.errors import InterfaceMismatch
-from blackbox.field import ONE, ZERO, from_rat, impedance
+from blackbox.field import ONE, TWO, ZERO, from_rat, impedance
 from blackbox.lagrel import (
     EMPTY_SPACE,
     LagrangianRelation,
@@ -293,7 +293,7 @@ def test_isotropy_check_matches_the_dense_reference():
         broken[a, b] = broken[a, b] + ONE
         for s_mat in (sym, broken):
             rows = [[ONE if j == k else ZERO for j in range(d)]
-                    + [signs[j] * s_mat[k, j] for j in range(d)] for k in range(d)]
+                    + [from_rat(signs[j]) * s_mat[k, j] for j in range(d)] for k in range(d)]
             mixed = [list(r) for r in rows]
             rng.shuffle(mixed)
             c = rand_entry(rng)
@@ -350,7 +350,7 @@ def test_graph_of_differential_examples():
     assert graph_of_differential(zero_form) == Subspace([[ONE, ZERO]], 2)
 
     r = F(2)
-    q = DirichletForm(["A", "B"], [(("A", "B"), (2 * r).inv())])
+    q = DirichletForm(["A", "B"], [(("A", "B"), (TWO * r).inv())])
     sub = graph_of_differential(q)
     # Rows span {(p1, p2, (p1-p2)/r, (p2-p1)/r)}.
     expect = Subspace(
@@ -375,7 +375,7 @@ def test_graph_has_trivial_intersection_with_current_axis():
 
 def test_ohm_composition():
     def ohm(r):
-        q = DirichletForm(["A", "B"], [(("A", "B"), (2 * F(r)).inv())])
+        q = DirichletForm(["A", "B"], [(("A", "B"), (TWO * F(r)).inv())])
         sub = graph_of_differential(q)
         rel = subspace_as_relation(sub, port_space(2))
         # read the 2-node graph as a 1 -> 1 relation with input current flipped
@@ -739,7 +739,7 @@ def test_columns_are_named_by_position():
 
 def test_dagger_of_ohm_is_ohm():
     r = F(2)
-    q = DirichletForm(["A", "B"], [(("A", "B"), (2 * r).inv())])
+    q = DirichletForm(["A", "B"], [(("A", "B"), (TWO * r).inv())])
     rel_rows = [
         (row[0], -row[2], row[1], row[3])
         for row in graph_of_differential(q).rows

@@ -22,6 +22,7 @@ from blackbox.field import (
     MAX_EXPONENT,
     MINUS_ONE,
     ONE,
+    TWO,
     ZERO,
     RatFunc,
     from_rat,
@@ -167,16 +168,22 @@ def sample_markov_property(qfun, labels, trials, rng):
     return True
 
 
+def constant_value(c):
+    """The Fraction that a constant RatFunc stands for."""
+    assert len(c.n) <= 1 and len(c.d) == 1, f"{c} is not a constant"
+    return Fraction(c.n[0], c.d[0]) if c.n else Fraction(0)
+
+
 def markov_check_real(form, trials, rng=None):
     """Sampled Markov-property check for a form with constant coefficients."""
     if rng is None:
         rng = random.Random(0)
     for c in form.coeffs.values():
-        if not c.is_constant():
+        if len(c.n) > 1 or len(c.d) > 1:
             raise NonConstantCoefficients(f"coefficient {c} is not degree 0")
 
     def qfun(psi):
-        return evaluate(form, {n: from_rat(v) for n, v in psi.items()}).as_rat()
+        return constant_value(evaluate(form, {n: from_rat(v) for n, v in psi.items()}))
 
     return sample_markov_property(qfun, form.support, trials, rng)
 
@@ -584,7 +591,7 @@ def reference_port_relation(form, inputs, outputs):
     col = {lab: m + n + x for x, lab in enumerate(nodes)}
     rows = {lab: {} for lab in nodes}
     for (i, j), c in form.coeffs.items():
-        a, b, t = col[i], col[j], 2 * c
+        a, b, t = col[i], col[j], TWO * c
         rows[i][a] = rows[i].get(a, ZERO) + t
         rows[i][b] = rows[i].get(b, ZERO) - t
         rows[j][b] = rows[j].get(b, ZERO) + t
