@@ -250,7 +250,10 @@ def oracle_behavior(g):
 
     Unknowns are node potentials, edge currents, and one current share per
     port; shares at a terminal sum to the node's boundary current, matching
-    the current-splitting of ideal wires.
+    the current-splitting of ideal wires.  ``nullspace`` is told to read
+    only the potentials of the port nodes and the shares, so it
+    back-substitutes no interior potential or edge current that they do not
+    depend on.
     """
     nodes = g.graph.nodes
     edges = g.graph.edges
@@ -270,9 +273,10 @@ def oracle_behavior(g):
     for p, lab in enumerate(ports):
         kcl[lab][nn + ne + p] = -ONE
 
-    vecs = nullspace(ohm + list(kcl.values()), nn + ne + len(ports))
     cols = [node_at[p] for p in ports]
-    return _port_behavior(vecs, cols, range(nn + ne, nn + ne + len(ports)), len(g.inputs))
+    shares = range(nn + ne, nn + ne + len(ports))
+    vecs = nullspace(ohm + list(kcl.values()), nn + ne + len(ports), [*cols, *shares])
+    return _port_behavior(vecs, cols, shares, len(g.inputs))
 
 
 def equivalent(g1, g2):

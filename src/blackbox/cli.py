@@ -140,15 +140,25 @@ def _first_difference(rel, ref):
     return "port signs"
 
 
+def _route_relation(route, name, g):
+    """The relation ``route`` builds for ``g``.  A route's rows that are not
+    Lagrangian make ``LagrangianRelation`` raise ValueError; that becomes
+    an EngineError naming the route."""
+    try:
+        return route(g)
+    except ValueError as exc:
+        raise EngineError(f"{name} built no Lagrangian relation ({exc})") from None
+
+
 def _check_one(path, args):
     """Parse the file and require its three routes to agree; each failure
     names the file once (``_read``'s own errors already name it)."""
     text = _read(path)
     try:
         g = parse_netlist(text, allow_raw_z=args.allow_raw_z)
-        ref = blackbox_categorical(g)
+        ref = _route_relation(blackbox_categorical, "categorical black box", g)
         for route, name in ((blackbox, "elimination route"), (oracle_behavior, "Kirchhoff/Ohm oracle")):
-            rel = route(g)
+            rel = _route_relation(route, name, g)
             if rel != ref:
                 raise EngineError(
                     f"{name} disagrees with the categorical black box "

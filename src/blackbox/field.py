@@ -14,7 +14,9 @@ and products of canonical operands use Henrici's cross-cancellation: a sum
 takes the gcd of the two denominators and then cancels the new numerator
 against that gcd alone, and a product cancels each numerator against the
 other denominator, so no gcd of a full result is ever taken, and none at
-all where one side is a constant.  Operands that need no general path get
+all where one side is a constant.  An elimination's update a + f * b
+(``_add_product``) hands the product's cancelled pair straight to the sum,
+with no RatFunc made for it.  Operands that need no general path get
 short ones: a product with ``ONE`` is the other operand, a product with -1
 is a negation, 1 and -1 negate to the shared ``MINUS_ONE`` and ``ONE``, a
 product of two constants p/q and p'/q' is reduced by the one integer gcd of
@@ -311,7 +313,7 @@ class RatFunc:
             return other
         if not other.n:
             return self
-        return _combine(_padd, self, other)
+        return _combine(_padd, self.n, self.d, other.n, other.d)
 
     def __neg__(self):
         n = self.n
@@ -326,7 +328,7 @@ class RatFunc:
             return self
         if not self.n:
             return -other
-        return _combine(_psub, self, other)
+        return _combine(_psub, self.n, self.d, other.n, other.d)
 
     def __mul__(self, other):
         if type(other) is not RatFunc:
@@ -414,25 +416,28 @@ def _cancel(a, b):
     return _pquo(a, g), _pquo(b, g)
 
 
-def _combine(op, a, b):
-    """a + b or a - b, as ``op`` is ``_padd`` or ``_psub``.
+def _combine(op, an, ad, bn, bd):
+    """an/ad + bn/bd or an/ad - bn/bd, as ``op`` is ``_padd`` or ``_psub``,
+    as a canonical RatFunc.  Each pair must be coprime over Q; neither needs
+    its content or sign normalized, so a product's Henrici-cancelled pair
+    (``_add_product``) enters as it is.
 
-    Henrici: with g = gcd(a.d, b.d), the sum is t / (a.d * b.d / g) where
-    t = a.n * (b.d / g) + b.n * (a.d / g), and a common factor of t and that
+    Henrici: with g = gcd(ad, bd), the sum is t / (ad * bd / g) where
+    t = an * (bd / g) + bn * (ad / g), and a common factor of t and that
     denominator can only divide g.  So t is cancelled against g alone, and
     not at all when g is a constant.
     """
-    if a.d == b.d:
-        g = d = a.d
-        t = op(a.n, b.n)
+    if ad == bd:
+        g = d = ad
+        t = op(an, bn)
     else:
-        g, ad, bd = (1,), a.d, b.d
-        if len(ad) > 1 and len(bd) > 1:
-            g = poly_gcd(ad, bd)
+        g, a, b = (1,), ad, bd
+        if len(a) > 1 and len(b) > 1:
+            g = poly_gcd(a, b)
             if len(g) > 1:
-                ad, bd = _pquo(ad, g), _pquo(bd, g)
-        t = op(_pmul(a.n, bd), _pmul(b.n, ad))
-        d = _pmul(a.d, bd)
+                a, b = _pquo(a, g), _pquo(b, g)
+        t = op(_pmul(an, b), _pmul(bn, a))
+        d = _pmul(ad, b)
     if not t:
         return ZERO
     if len(t) > 1 and len(g) > 1:
@@ -440,6 +445,26 @@ def _combine(op, a, b):
         if len(h) > 1:
             t, d = _pquo(t, h), _pquo(d, h)
     return RatFunc(t, d, _coprime=True)
+
+
+def _add_product(a, f, b):
+    """a + f * b, equal to that expression, with no RatFunc made for the
+    product.  With f = 1 or -1 it is the sum or the difference of a and b;
+    otherwise the product's numerator and denominator are cancelled against
+    each other as ``__mul__`` does, which leaves them coprime over Q, and go
+    into the sum (``_combine``) without their content normalized."""
+    fn, fd, bn, bd = f.n, f.d, b.n, b.d
+    if not fn or not bn:
+        return a
+    if not a.n:
+        return f * b
+    if fd == (1,) and (fn == (1,) or fn == (-1,)):
+        return _combine(_padd if fn[0] == 1 else _psub, a.n, a.d, bn, bd)
+    if len(fn) > 1 and len(bd) > 1:
+        fn, bd = _cancel(fn, bd)
+    if len(bn) > 1 and len(fd) > 1:
+        bn, fd = _cancel(bn, fd)
+    return _combine(_padd, a.n, a.d, _pmul(fn, bn), _pmul(fd, bd))
 
 
 def _horner(cs, sigma):

@@ -40,7 +40,7 @@ from itertools import chain, repeat
 from .corel import Record
 from .dirichlet import gradient
 from .errors import InterfaceMismatch
-from .field import MINUS_ONE, ONE, ZERO
+from .field import MINUS_ONE, ONE, ZERO, _add_product
 
 # -- matrices over Q(s) ---------------------------------------------------------
 #
@@ -85,7 +85,8 @@ def _negated_normalized(row, col):
 
 def _add_multiple(row, f, prow):
     """row += f * prow in place, dropping the entries that cancel; returns
-    the columns where row gained or lost a nonzero."""
+    the columns where row gained or lost a nonzero.  Each updated entry is
+    formed as one RatFunc (``_add_product``)."""
     changed = []
     get = row.get
     for c, b in prow.items():
@@ -94,7 +95,7 @@ def _add_multiple(row, f, prow):
             row[c] = f * b
             changed.append(c)
         else:
-            a = a + f * b
+            a = _add_product(a, f, b)
             if a.n:
                 row[c] = a
             else:
@@ -135,9 +136,11 @@ def rref(rows, ncols):
     return done
 
 
-def nullspace(rows, ncols):
+def nullspace(rows, ncols, read=None):
     """A basis of {x : M x = 0} for the matrix with the given rows, as sparse
-    {column: entry} vectors: one per free column, with a 1 there.
+    {column: entry} vectors: one per free column, with a 1 there, each
+    holding only its entries in the columns ``read`` (every column when
+    ``read`` is None).
 
     Sparse forward elimination, then one backward pass.  Each step takes as
     its pivot, among all entries of the rows not yet pivoted, the one that
@@ -148,10 +151,16 @@ def nullspace(rows, ncols):
     is stored scaled to -1 at its pivot, so an update adds the row's entry
     times it and the basis reads its entries as they are.  A step
     updates only the rows not yet pivoted and records the finished rows
-    holding its column.  Once every row is pivoted, the pivots are walked
-    latest first, each row being final by then, and clear their columns
-    from the recorded rows.  The basis depends on the pivot choices, the
-    subspace does not; every caller canonicalizes it through ``Subspace``.
+    holding its column.  A finished row holds free columns and the pivot
+    columns of later steps only, and the backward pass turns it into its
+    pivot's value in the free columns.  Only the rows the basis reads need
+    that: the row of a read pivot column, and, closed transitively in pivot
+    order, the row of each later pivot column such a row holds.  Once every
+    row is pivoted, those pivots are walked latest first, each row being
+    final by then, and clear their columns from the recorded rows that are
+    needed; the others are left as they stand.  The basis depends on the
+    pivot choices, the subspace does not; every caller canonicalizes it
+    through ``Subspace``.
     """
     mat = _sparse(rows)
     holders = [set() for _ in range(ncols)]  # the rows with a nonzero there
@@ -168,9 +177,10 @@ def nullspace(rows, ncols):
     # in ascending order, so ties on the key go to the lower row.
     keys = {i: key(row) for i, row in enumerate(mat)}
     pivots = []  # (pivot row without its 1, column, finished rows holding it)
+    pivot_of = {}  # row -> its pivot column
     while keys:
         p = min(keys, key=keys.__getitem__)
-        col = keys.pop(p)[2]
+        col = pivot_of[p] = keys.pop(p)[2]
         prow = mat[p] = _negated_normalized(mat[p], col)
         touched = holders[col]
         touched.discard(p)
@@ -179,7 +189,7 @@ def nullspace(rows, ncols):
         for i in touched:
             row = mat[i]
             if i not in keys:
-                finished.append(row)
+                finished.append(i)
                 continue
             for c in _add_multiple(row, row.pop(col), prow):
                 if c in row:
@@ -193,14 +203,23 @@ def nullspace(rows, ncols):
         for i in touched.union(*(holders[c] for c in recount)):
             if i in keys:
                 keys[i] = key(mat[i])
+    read = range(ncols) if read is None else set(read)
+    need = set(read)  # the read columns and every column a needed row holds
+    for prow, col, _ in pivots:
+        if col in need:
+            need.update(prow)
     for prow, col, finished in reversed(pivots):
-        for row in finished:
-            _add_multiple(row, row.pop(col), prow)
-    basis = {f: {f: ONE} for f in range(ncols)}
+        if col in need:
+            for i in finished:
+                if pivot_of[i] in need:
+                    row = mat[i]
+                    _add_multiple(row, row.pop(col), prow)
+    basis = {f: {f: ONE} if f in read else {} for f in range(ncols)}
     for prow, col, _ in pivots:
         del basis[col]
-        for f, e in prow.items():
-            basis[f][col] = e
+        if col in read:
+            for f, e in prow.items():
+                basis[f][col] = e
     return list(basis.values())
 
 
@@ -456,6 +475,9 @@ def composite_rows(first, second):
     ``second`` lies over it when its currents equal A times its potentials:
     k equations in the b_t, whose solutions are projected onto V3.
     ``cospan_relation`` takes this path whenever its boundary is no graph.
+    On either path ``nullspace`` reads only the unknowns whose outer row
+    (the generator's part in V1 and the pivots, or the row's part in V3)
+    is nonempty, the only ones the product uses.
     """
     if first.target != second.source:
         raise InterfaceMismatch(
@@ -489,7 +511,7 @@ def composite_rows(first, second):
                     for i, a in grows[c].items():
                         if i >= k:
                             constraint[i - k][t] = constraint[i - k].get(t, ZERO) - a * e
-        return _combined(nullspace(constraint, len(outer)), outer)
+        return _combined(nullspace(constraint, len(outer), _nonempty(outer)), outer)
     shift = a2 - b2  # from a column of ``second`` to the composite's
     # S_p in the composite's columns, keyed by p's column in ``first``.
     tails = {a2 + p: {shift + c: e for c, e in h.items() if c >= b2}
@@ -516,7 +538,7 @@ def composite_rows(first, second):
                 if e:
                     constraint[f][j] = e
             outer.append(row)
-        grows = _combined(nullspace(constraint, len(outer)), outer)
+        grows = _combined(nullspace(constraint, len(outer), _nonempty(outer)), outer)
     out_rows = []
     for grow in grows:
         row = {}
@@ -527,6 +549,12 @@ def composite_rows(first, second):
                 _add_multiple(row, e, tails[c])
         out_rows.append(row)
     return out_rows + [{shift + c: e for c, e in h.items()} for h in hrows[len(pivots):]]
+
+
+def _nonempty(outer):
+    """The unknowns whose outer row is nonempty: the only ones
+    ``_combined`` reads."""
+    return [j for j, row in enumerate(outer) if row]
 
 
 def _combined(vecs, outer):

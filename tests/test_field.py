@@ -632,6 +632,54 @@ def test_short_path_examples():
                 _assert_canonical(r)
 
 
+# -- the elimination update a + f * b -----------------------------------------------
+
+
+def _rand_operand(rng):
+    """A unit, a constant, a polynomial or a quotient, nonzero."""
+    kind = rng.choice(["unit", "constant", "polynomial", "quotient"])
+    if kind == "unit":
+        return rng.choice([ONE, MINUS_ONE])
+    if kind == "constant":
+        return RatFunc(rng.choice([-3, -2, 2, 3, 4]), rng.randint(1, 6))
+    num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    num[-1] = num[-1] or 1
+    if kind == "polynomial":
+        return RatFunc(num)
+    den = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
+    den[-1] = den[-1] or 2
+    return RatFunc(num, den)
+
+
+def test_add_product_stores_the_pair_of_the_sum():
+    # Shared denominator factors, equal denominators, sums whose numerator
+    # cancels against the shared factor, and sums that cancel to zero.
+    rng = random.Random(30)
+    factors = [s, s + ONE, s * s + TWO, TWO * s - ONE]
+    for k in range(600):
+        a, f, b = _rand_operand(rng), _rand_operand(rng), _rand_operand(rng)
+        case = k % 5
+        if case == 1:  # a denominator factor shared by a and the product
+            g = rng.choice(factors)
+            a, b = a / g, b / g
+        elif case == 2:  # a over the product's own denominator
+            a = RatFunc(list(a.n), list((f * b).d))
+        elif case == 3:  # the sum t lacks a shared factor g: t cancels against it
+            g = rng.choice(factors)
+            a = a / g
+            b = (_rand_operand(rng) - a) / f
+        elif case == 4:  # the sum is zero
+            b = -a / f
+        for x, y, z in ((a, f, b), (a, b, f), (ZERO, f, b), (a, ZERO, b), (a, f, ZERO)):
+            got = field._add_product(x, y, z)
+            want = x + y * z
+            assert (got.n, got.d) == (want.n, want.d)
+            ref = _fully_reduced("+", x, y * z)
+            assert (got.n, got.d) == (ref.n, ref.d)
+            _assert_canonical(got)
+    assert field._add_product(ONE, MINUS_ONE, ONE) is ZERO
+
+
 # -- the edge coefficient 1/(2z) -------------------------------------------------
 
 

@@ -178,14 +178,9 @@ def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
             _assert_nullspace(rows, cols, expected)
 
 
-def test_nullspace_backward_pass_on_kirchhoff_systems():
-    # Ladders and meshes with many interior nodes: forward elimination leaves
-    # later pivot columns in finished rows, and the backward pass must clear
-    # every one of them.  The reference reduces the reversed rows, the order
-    # in which its first-nonzero pivots stay cheapest; any order gives the
-    # same nullspace.
-    rng = random.Random(33)
-    circuits = [
+def _kirchhoff_circuits(rng):
+    """Ladders and meshes with many interior nodes."""
+    return [
         ladder_circuit(rng, 8),
         ladder_circuit(rng, 8, "RL", "C", two_node=True),
         ladder_circuit(rng, 12, "L", "C"),
@@ -195,7 +190,16 @@ def test_nullspace_backward_pass_on_kirchhoff_systems():
         mesh_circuit(rng, 3, two_node=True),
         mesh_circuit(rng, 4),
     ]
-    for g in circuits:
+
+
+def test_nullspace_backward_pass_on_kirchhoff_systems():
+    # Ladders and meshes with many interior nodes: forward elimination leaves
+    # later pivot columns in finished rows, and the backward pass must clear
+    # every one of them.  The reference reduces the reversed rows, the order
+    # in which its first-nonzero pivots stay cheapest; any order gives the
+    # same nullspace.
+    rng = random.Random(33)
+    for g in _kirchhoff_circuits(rng):
         m = circuit_kirchhoff_matrix(g)
         cols = len(m[0])
         expected = Subspace(reference_nullspace(m[::-1], cols), cols)
@@ -221,6 +225,83 @@ def test_nullspace_edge_cases():
     # The backward pass must clear it there, leaving row 0 = e0 and the
     # single solution e2 - e1.
     assert nullspace([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: ONE}], 3) == [{2: ONE, 1: -ONE}]
+
+
+def _assert_reads(rows, cols, read):
+    # The basis read at ``read`` has one vector per free column, holds only
+    # the read columns, and spans what the whole basis spans there.
+    full = nullspace(rows, cols)
+    part = nullspace(rows, cols, read)
+    assert len(part) == len(full)
+    assert all(c in read for vec in part for c in vec)
+    at = {c: k for k, c in enumerate(sorted(set(read)))}
+
+    def projected(vecs):
+        return Subspace([{at[c]: e for c, e in vec.items() if c in at} for vec in vecs], len(at))
+
+    assert projected(part) == projected(full)
+
+
+def _read_sets(rng, cols):
+    """Column sets to read: one column, a few, about half, and none."""
+    return [
+        [rng.randrange(cols)],
+        rng.sample(range(cols), min(cols, 3)),
+        rng.sample(range(cols), cols // 2),
+        [],
+    ]
+
+
+def test_nullspace_of_read_columns_on_kirchhoff_systems():
+    # The systems of the backward-pass test, read at the oracle's columns
+    # (the potentials of the port nodes and the port shares) and at random
+    # ones.
+    rng = random.Random(33)
+    for g in _kirchhoff_circuits(rng):
+        m = circuit_kirchhoff_matrix(g)
+        cols = len(m[0])
+        ports = [*g.inputs, *g.outputs]
+        at = {lab: k for k, lab in enumerate(g.graph.nodes)}
+        oracle = [at[p] for p in ports] + list(range(cols - len(ports), cols))
+        for read in [oracle, *_read_sets(rng, cols)]:
+            for rows in (m, m[::-1]):
+                _assert_reads(rows, cols, read)
+    for _ in range(40):
+        cols = rng.randint(2, 7)
+        m = rand_degenerate_matrix(rng, rng.randint(1, 5), cols)
+        for read in _read_sets(rng, cols):
+            _assert_reads(m, cols, read)
+
+
+def test_nullspace_of_read_columns_on_wide_sparse_matrices():
+    rng = random.Random(21)
+    for _ in range(30):
+        m = rand_oracle_matrix(rng)
+        cols = len(m[0])
+        for read in _read_sets(rng, cols):
+            for rows in (m, m[::-1]):
+                _assert_reads(rows, cols, read)
+
+
+def test_nullspace_of_read_columns_edge_cases():
+    # Row k is x_k + s x_{k+1}: its 1 makes column k its pivot, in order, so
+    # the row of column 0 reaches the pivots 1, 2, ..., n - 2 one after the
+    # other, and column n - 1 is never pivoted.  x_0 = (-s)^(n-1) x_{n-1}
+    # needs every row of the chain back-substituted.
+    s = impedance("L", 1)
+    n = 6
+    chain = [{k: ONE, k + 1: s} for k in range(n - 1)]
+    x0 = -(s * s * s * s * s)
+    assert nullspace(chain, n, [0]) == [{0: x0}]
+    assert nullspace(chain, n, [2]) == [{2: -(s * s * s)}]
+    assert nullspace(chain, n, [n - 1]) == [{n - 1: ONE}]
+    assert nullspace(chain, n, []) == [{}]
+    assert nullspace(chain, n, range(n)) == nullspace(chain, n)
+    # A column that no row holds is free, and read or not it keeps its vector.
+    assert nullspace(chain, n + 1, [0, n]) == [{0: x0}, {n: ONE}]
+    assert nullspace(chain, n + 1, [0]) == [{0: x0}, {}]
+    for read in ([0], [1, 4], [n - 1], [], range(n + 1), [0, n]):
+        _assert_reads(chain, n + 1, read)
 
 
 def test_a_space_is_its_signs():
@@ -629,7 +710,7 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch, cases):
     # No solve whenever every shared column is a pivot of ``second``: a
     # graph of a map, or rows pivoting on all of V2 plus rows in V3 alone.
     # Only a graph name ahead of a second that is not a graph still solves.
-    def refuse(rows, ncols):
+    def refuse(rows, ncols, read=None):
         raise AssertionError("nullspace called")
 
     monkeypatch.setattr(lagrel, "nullspace", refuse)
@@ -649,9 +730,9 @@ def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch, 
     # that is no pivot of ``second``, in the generators of ``first``.
     shapes = []
 
-    def recording(rows, ncols):
+    def recording(rows, ncols, read=None):
         shapes.append((len(rows), ncols))
-        return nullspace(rows, ncols)
+        return nullspace(rows, ncols, read)
 
     monkeypatch.setattr(lagrel, "nullspace", recording)
     paths = [path for *_, path in cases.values()]

@@ -506,6 +506,29 @@ def test_cli_check_names_the_disagreeing_route(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_cli_check_names_a_route_that_builds_no_lagrangian_relation(tmp_path, capsys, monkeypatch):
+    from blackbox.field import ONE
+    from blackbox.lagrel import LagrangianRelation, port_space
+
+    def not_lagrangian(g):
+        return LagrangianRelation(port_space(1), port_space(1), [{0: ONE}])
+
+    series = _write(tmp_path, "series.net", SERIES)
+    routes = (("blackbox_categorical", "categorical black box"), ("blackbox", "elimination route"),
+              ("oracle_behavior", "Kirchhoff/Ohm oracle"))
+    for route, name in routes:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, route, not_lagrangian)
+            assert main(["check", series]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {series}: {name} built no Lagrangian relation (generators do not "
+            "span a Lagrangian subspace (dim 1, expected 2))\n"
+        )
+    assert main(["check", series]) == 0
+
+
 def test_cli_check_names_the_first_differing_entry(tmp_path, capsys, monkeypatch):
     resistor = _write(tmp_path, "r2.net", RESISTOR_2)
     three_ohms = cli.blackbox(parse_netlist(RESISTOR_2.replace("R a c 2", "R a c 3")))
