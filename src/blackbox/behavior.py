@@ -18,7 +18,7 @@ reduction with ``blackbox``:
                               rows once, in the relation it returns;
 * ``blackbox_fast``        -- eliminate interior nodes first, one
                               ``eliminate_node`` each, fewest incident
-                              coefficients first, counts kept per step, then
+                              coefficients first, recounted per step, then
                               symplectify the corestricted boundary cospan;
 * ``oracle_behavior``      -- assemble the Kirchhoff/Ohm equations per edge
                               and node and solve the linear system outright.
@@ -33,6 +33,8 @@ lives with them in ``tests/util.py``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .circuits import pushout
 from .corel import Record, corel_from_cospan
@@ -205,30 +207,15 @@ def blackbox_categorical(g):
 def _eliminate_fewest_first(q, interior):
     """``q`` with every node of ``interior`` eliminated, one
     ``eliminate_node`` each, fewest incident coefficients in the current form
-    first, ties to the smaller label.  The counts live in an adjacency set
-    per node, updated from each eliminated node's neighbourhood: the
-    neighbours lose it, and each pair of them is joined or parted as the
-    new form holds its coefficient or not (a fill that appears or a pair
-    that cancels)."""
+    first, ties to the smaller label.  The degrees are recounted over the
+    current form's pairs at each step, so a fill that appears or a pair that
+    cancels counts as the form holds it."""
     interior = set(interior)
-    adj = {x: set() for x in q.support}
-    for i, j in q.coeffs:
-        adj[i].add(j)
-        adj[j].add(i)
     while interior:
-        n = min(interior, key=lambda x: (len(adj[x]), x))
+        degree = Counter(x for pair in q.coeffs for x in pair)
+        n = min(interior, key=lambda x: (degree[x], x))
         interior.remove(n)
         q = eliminate_node(q, n)
-        neighbors = sorted(adj.pop(n))
-        for a, i in enumerate(neighbors):
-            adj[i].discard(n)
-            for j in neighbors[a + 1:]:
-                if (i, j) in q.coeffs:
-                    adj[i].add(j)
-                    adj[j].add(i)
-                else:
-                    adj[i].discard(j)
-                    adj[j].discard(i)
     return q
 
 
@@ -236,9 +223,10 @@ def blackbox_fast(g):
     """The behavior via interior-node elimination of the power functional:
     one ``eliminate_node`` per interior node, so that this reference shares
     no Kron reduction with ``blackbox``, fewest incident coefficients first,
-    ties to the smaller label (``_eliminate_fewest_first``).  The order
-    does not change the result, only the cost: a hub eliminated early, such
-    as a ladder's interior ground, would fill its whole neighbourhood."""
+    recounted per step, ties to the smaller label
+    (``_eliminate_fewest_first``).  The order does not change the result,
+    only the cost: a hub eliminated early, such as a ladder's interior
+    ground, would fill its whole neighbourhood."""
     q = extended_power_functional(g)
     q = _eliminate_fewest_first(q, set(q.support) - set(g.boundary))
     return cospan_relation(to_lagr_cospan(DirichletCospan(g.inputs, g.outputs, q)))

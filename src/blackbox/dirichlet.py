@@ -5,10 +5,11 @@ c_ij (psi_i - psi_j)^2, with one coefficient per unordered pair.  An edge of
 impedance Z contributes 1/(2Z), so the formal gradient of the form is
 exactly the boundary current, with no stray factor of two.
 
-Three functions have no verb behind them.  ``eliminate_node`` is the step
-of ``behavior.blackbox_fast``, the benchmark's reference, whose fill it
-traces; the acceptance suite checks ``compose_forms``, the semicategory
-composition; ``pushforward_form`` glues Dirichlet cospans for
+Three functions have no verb behind them.  ``eliminate_node``, the closed
+form of one minimization written out as it reads, is the step of
+``behavior.blackbox_fast``, the untimed reference of the benchmark, which
+traces its fill; the acceptance suite checks ``compose_forms``, the
+semicategory composition; ``pushforward_form`` glues Dirichlet cospans for
 ``behavior.compose_dirichlet_cospans``, kept for the fold of forms that
 ROADMAP.md plans.
 """
@@ -137,34 +138,25 @@ def eliminate_node(form, n):
     leave the constraint sum_j c_nj phi_j = 0, which no form expresses, and
     raise ``EngineError``.  Netlist input never gets there: every R/L/C or
     vetted raw ``Z`` coefficient, fill included, is positive at s = 1.
-    The coefficients away from n are copied as they are.  Each neighbour's
+    The form's coefficients are split in two, those incident to n, keyed by
+    the neighbour, and the rest, copied as they are.  Each neighbour's
     coefficient is scaled once by 1 / sum_k c_kn, so a fill term costs one
-    product; it is added to its pair, a pair that cancels is dropped, and
-    the form is built by ``DirichletForm._trusted``.
+    product; it is added to the coefficient its pair holds, if any, the sum
+    is kept only if nonzero, and the form is built by
+    ``DirichletForm._trusted``.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
-    incident = {}
-    coeffs = {}
-    for pair, c in form.coeffs.items():
-        i, j = pair
-        if i == n:
-            incident[j] = c
-        elif j == n:
-            incident[i] = c
-        else:
-            coeffs[pair] = c
+    incident = {j if i == n else i: c for (i, j), c in form.coeffs.items() if n in (i, j)}
+    coeffs = {pair: c for pair, c in form.coeffs.items() if n not in pair}
     if len(incident) > 1:  # one coefficient makes no pair and cannot cancel
         neighbors = sorted(incident)
         inv_d = _inverse_mass(n, incident)
         for a, i in enumerate(neighbors[:-1]):
             ci = incident[i] * inv_d
             for j in neighbors[a + 1:]:
-                fill = ci * incident[j]
-                c = coeffs[i, j] + fill if (i, j) in coeffs else fill
-                if c.is_zero():
-                    del coeffs[i, j]
-                else:
+                c = coeffs.pop((i, j), ZERO) + ci * incident[j]
+                if c:
                     coeffs[i, j] = c
     return DirichletForm._trusted(tuple(x for x in form.support if x != n), coeffs)
 

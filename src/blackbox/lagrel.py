@@ -19,7 +19,8 @@ Conventions fixed once and for all:
   written down reduced by one of four closed forms: ``symplectify``,
   ``graph_of_differential``, ``tensor_relations``, and ``compose_relations``
   of two graphs of maps (the sparse product through the second factor's
-  echelon rows, which solves nothing).  Every other composite is
+  echelon rows, which solves nothing); a closed form hands its rows to
+  ``LagrangianRelation`` with ``_reduced=True``.  Every other composite is
   canonicalized by ``rref``.  Either way every ``LagrangianRelation``
   checks the Lagrangian property of its rows when it is built.
 
@@ -354,16 +355,18 @@ class LagrangianRelation(Record):
     """A Lagrangian subspace of conj(source) (+) target, read as a morphism.
 
     Construction canonicalizes the generators by ``rref``, unless a closed
-    form passes its reduced rows as ``_sub``, and always verifies the
-    Lagrangian property, so every relation in existence is a safe one.
+    form passes ``_reduced=True`` for rows it wrote already reduced
+    (``Subspace._reduced``); it always verifies the Lagrangian property, so
+    every relation in existence is a safe one.
     """
 
     __slots__ = ("source", "target", "sub")
 
-    def __init__(self, source, target, rows, _sub=None):
+    def __init__(self, source, target, rows, _reduced=False):
         self.source = source
         self.target = target
-        sub = _sub if _sub is not None else Subspace(rows, source.dim + target.dim)
+        ncols = source.dim + target.dim
+        sub = Subspace._reduced(rows, ncols) if _reduced else Subspace(rows, ncols)
         half = source.num_ports + target.num_ports
         if not _isotropic_half(sub, _partners(source.signs, target.signs), half):
             raise ValueError(
@@ -392,14 +395,7 @@ class LagrangianRelation(Record):
 
 def subspace_as_relation(sub, space):
     """Read a Lagrangian subspace of V as its name, a relation 0 -> V."""
-    return LagrangianRelation(EMPTY_SPACE, space, sub.sparse, _sub=sub)
-
-
-def _reduced_relation(source, target, rows):
-    """The relation whose reduced rows a closed form wrote: no ``rref``, but
-    the Lagrangian check as always."""
-    sub = Subspace._reduced(rows, source.dim + target.dim)
-    return LagrangianRelation(source, target, rows, _sub=sub)
+    return LagrangianRelation(EMPTY_SPACE, space, sub.sparse, _reduced=True)
 
 
 def _matching_rows(m, other, shift, sign=ONE):
@@ -574,9 +570,8 @@ def compose_relations(first, second):
     as reduced when both factors are graphs of maps, and canonicalized by
     ``rref`` otherwise; the Lagrangian check runs on every result."""
     rows = composite_rows(first, second)
-    if _is_graph(second, second.source.dim) and _is_graph(first, first.source.dim):
-        return _reduced_relation(first.source, second.target, rows)
-    return LagrangianRelation(first.source, second.target, rows)
+    graphs = _is_graph(second, second.source.dim) and _is_graph(first, first.source.dim)
+    return LagrangianRelation(first.source, second.target, rows, _reduced=graphs)
 
 
 def tensor_relations(first, second):
@@ -600,7 +595,7 @@ def tensor_relations(first, second):
     rows = [embed(r, cols1) for r in first.sub.sparse]
     rows += [embed(r, cols2) for r in second.sub.sparse]
     rows.sort(key=min)
-    return _reduced_relation(src, tgt, rows)
+    return LagrangianRelation(src, tgt, rows, _reduced=True)
 
 
 def dagger_relation(rel):
@@ -670,4 +665,4 @@ def symplectify(corel):
             rows.append({m + k if k < m else m + n + k: ONE,
                          at: MINUS_ONE if (k < m) == (last < m) else ONE})
     rows.sort(key=min)
-    return _reduced_relation(port_space(m), port_space(n), rows)
+    return LagrangianRelation(port_space(m), port_space(n), rows, _reduced=True)

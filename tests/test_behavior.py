@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import blackbox as bb
 from blackbox import behavior, dirichlet, lagrel
 from blackbox.behavior import (
     LagrCospan,
@@ -43,6 +44,7 @@ from blackbox.lagrel import (
 from blackbox.netlist import print_netlist
 
 from util import (
+    bench_modules,
     compose_lagr_cospans,
     composed_cospan_relation,
     dagger_corelation,
@@ -468,6 +470,39 @@ def test_kron_reduction_calls_no_eliminate_node(monkeypatch, tmp_path, capsys):
                      for g in circuits]
 
 
+def test_benchmark_times_no_reference_kron_route(monkeypatch, tmp_path):
+    # bench/run.py reaches blackbox_fast only through the compose ops'
+    # untimed reference: no op's call, the timed work, may reach it or its
+    # eliminate_node steps.
+    reached = []
+
+    def refusing(name):
+        def refuse(*args):
+            reached.append(name)
+            raise AssertionError(f"{name} called")
+        return refuse
+
+    for owner, name in ((bb, "blackbox_fast"), (behavior, "blackbox_fast"),
+                        (behavior, "eliminate_node"), (dirichlet, "eliminate_node")):
+        monkeypatch.setattr(owner, name, refusing(f"{owner.__name__}.{name}"))
+    gen, run = bench_modules()
+    kinds = Counter()
+    for wname, make in gen.WORKLOADS.items():
+        workdir = tmp_path / wname
+        workdir.mkdir()
+        ops = run.make_ops(bb, make(1), workdir)
+        for op in ops:
+            op.call()
+            kinds[op.kind] += 1
+        assert reached == []
+    assert set(kinds) == set(run.KINDS)
+    # The patches are on the path the references take.
+    compose = next(op for op in ops if op.kind == "compose")
+    with pytest.raises(AssertionError, match="blackbox.blackbox_fast called"):
+        compose.reference()
+    assert reached == ["blackbox.blackbox_fast"]
+
+
 def test_blackbox_fast_eliminates_through_eliminate_node(monkeypatch):
     # The reference keeps its own path: one eliminate_node per interior
     # node, fewest incident coefficients first (recounted per step, ties to
@@ -534,8 +569,8 @@ def _recounted_order(form, interior):
 
 
 def test_blackbox_fast_order_equals_the_recount(monkeypatch):
-    # The adjacency sets blackbox_fast keeps give the order of a full
-    # recount per step, on random forms whose signed coefficients make fill
+    # blackbox_fast's elimination order is that of a full recount per
+    # step, on random forms whose signed coefficients make fill
     # pairs appear and cancel, and on the 64-rung ladder with an interior hub.
     calls = []
 

@@ -187,6 +187,64 @@ def test_eliminate_node_examples():
         eliminate_node(star, "nope")
 
 
+def _eliminated_by_definition(q, n):
+    """``eliminate_node``'s closed form, built by the checking constructor:
+    the coefficients away from n plus one fill c_in c_jn / sum_k c_kn per
+    pair of n's neighbours.  None if n's coefficients sum to zero."""
+    incident = {j if i == n else i: c for (i, j), c in q.coeffs.items() if n in (i, j)}
+    rest = [(pair, c) for pair, c in q.coeffs.items() if n not in pair]
+    mass = sum(incident.values(), ZERO)
+    if incident and mass.is_zero():
+        return None
+    neighbors = sorted(incident)
+    fills = [((i, j), incident[i] * incident[j] / mass)
+             for a, i in enumerate(neighbors) for j in neighbors[a + 1:]]
+    return DirichletForm([x for x in q.support if x != n], rest + fills)
+
+
+def test_eliminate_node_equals_its_definition():
+    # Seeded forms with signed constant and s-dependent coefficients.  Some
+    # draws plant a stored pair equal to minus its fill, so that the pair
+    # cancels, and some a last coefficient that makes n massless.
+    rng = random.Random(52)
+    weights = [from_rat(Fraction(k, d)) for k in (-2, -1, 1, 3) for d in (1, 2)]
+    weights += [s, -s, s.inv(), -s.inv(), s + ONE, -(s + ONE), s / (s + TWO)]
+    seen = set()
+    for _ in range(400):
+        labels = [f"v{x}" for x in range(rng.randint(1, 7))]
+        pairs = [(a, b) for x, a in enumerate(labels) for b in labels[x + 1:]]
+        density = rng.choice([0.3, 0.6, 0.9])
+        coeffs = {pair: rng.choice(weights) for pair in pairs if rng.random() < density}
+        n = rng.choice(labels)
+        incident = sorted(pair for pair in coeffs if n in pair)
+        plant = rng.random()
+        if len(incident) > 1 and plant < 0.2:
+            coeffs[incident[-1]] = -sum((coeffs[p] for p in incident[:-1]), ZERO)
+        elif len(incident) > 1 and plant < 0.5:
+            mass = sum((coeffs[p] for p in incident), ZERO)
+            if not mass.is_zero():
+                (a, b), (c, d) = rng.sample(incident, 2)
+                i, j = sorted({a, b, c, d} - {n})
+                coeffs[i, j] = -(coeffs[a, b] * coeffs[c, d] / mass)
+        q = DirichletForm(labels, list(coeffs.items()))
+        want = _eliminated_by_definition(q, n)
+        if want is None:
+            with pytest.raises(EngineError, match=f"node {n!r} cannot be eliminated"):
+                eliminate_node(q, n)
+            seen.add("refused")
+            continue
+        assert eliminate_node(q, n) == want
+        kept = [pair for pair in q.coeffs if n not in pair]
+        seen |= {"isolated" if len(kept) == len(q.coeffs) else "",
+                 "created" if any(pair not in q.coeffs for pair in want.coeffs) else "",
+                 "cancelled" if any(pair not in want.coeffs for pair in kept) else "",
+                 "summed" if any(want.coeffs.get(pair, q.coeffs[pair]) != q.coeffs[pair]
+                                 for pair in kept) else "",
+                 "s-dependent" if any(len(c.n) > 1 or len(c.d) > 1
+                                      for c in want.coeffs.values()) else ""}
+    assert seen - {""} == {"refused", "isolated", "created", "cancelled", "summed", "s-dependent"}
+
+
 def test_kron_refuses_a_node_whose_coefficients_cancel():
     # Minimizing over u leaves the constraint phi_a = phi_b, not a form on
     # {a, b}; dropping u would give Q = 0.

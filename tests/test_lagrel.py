@@ -1199,13 +1199,14 @@ def test_reduced_rows_that_are_not_lagrangian_are_refused():
     v = port_space(1)
     flipped = [{0: ONE, 2: ONE}, {1: ONE, 3: -ONE}]
     with pytest.raises(ValueError, match="Lagrangian"):
-        LagrangianRelation(v, v, flipped, _sub=Subspace._reduced(flipped, 4))
+        LagrangianRelation(v, v, flipped, _reduced=True)
     with pytest.raises(ValueError, match="Lagrangian"):
-        lagrel._reduced_relation(v, v, flipped)
+        LagrangianRelation(v, v, flipped, _reduced=True)
     # Isotropic but of the wrong dimension.
     with pytest.raises(ValueError, match="Lagrangian"):
-        lagrel._reduced_relation(v, v, [{0: ONE, 2: ONE}])
-    assert lagrel._reduced_relation(v, v, [{0: ONE, 2: ONE}, {1: ONE, 3: ONE}]) == identity_relation(v)
+        LagrangianRelation(v, v, [{0: ONE, 2: ONE}], _reduced=True)
+    assert LagrangianRelation(v, v, [{0: ONE, 2: ONE}, {1: ONE, 3: ONE}],
+                              _reduced=True) == identity_relation(v)
 
 
 def test_structural_caches_are_bounded():

@@ -46,15 +46,21 @@ from blackbox.lagrel import (
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def workload_circuits(seed):
-    """(name, circuit) for every circuit, every chain block and every checked
-    flat composite of the benchmark's workloads (``bench/gen.py``) at
-    ``seed``: the circuits that ``scripts/route_digest.py`` covers."""
+def bench_modules():
+    """The benchmark's ``gen`` and ``run`` modules, imported from ``bench/``."""
     if str(BENCH) not in sys.path:
         sys.path.append(str(BENCH))
     import gen
     import run
 
+    return gen, run
+
+
+def workload_circuits(seed):
+    """(name, circuit) for every circuit, every chain block and every checked
+    flat composite of the benchmark's workloads (``bench/gen.py``) at
+    ``seed``: the circuits that ``scripts/route_digest.py`` covers."""
+    gen, run = bench_modules()
     out = []
     for wname, make in gen.WORKLOADS.items():
         workload = make(seed)
