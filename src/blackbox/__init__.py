@@ -55,7 +55,6 @@ from .field import (
 from .lagrel import (
     LagrangianRelation,
     Subspace,
-    SymplSpace,
     compose_relations,
     dagger_relation,
     graph_of_differential,

@@ -297,7 +297,7 @@ def as_impedance(rel):
     NotAGraph.  There are always two rows: a Lagrangian subspace of the
     4-dimensional space of a 1-in/1-out interface has dimension 2.
     """
-    if rel.source.num_ports != 1 or rel.target.num_ports != 1:
+    if len(rel.source) != 1 or len(rel.target) != 1:
         raise NotAGraph("behavior is not on a 1-input/1-output interface")
     rows = rel.sub.rows
     ok_first = rows[0] == (ONE, ZERO, ONE, ZERO)

@@ -6,9 +6,11 @@ Conventions fixed once and for all:
 * A space of m ports is its tuple of m signs, nothing more: coordinates
   [phi_0 .. phi_{m-1}, iota_0 .. iota_{m-1}] and symplectic form
   omega((phi,i),(phi',i')) = sum_x sign_x (i'_x phi_x - i_x phi'_x).
-  Conjugation flips the per-port sign; it is metadata, never a coordinate
-  change.  Ports are named by position: source port k is x<k>, target
-  port k is y<k>.
+  ``port_space(m)`` is m signs of +1, ``conj`` flips each sign, and ``+``
+  of two spaces is their direct sum; ``_partners``, the one reader of the
+  signs, checks that each is +1 or -1.  Conjugation is metadata, never a
+  coordinate change.  Ports are named by position: source port k is x<k>,
+  target port k is y<k>.
 * A relation V1 -> V2 stores a subspace of conj(V1) (+) V2 with columns
   [phi source, iota source, phi target, iota target]; isotropy is checked
   against -omega_1 + omega_2.
@@ -45,20 +47,15 @@ from .field import MINUS_ONE, ONE, ZERO, _add_product
 
 # -- matrices over Q(s) ---------------------------------------------------------
 #
-# Rows are sparse, {column: entry} dicts holding only the nonzeros; a row
-# may also arrive as a dense sequence.
-
-
-def _items(row):
-    """The (column, entry) pairs of a sparse or dense row."""
-    return row.items() if isinstance(row, dict) else enumerate(row)
+# Rows are sparse, {column: entry} dicts holding only the nonzeros; ``rref``
+# and ``nullspace`` drop the zero entries and empty rows of their input.
 
 
 def _sparse(rows):
     """The nonzero rows of a matrix as fresh {column: entry} dicts."""
     out = []
     for r in rows:
-        row = {c: e for c, e in _items(r) if e}
+        row = {c: e for c, e in r.items() if e}
         if row:
             out.append(row)
     return out
@@ -106,8 +103,8 @@ def _add_multiple(row, f, prow):
 
 
 def rref(rows, ncols):
-    """Unique reduced row-echelon form of dense or sparse rows, as sparse
-    rows in pivot order, each holding its pivot 1; zero rows dropped.
+    """Unique reduced row-echelon form of sparse {column: entry} rows, as
+    sparse rows in pivot order, each holding its pivot 1; zero rows dropped.
 
     The pivot of each column is the row whose entry there is simplest (the
     fewest stored coefficients), ties going to the row with the fewest
@@ -137,11 +134,11 @@ def rref(rows, ncols):
     return done
 
 
-def nullspace(rows, ncols, read=None):
-    """A basis of {x : M x = 0} for the matrix with the given rows, as sparse
-    {column: entry} vectors: one per free column, with a 1 there, each
-    holding only its entries in the columns ``read`` (every column when
-    ``read`` is None).
+def nullspace(rows, ncols, read):
+    """A basis of {x : M x = 0} for the matrix with the given sparse
+    {column: entry} rows, as sparse vectors: one per free column, with a 1
+    there, each holding only its entries in the columns ``read``
+    (``range(ncols)`` reads them all).
 
     Sparse forward elimination, then one backward pass.  Each step takes as
     its pivot, among all entries of the rows not yet pivoted, the one that
@@ -204,7 +201,7 @@ def nullspace(rows, ncols, read=None):
         for i in touched.union(*(holders[c] for c in recount)):
             if i in keys:
                 keys[i] = key(mat[i])
-    read = range(ncols) if read is None else set(read)
+    read = set(read)
     need = set(read)  # the read columns and every column a needed row holds
     for prow, col, _ in pivots:
         if col in need:
@@ -225,17 +222,17 @@ def nullspace(rows, ncols, read=None):
 
 
 def embed(row, cols):
-    """The sparse row with the nonzero entry of a sparse or dense ``row``
-    at column k moved to column ``cols[k]``."""
-    return {cols[c]: e for c, e in _items(row) if e}
+    """The sparse row with the entry of the sparse ``row`` at column k moved
+    to column ``cols[k]``."""
+    return {cols[c]: e for c, e in row.items()}
 
 
 class Subspace(Record):
     """A linear subspace stored as its reduced row-echelon generator matrix:
     ``sparse`` holds the rows as {column: entry} dicts, ``rows`` as tuples.
 
-    The constructor reduces any generators by ``rref``; ``_reduced`` takes
-    rows that a closed form already wrote reduced.
+    The constructor reduces sparse generators by ``rref``; ``_reduced``
+    takes rows that a closed form already wrote reduced.
     """
 
     __slots__ = ("ncols", "sparse")
@@ -274,58 +271,37 @@ class Subspace(Record):
 # -- symplectic spaces -----------------------------------------------------------
 
 
-class SymplSpace(Record):
-    """The symplectic space F^{2n} of n ports, given by their n signs."""
+EMPTY_SPACE = ()
 
-    __slots__ = ("signs",)
 
-    def __init__(self, signs):
-        self.signs = tuple(signs)
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("need one sign of +/-1 per port")
+def port_space(count):
+    """The space of ``count`` ports, each of sign +1."""
+    return (1,) * count
 
-    @property
-    def num_ports(self):
-        return len(self.signs)
 
-    @property
-    def dim(self):
-        return 2 * len(self.signs)
-
-    def conj(self):
-        return SymplSpace(-s for s in self.signs)
-
-    def oplus(self, other):
-        return SymplSpace(self.signs + other.signs)
-
-    def __repr__(self):
-        marks = "".join("-" if s < 0 else "+" for s in self.signs)
-        return f"SymplSpace({marks})"
+def conj(space):
+    """The conjugate space: every port's sign flipped."""
+    return tuple(-s for s in space)
 
 
 @lru_cache(maxsize=128)
-def _partners(source_signs, target_signs):
+def _partners(source, target):
     """For the layout [phi src, iota src, phi tgt, iota tgt], with the source
     signs flipped (the conjugate side of the ambient): column -> (its
     partner column, whether omega adds their product).  A port's potential
     pairs with its current under the port's sign, the current with the
-    potential under the opposite one."""
-    m, n = len(source_signs), len(target_signs)
-    ports = [(k, m + k, -s) for k, s in enumerate(source_signs)]
-    ports += [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target_signs)]
+    potential under the opposite one.  The only reader of the signs, so it
+    raises ValueError unless each is +1 or -1; cached per pair of spaces."""
+    if any(s not in (1, -1) for s in (*source, *target)):
+        raise ValueError("need one sign of +/-1 per port")
+    m, n = len(source), len(target)
+    ports = [(k, m + k, -s) for k, s in enumerate(source)]
+    ports += [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target)]
     partner = {}
     for phi, iota, sgn in ports:
         partner[phi] = (iota, sgn > 0)
         partner[iota] = (phi, sgn < 0)
     return partner
-
-
-EMPTY_SPACE = SymplSpace(())
-
-
-@lru_cache(maxsize=128)
-def port_space(count):
-    return SymplSpace((1,) * count)
 
 
 def _isotropic_half(sub, partner, half):
@@ -354,8 +330,10 @@ def _isotropic_half(sub, partner, half):
 class LagrangianRelation(Record):
     """A Lagrangian subspace of conj(source) (+) target, read as a morphism.
 
-    Construction canonicalizes the generators by ``rref``, unless a closed
-    form passes ``_reduced=True`` for rows it wrote already reduced
+    ``source`` and ``target`` are tuples of port signs, +1 or -1 each
+    (``_partners`` checks them); ``rows`` are sparse {column: entry}
+    generators.  Construction canonicalizes them by ``rref``, unless a
+    closed form passes ``_reduced=True`` for rows it wrote already reduced
     (``Subspace._reduced``); it always verifies the Lagrangian property, so
     every relation in existence is a safe one.
     """
@@ -363,12 +341,12 @@ class LagrangianRelation(Record):
     __slots__ = ("source", "target", "sub")
 
     def __init__(self, source, target, rows, _reduced=False):
+        partner = _partners(source, target)
         self.source = source
         self.target = target
-        ncols = source.dim + target.dim
-        sub = Subspace._reduced(rows, ncols) if _reduced else Subspace(rows, ncols)
-        half = source.num_ports + target.num_ports
-        if not _isotropic_half(sub, _partners(source.signs, target.signs), half):
+        half = len(source) + len(target)
+        sub = Subspace._reduced(rows, 2 * half) if _reduced else Subspace(rows, 2 * half)
+        if not _isotropic_half(sub, partner, half):
             raise ValueError(
                 f"generators do not span a Lagrangian subspace "
                 f"(dim {sub.dim}, expected {half})"
@@ -376,13 +354,13 @@ class LagrangianRelation(Record):
         self.sub = sub
 
     def column_names(self):
-        xs = [f"x{k}" for k in range(self.source.num_ports)]
-        ys = [f"y{k}" for k in range(self.target.num_ports)]
+        xs = [f"x{k}" for k in range(len(self.source))]
+        ys = [f"y{k}" for k in range(len(self.target))]
         return [f"{q}({p})" for ports in (xs, ys) for q in ("phi", "i") for p in ports]
 
     def pretty(self):
         lines = [
-            f"relation {self.source.num_ports} -> {self.target.num_ports}",
+            f"relation {len(self.source)} -> {len(self.target)}",
             "columns: " + " ".join(self.column_names()),
         ]
         for r in self.sub.rows:
@@ -390,7 +368,7 @@ class LagrangianRelation(Record):
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"<LagrangianRelation {self.source.num_ports}->{self.target.num_ports}>"
+        return f"<LagrangianRelation {len(self.source)}->{len(self.target)}>"
 
 
 def subspace_as_relation(sub, space):
@@ -411,30 +389,28 @@ def _matching_rows(m, other, shift, sign=ONE):
 
 
 def identity_relation(space):
-    m = space.num_ports
+    m = len(space)
     return LagrangianRelation(space, space, _matching_rows(m, 2 * m, m))
 
 
 def twist(space):
     """The symplectomorphism (phi, i) -> (phi, -i) as a relation V -> conj(V):
     the identity with the target current negated."""
-    m = space.num_ports
-    return LagrangianRelation(space, space.conj(), _matching_rows(m, 2 * m, m, -ONE))
+    m = len(space)
+    return LagrangianRelation(space, conj(space), _matching_rows(m, 2 * m, m, -ONE))
 
 
 def cup_relation(space):
     """The unit 0 -> conj(V) (+) V spanned by pairs (v, v)."""
     # A 2m-port space has the layout [phi(2m), iota(2m)].
-    m = space.num_ports
-    tgt = space.conj().oplus(space)
-    return LagrangianRelation(EMPTY_SPACE, tgt, _matching_rows(m, m, 2 * m))
+    m = len(space)
+    return LagrangianRelation(EMPTY_SPACE, conj(space) + space, _matching_rows(m, m, 2 * m))
 
 
 def cap_relation(space):
     """The counit V (+) conj(V) -> 0 spanned by pairs (v, v)."""
-    m = space.num_ports
-    src = space.oplus(space.conj())
-    return LagrangianRelation(src, EMPTY_SPACE, _matching_rows(m, m, 2 * m))
+    m = len(space)
+    return LagrangianRelation(space + conj(space), EMPTY_SPACE, _matching_rows(m, m, 2 * m))
 
 
 def _is_graph(rel, k):
@@ -479,8 +455,8 @@ def composite_rows(first, second):
         raise InterfaceMismatch(
             f"target {first.target!r} does not match source {second.source!r}"
         )
-    a2 = first.source.dim
-    b2 = first.target.dim
+    a2 = 2 * len(first.source)
+    b2 = 2 * len(first.target)
     grows = first.sub.sparse
     hrows = second.sub.sparse
     # rref puts the rows pivoting in V2 first; the others have no V2 entry.
@@ -570,7 +546,7 @@ def compose_relations(first, second):
     as reduced when both factors are graphs of maps, and canonicalized by
     ``rref`` otherwise; the Lagrangian check runs on every result."""
     rows = composite_rows(first, second)
-    graphs = _is_graph(second, second.source.dim) and _is_graph(first, first.source.dim)
+    graphs = _is_graph(second, 2 * len(second.source)) and _is_graph(first, 2 * len(first.source))
     return LagrangianRelation(first.source, second.target, rows, _reduced=graphs)
 
 
@@ -580,11 +556,9 @@ def tensor_relations(first, second):
     Both summands' columns land in increasing order on disjoint columns, so
     their canonical rows, merged by pivot, are the canonical rows of the sum.
     """
-    s1, t1 = first.source, first.target
-    s2, t2 = second.source, second.target
-    src = s1.oplus(s2)
-    tgt = t1.oplus(t2)
-    m1, m, n1, n = s1.num_ports, src.num_ports, t1.num_ports, tgt.num_ports
+    src = first.source + second.source
+    tgt = first.target + second.target
+    m1, m, n1, n = len(first.source), len(src), len(first.target), len(tgt)
 
     def cols(xs, ys):
         # Where a summand's columns [phi xs, iota xs, phi ys, iota ys] land.
@@ -606,7 +580,7 @@ def dagger_relation(rel):
     port space and its conjugate; without it the reversal of a behavior
     would not match the behavior of the reversed circuit.
     """
-    m, n = rel.source.num_ports, rel.target.num_ports
+    m, n = len(rel.source), len(rel.target)
     # [phi src, iota src, phi tgt, iota tgt] -> [phi tgt, iota tgt, phi src, iota src]
     cols = [*range(2 * n, 2 * (n + m)), *range(2 * n)]
     currents = {*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))}

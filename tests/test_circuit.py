@@ -27,11 +27,7 @@ from blackbox.dirichlet import (
 )
 from blackbox.errors import InterfaceMismatch
 from blackbox.field import ONE, TWO, ZERO, from_rat, impedance, int_impedance, s
-from blackbox.lagrel import (
-    LagrangianRelation,
-    SymplSpace,
-    symplectify,
-)
+from blackbox.lagrel import LagrangianRelation, symplectify
 
 from util import merge_parallel_edges, old_label_rule, rand_circuit, rand_composable_pair
 
@@ -223,15 +219,17 @@ def test_records_compare_by_class_and_fields():
     assert forward == backward and hash(forward) == hash(backward)
 
     # A value never equals one of another class, even with the same fields.
-    class Signs(Record):
-        __slots__ = ("signs",)
+    class Form(Record):
+        __slots__ = ("support", "coeffs")
 
-        def __init__(self, signs):
-            self.signs = signs
+        def __init__(self, support, coeffs):
+            self.support = support
+            self.coeffs = coeffs
 
-    space = SymplSpace((1, -1))
-    assert Signs((1, -1)) != space and not space == Signs((1, -1))
-    assert space != (1, -1) and space == SymplSpace([1, -1])
+    form = DirichletForm("ab", [(("a", "b"), s)])
+    twin = Form(form.support, form.coeffs)
+    assert twin != form and not form == twin
+    assert form != (form.support, form.coeffs) and form == DirichletForm(["a", "b"], [(("b", "a"), s)])
     assert Corelation(1, 1, [(0, 1)]) != symplectify(Corelation(1, 1, [(0, 1)]))
     assert not isinstance(ONE, Record)
 

@@ -22,9 +22,9 @@ from blackbox.lagrel import (
     EMPTY_SPACE,
     LagrangianRelation,
     Subspace,
-    SymplSpace,
     cap_relation,
     compose_relations,
+    conj,
     cup_relation,
     dagger_relation,
     embed,
@@ -60,6 +60,7 @@ from util import (
     reference_lagrangian,
     reference_nullspace,
     rung_sections,
+    sparse,
 )
 
 
@@ -76,15 +77,15 @@ def _rand_matrix(rng, rows, cols):
 
 def test_rref_examples():
     ident = [[ONE, ZERO], [ZERO, ONE]]
-    assert dense(rref(ident, 2), 2) == [tuple(r) for r in ident]
+    assert dense(rref(sparse(ident), 2), 2) == [tuple(r) for r in ident]
     proportional = [[F(2), F(4)], [F(3), F(6)]]
-    assert dense(rref(proportional, 2), 2) == [(ONE, F(2))]
+    assert dense(rref(sparse(proportional), 2), 2) == [(ONE, F(2))]
     rng = random.Random(1)
     for _ in range(20):
         m = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         cols = len(m[0])
-        once = dense(rref(m, cols), cols)
-        assert dense(rref(once, cols), cols) == once
+        once = dense(rref(sparse(m), cols), cols)
+        assert dense(rref(sparse(once), cols), cols) == once
 
 
 def test_rref_canonical_under_row_mixing():
@@ -98,8 +99,8 @@ def test_rref_canonical_under_row_mixing():
         if a != b:
             c = F(rng.randint(1, 3))
             mixed[a] = [x + c * y for x, y in zip(mixed[a], mixed[b])]
-        assert Subspace(m, cols) == Subspace(mixed, cols)
-        assert hash(Subspace(m, cols)) == hash(Subspace(mixed, cols))
+        assert Subspace(sparse(m), cols) == Subspace(sparse(mixed), cols)
+        assert hash(Subspace(sparse(m), cols)) == hash(Subspace(sparse(mixed), cols))
 
 
 def test_explicit_zeros_in_sparse_rows_are_dropped():
@@ -111,7 +112,7 @@ def test_explicit_zeros_in_sparse_rows_are_dropped():
         m = rand_degenerate_matrix(rng, rng.randint(1, 4), cols)
         as_dicts = [{c: e for c, e in enumerate(r) if e or rng.random() < 0.5} for r in m]
         sub = Subspace(as_dicts, cols)
-        assert sub == Subspace(m, cols)
+        assert sub == Subspace(sparse(m), cols)
         assert sub.rows == tuple(gauss_jordan(m, cols))
         assert all(e for r in sub.sparse for e in r.values())
 
@@ -124,16 +125,16 @@ def test_rref_matches_first_nonzero_pivot_reference():
         cols = rng.randint(1, 6)
         m = rand_degenerate_matrix(rng, rng.randint(1, 4), cols)
         expected = gauss_jordan(m, cols)
-        assert dense(rref(m, cols), cols) == expected
+        assert dense(rref(sparse(m), cols), cols) == expected
         rng.shuffle(m)
-        assert dense(rref(m, cols), cols) == expected
+        assert dense(rref(sparse(m), cols), cols) == expected
     # Wide and very sparse, as the oracle's systems are.
     for _ in range(30):
         m = rand_oracle_matrix(rng)
         cols = len(m[0])
         expected = gauss_jordan(m, cols)
-        assert dense(rref(m, cols), cols) == expected
-        assert dense(rref(m[::-1], cols), cols) == expected
+        assert dense(rref(sparse(m), cols), cols) == expected
+        assert dense(rref(sparse(m[::-1]), cols), cols) == expected
 
 
 def test_nullspace_solves():
@@ -141,8 +142,8 @@ def test_nullspace_solves():
     for _ in range(20):
         rows, cols = rng.randint(1, 3), rng.randint(1, 5)
         m = _rand_matrix(rng, rows, cols)
-        basis = dense(nullspace(m, cols), cols)
-        assert len(basis) == cols - len(rref(m, cols))
+        basis = dense(nullspace(sparse(m), cols, range(cols)), cols)
+        assert len(basis) == cols - len(rref(sparse(m), cols))
         for vec in basis:
             for row in m:
                 acc = ZERO
@@ -154,7 +155,7 @@ def test_nullspace_solves():
 def _assert_nullspace(rows, cols, expected):
     # The basis solves every row, has one vector per free column (cols minus
     # the rank: the dimension of the reference's nullspace) and spans it.
-    basis = nullspace(rows, cols)
+    basis = nullspace(sparse(rows), cols, range(cols))
     assert len(basis) == expected.dim
     for vec in basis:
         for row in rows:
@@ -173,7 +174,7 @@ def test_nullspace_matches_the_dense_reference_on_wide_sparse_matrices():
     for _ in range(30):
         m = rand_oracle_matrix(rng)
         cols = len(m[0])
-        expected = Subspace(reference_nullspace(m, cols), cols)
+        expected = Subspace(sparse(reference_nullspace(m, cols)), cols)
         for rows in (m, m[::-1]):
             _assert_nullspace(rows, cols, expected)
 
@@ -202,35 +203,35 @@ def test_nullspace_backward_pass_on_kirchhoff_systems():
     for g in _kirchhoff_circuits(rng):
         m = circuit_kirchhoff_matrix(g)
         cols = len(m[0])
-        expected = Subspace(reference_nullspace(m[::-1], cols), cols)
+        expected = Subspace(sparse(reference_nullspace(m[::-1], cols)), cols)
         for rows in (m, m[::-1]):
             _assert_nullspace(rows, cols, expected)
     for _ in range(40):
         cols = rng.randint(2, 7)
         m = rand_degenerate_matrix(rng, rng.randint(1, 5), cols)
-        expected = Subspace(reference_nullspace(m, cols), cols)
+        expected = Subspace(sparse(reference_nullspace(m, cols)), cols)
         for rows in (m, m[::-1]):
             _assert_nullspace(rows, cols, expected)
 
 
 def test_nullspace_edge_cases():
-    assert nullspace([], 0) == [] and nullspace([[]], 0) == []
+    assert nullspace([], 0, range(0)) == [] and nullspace([{}], 0, range(0)) == []
     units = [{0: ONE}, {1: ONE}, {2: ONE}]
-    assert nullspace([], 3) == units
-    assert nullspace([[ZERO] * 3, {}, {1: ZERO}], 3) == units
+    assert nullspace([], 3, range(3)) == units
+    assert nullspace([{0: ZERO, 1: ZERO, 2: ZERO}, {}, {1: ZERO}], 3, range(3)) == units
     ls = impedance("L", 3)
-    assert nullspace([[ONE, ZERO], [ONE, ls], [ZERO, ls]], 2) == []
+    assert nullspace([{0: ONE}, {0: ONE, 1: ls}, {1: ls}], 2, range(2)) == []
     # Row 0 takes column 0 first (Markowitz product 0) and is finished;
     # row 1 then takes column 1, which only the finished row 0 also holds.
     # The backward pass must clear it there, leaving row 0 = e0 and the
     # single solution e2 - e1.
-    assert nullspace([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: ONE}], 3) == [{2: ONE, 1: -ONE}]
+    assert nullspace([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: ONE}], 3, range(3)) == [{2: ONE, 1: -ONE}]
 
 
 def _assert_reads(rows, cols, read):
     # The basis read at ``read`` has one vector per free column, holds only
     # the read columns, and spans what the whole basis spans there.
-    full = nullspace(rows, cols)
+    full = nullspace(rows, cols, range(cols))
     part = nullspace(rows, cols, read)
     assert len(part) == len(full)
     assert all(c in read for vec in part for c in vec)
@@ -264,13 +265,13 @@ def test_nullspace_of_read_columns_on_kirchhoff_systems():
         at = {lab: k for k, lab in enumerate(g.graph.nodes)}
         oracle = [at[p] for p in ports] + list(range(cols - len(ports), cols))
         for read in [oracle, *_read_sets(rng, cols)]:
-            for rows in (m, m[::-1]):
+            for rows in (sparse(m), sparse(m[::-1])):
                 _assert_reads(rows, cols, read)
     for _ in range(40):
         cols = rng.randint(2, 7)
         m = rand_degenerate_matrix(rng, rng.randint(1, 5), cols)
         for read in _read_sets(rng, cols):
-            _assert_reads(m, cols, read)
+            _assert_reads(sparse(m), cols, read)
 
 
 def test_nullspace_of_read_columns_on_wide_sparse_matrices():
@@ -279,7 +280,7 @@ def test_nullspace_of_read_columns_on_wide_sparse_matrices():
         m = rand_oracle_matrix(rng)
         cols = len(m[0])
         for read in _read_sets(rng, cols):
-            for rows in (m, m[::-1]):
+            for rows in (sparse(m), sparse(m[::-1])):
                 _assert_reads(rows, cols, read)
 
 
@@ -296,7 +297,11 @@ def test_nullspace_of_read_columns_edge_cases():
     assert nullspace(chain, n, [2]) == [{2: -(s * s * s)}]
     assert nullspace(chain, n, [n - 1]) == [{n - 1: ONE}]
     assert nullspace(chain, n, []) == [{}]
-    assert nullspace(chain, n, range(n)) == nullspace(chain, n)
+    # Read in full, x_k = (-s)^(n-1-k) x_{n-1} at every column.
+    full = {n - 1: ONE}
+    for k in range(n - 2, -1, -1):
+        full[k] = -(s * full[k + 1])
+    assert full[0] == x0 and nullspace(chain, n, range(n)) == [full]
     # A column that no row holds is free, and read or not it keeps its vector.
     assert nullspace(chain, n + 1, [0, n]) == [{0: x0}, {n: ONE}]
     assert nullspace(chain, n + 1, [0]) == [{0: x0}, {}]
@@ -305,12 +310,21 @@ def test_nullspace_of_read_columns_edge_cases():
 
 
 def test_a_space_is_its_signs():
-    assert SymplSpace.__slots__ == ("signs",)
+    assert port_space(0) == EMPTY_SPACE == ()
+    assert port_space(2) == (1, 1) and conj(port_space(2)) == (-1, -1)
+    assert conj((1, -1)) + port_space(1) == (-1, 1, 1)
+    rel = blackbox(circuit(["a", "b"], [("a", "b", impedance("R", 1))], ["a"], ["b"]))
+    assert rel.source == rel.target == (1,)
+    # A sign other than +1 or -1 is refused, on either side, even where the
+    # rows (here the potential axis) would be Lagrangian under any signs.
     for signs in ((1, 0), (2,)):
-        with pytest.raises(ValueError):
-            SymplSpace(signs)
-    assert port_space(0) == EMPTY_SPACE
-    assert port_space(2).conj() == SymplSpace((-1, -1))
+        axis = [{k: ONE} for k in range(len(signs))]
+        for source, target in ((signs, ()), ((), signs)):
+            with pytest.raises(ValueError, match="sign"):
+                LagrangianRelation(source, target, [])
+            with pytest.raises(ValueError, match="sign"):
+                LagrangianRelation(source, target, axis)
+        assert _accepted(port_space(len(signs)), (), axis)
 
 
 def _accepted(source, target, rows):
@@ -324,9 +338,9 @@ def _accepted(source, target, rows):
 def test_is_lagrangian_examples():
     # A subspace of V is Lagrangian iff it is accepted as a relation 0 -> V.
     space = port_space(2)
-    potential_axis = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]]
+    potential_axis = [{0: ONE}, {1: ONE}]
     assert _accepted(EMPTY_SPACE, space, potential_axis)
-    everything = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    everything = [{i: ONE} for i in range(4)]
     assert not _accepted(EMPTY_SPACE, space, everything)
     rng = random.Random(4)
     for _ in range(15):
@@ -337,9 +351,9 @@ def test_is_lagrangian_examples():
 
 def _relation_pairing(source, target):
     # [phi src, iota src, phi tgt, iota tgt], source signs flipped.
-    m, n = source.num_ports, target.num_ports
-    return ([(k, m + k, -s) for k, s in enumerate(source.signs)]
-            + [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target.signs)])
+    m, n = len(source), len(target)
+    return ([(k, m + k, -s) for k, s in enumerate(source)]
+            + [(2 * m + k, 2 * m + n + k, s) for k, s in enumerate(target)])
 
 
 def _negate_columns(rows, cols):
@@ -362,7 +376,7 @@ def test_isotropy_check_matches_the_dense_reference():
     for _ in range(40):
         d = rng.randint(3, 5)
         signs = [rng.choice((1, -1)) for _ in range(d)]
-        space = SymplSpace(signs)
+        space = tuple(signs)
         pairing = [(k, d + k, s) for k, s in enumerate(signs)]
         sym = {}
         for k in range(d):
@@ -382,17 +396,17 @@ def test_isotropy_check_matches_the_dense_reference():
             extra = [ONE if j == d + rng.randrange(d) else ZERO for j in range(2 * d)]
             for cand in (rows, mixed, rows[:-1], rows + [extra]):
                 expected = reference_lagrangian(cand, 2 * d, pairing)
-                assert _accepted(EMPTY_SPACE, space, cand) == expected
+                assert _accepted(EMPTY_SPACE, space, sparse(cand)) == expected
                 seen.add((s_mat is sym, len(cand) == d, expected))
             # The same rows as a relation: the first m ports are the
             # source, whose signs the relation's ambient flips.
             m = rng.randint(0, d)
-            src = SymplSpace([-s for s in signs[:m]])
-            tgt = SymplSpace(signs[m:])
+            src = tuple(-s for s in signs[:m])
+            tgt = tuple(signs[m:])
             order = [*range(m), *range(d, d + m), *range(m, d), *range(d + m, 2 * d)]
             rel_rows = [[r[c] for c in order] for r in mixed]
             expected = reference_lagrangian(rel_rows, 2 * d, _relation_pairing(src, tgt))
-            assert _accepted(src, tgt, rel_rows) == expected
+            assert _accepted(src, tgt, sparse(rel_rows)) == expected
             assert expected == (s_mat is sym)
     # Graphs of differentials and black-box relations, under random port
     # signs, with the currents of the flipped ports negated or not.
@@ -405,19 +419,19 @@ def test_isotropy_check_matches_the_dense_reference():
             flips = [s < 0 and rng.random() < 0.7 for s in signs]
             rows = _negate_columns(sub.rows, [d + x for x, f in enumerate(flips) if f])
             expected = reference_lagrangian(rows, 2 * d, [(k, d + k, s) for k, s in enumerate(signs)])
-            assert _accepted(EMPTY_SPACE, SymplSpace(signs), rows) == expected
+            assert _accepted(EMPTY_SPACE, tuple(signs), sparse(rows)) == expected
             seen.add(("graph", all(s > 0 or f for s, f in zip(signs, flips)), expected))
         else:
             rel = blackbox(rand_circuit(rng, max_nodes=4, max_edges=4))
-            m, n = rel.source.num_ports, rel.target.num_ports
+            m, n = len(rel.source), len(rel.target)
             src_signs = [rng.choice((1, -1)) for _ in range(m)]
             tgt_signs = [rng.choice((1, -1)) for _ in range(n)]
             flips = [s < 0 and rng.random() < 0.7 for s in src_signs + tgt_signs]
             at = [*range(m, 2 * m), *range(2 * m + n, 2 * (m + n))]
             rows = _negate_columns(rel.sub.rows, [c for c, f in zip(at, flips) if f])
-            src, tgt = SymplSpace(src_signs), SymplSpace(tgt_signs)
+            src, tgt = tuple(src_signs), tuple(tgt_signs)
             expected = reference_lagrangian(rows, 2 * (m + n), _relation_pairing(src, tgt))
-            assert _accepted(src, tgt, rows) == expected
+            assert _accepted(src, tgt, sparse(rows)) == expected
             seen.add(("behavior", all(s > 0 or f for s, f in zip(src_signs + tgt_signs, flips)), expected))
     # Every kind of case came up: isotropic of half dimension, broken at one
     # non-adjacent pair, of the wrong dimension, and the conjugated ones.
@@ -428,17 +442,17 @@ def test_isotropy_check_matches_the_dense_reference():
 
 def test_graph_of_differential_examples():
     zero_form = DirichletForm(["A"])
-    assert graph_of_differential(zero_form) == Subspace([[ONE, ZERO]], 2)
+    assert graph_of_differential(zero_form) == Subspace([{0: ONE}], 2)
 
     r = F(2)
     q = DirichletForm(["A", "B"], [(("A", "B"), (TWO * r).inv())])
     sub = graph_of_differential(q)
     # Rows span {(p1, p2, (p1-p2)/r, (p2-p1)/r)}.
     expect = Subspace(
-        [
+        sparse([
             [ONE, ZERO, ONE / r, -(ONE / r)],
             [ZERO, ONE, -(ONE / r), ONE / r],
-        ],
+        ]),
         4,
     )
     assert sub == expect
@@ -451,7 +465,7 @@ def test_graph_has_trivial_intersection_with_current_axis():
         sub = graph_of_differential(rand_form(rng, labels))
         k = len(labels)
         phi_block = [row[:k] for row in sub.rows]
-        assert len(rref(phi_block, k)) == k
+        assert len(rref(sparse(phi_block), k)) == k
 
 
 def test_ohm_composition():
@@ -461,7 +475,7 @@ def test_ohm_composition():
         rel = subspace_as_relation(sub, port_space(2))
         # read the 2-node graph as a 1 -> 1 relation with input current flipped
         rows = [(row[0], -row[2], row[1], row[3]) for row in rel.sub.rows]
-        return LagrangianRelation(port_space(1), port_space(1), rows)
+        return LagrangianRelation(port_space(1), port_space(1), sparse(rows))
 
     assert compose_relations(ohm(1), ohm(1)) == ohm(2)
     assert compose_relations(ohm(2), identity_relation(port_space(1))) == ohm(2)
@@ -476,34 +490,34 @@ def test_construction_rejects_non_lagrangian_generators():
         [ZERO, ZERO, ONE, ZERO],
     ]
     with pytest.raises(ValueError):
-        LagrangianRelation(v, v, too_big)
+        LagrangianRelation(v, v, sparse(too_big))
     non_isotropic = [
         [ONE, ZERO, ZERO, ZERO],
         [ZERO, ONE, ZERO, ZERO],
     ]
     with pytest.raises(ValueError):
-        LagrangianRelation(v, v, non_isotropic)
+        LagrangianRelation(v, v, sparse(non_isotropic))
 
 
 def test_compose_with_a_projected_entry_that_cancels():
     # An open port x and a wire pair y0-y1 that carries current t out of y0
     # and -t out of y1, fed into a node joining both inputs to the output:
     # its current t - t cancels, leaving open ports on both sides.
-    first = LagrangianRelation(port_space(1), port_space(2), [
+    first = LagrangianRelation(port_space(1), port_space(2), sparse([
         [ONE, ZERO, ZERO, ZERO, ZERO, ZERO],
         [ZERO, ZERO, ONE, ONE, ZERO, ZERO],
         [ZERO, ZERO, ZERO, ZERO, ONE, -ONE],
-    ])
-    second = LagrangianRelation(port_space(2), port_space(1), [
+    ]))
+    second = LagrangianRelation(port_space(2), port_space(1), sparse([
         [ONE, ONE, ZERO, ZERO, ONE, ZERO],
         [ZERO, ZERO, ONE, ZERO, ZERO, ONE],
         [ZERO, ZERO, ZERO, ONE, ZERO, ONE],
-    ])
+    ]))
     out = compose_relations(first, second)
-    open_ports = LagrangianRelation(port_space(1), port_space(1), [
+    open_ports = LagrangianRelation(port_space(1), port_space(1), sparse([
         [ONE, ZERO, ZERO, ZERO],
         [ZERO, ZERO, ONE, ZERO],
-    ])
+    ]))
     assert out == open_ports
     assert out.sub.sparse == [{0: ONE}, {2: ONE}]
 
@@ -516,7 +530,7 @@ def test_equal_relations_from_reordered_generators_hash_alike():
         rng.shuffle(rows)
         if len(rows) > 1:
             rows[0] = [x + F(2) * y for x, y in zip(rows[0], rows[1])]
-        again = LagrangianRelation(rel.source, rel.target, rows[::-1])
+        again = LagrangianRelation(rel.source, rel.target, sparse(rows[::-1]))
         assert again == rel
         assert hash(again) == hash(rel)
 
@@ -536,7 +550,7 @@ def test_random_composites_stay_lagrangian():
         a = rand_corel(rng, rng.randint(0, 3), rng.randint(0, 3))
         b = rand_corel(rng, a.right_size, rng.randint(0, 3))
         out = compose_relations(symplectify(a), symplectify(b))
-        half = out.source.num_ports + out.target.num_ports
+        half = len(out.source) + len(out.target)
         assert out.sub.dim == half
 
 
@@ -563,7 +577,7 @@ def _shared_rank(second):
     """The rank of the rows of ``second`` cut to its source columns, by
     ``gauss_jordan`` on the dense rows: the count of shared columns that
     are pivots of its echelon rows."""
-    b2 = second.source.dim
+    b2 = 2 * len(second.source)
     return len(gauss_jordan([r[:b2] for r in second.sub.rows], b2))
 
 
@@ -573,10 +587,10 @@ def composition_path(first, second):
     "name" when ``first`` is a name that is the graph of iota = A phi and
     ``second`` is not a graph; "pivoted" when every shared column is a
     pivot of ``second``; and "residual" otherwise."""
-    b2 = second.source.dim
+    b2 = 2 * len(second.source)
     if _spans_its_first_columns(second, b2):
         return "graph"
-    if first.source.num_ports == 0 and _spans_its_first_columns(first, first.target.num_ports):
+    if not first.source and _spans_its_first_columns(first, len(first.target)):
         return "name"
     return "pivoted" if _shared_rank(second) == b2 else "residual"
 
@@ -710,7 +724,7 @@ def test_compose_through_a_graph_solves_nothing(monkeypatch, cases):
     # No solve whenever every shared column is a pivot of ``second``: a
     # graph of a map, or rows pivoting on all of V2 plus rows in V3 alone.
     # Only a graph name ahead of a second that is not a graph still solves.
-    def refuse(rows, ncols, read=None):
+    def refuse(rows, ncols, read):
         raise AssertionError("nullspace called")
 
     monkeypatch.setattr(lagrel, "nullspace", refuse)
@@ -730,7 +744,7 @@ def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch, 
     # that is no pivot of ``second``, in the generators of ``first``.
     shapes = []
 
-    def recording(rows, ncols, read=None):
+    def recording(rows, ncols, read):
         shapes.append((len(rows), ncols))
         return nullspace(rows, ncols, read)
 
@@ -740,7 +754,7 @@ def test_compose_from_a_graph_name_solves_one_equation_per_current(monkeypatch, 
     for name, (first, second, path) in cases.items():
         shapes.clear()
         assert compose_relations(first, second) == reference_compose(first, second), name
-        b2 = first.target.dim
+        b2 = 2 * len(first.target)
         want = {"graph": [], "pivoted": [], "name": [(b2 // 2, second.sub.dim)],
                 "residual": [(b2 - _shared_rank(second), first.sub.dim)]}
         assert shapes == want[path], name
@@ -760,7 +774,7 @@ def _benchmark_shaped_pairs(rng):
         pairs.append((rel, dagger_relation(rel)))
         first = blackbox(rand_circuit(rng, max_nodes=5, n_out=rng.randint(1, 2)))
         v2 = first.target
-        if v2.num_ports == 2:
+        if len(v2) == 2:
             onto = blackbox(rung_sections(ladder_circuit(rng, 1, "RL", "C", two_node=True))[0])
         else:
             onto = rng.choice([identity_relation(v2), twist(v2)])
@@ -775,7 +789,7 @@ def test_compose_matches_the_stacked_reference_on_benchmark_shapes():
     for first, second in _benchmark_shaped_pairs(rng):
         path = composition_path(first, second)
         seen[path] += 1
-        seen["rows in V3"] += path == "pivoted" and second.sub.dim > second.source.dim
+        seen["rows in V3"] += path == "pivoted" and second.sub.dim > 2 * len(second.source)
         assert compose_relations(first, second) == reference_compose(first, second)
     # Empty residuals (a graph, or pivots on all of V2 with rows in V3 alone)
     # and nonempty ones all occur.
@@ -825,7 +839,7 @@ def test_dagger_of_ohm_is_ohm():
         (row[0], -row[2], row[1], row[3])
         for row in graph_of_differential(q).rows
     ]
-    ohm = LagrangianRelation(port_space(1), port_space(1), rel_rows)
+    ohm = LagrangianRelation(port_space(1), port_space(1), sparse(rel_rows))
     assert dagger_relation(ohm) == ohm
 
 
@@ -844,8 +858,8 @@ def _halves(corel):
 def test_symplectify_identity_examples():
     idc = identity_corelation(1)
     pots, curs = _halves(idc)
-    assert Subspace(pots, 4) == Subspace([[ONE, ZERO, ONE, ZERO]], 4)
-    assert Subspace(curs, 4) == Subspace([[ZERO, ONE, ZERO, ONE]], 4)
+    assert Subspace(pots, 4) == Subspace([{0: ONE, 2: ONE}], 4)
+    assert Subspace(curs, 4) == Subspace([{1: ONE, 3: ONE}], 4)
     assert symplectify(idc) == identity_relation(port_space(1))
 
 
@@ -853,7 +867,7 @@ def test_symplectify_block_examples():
     merge = Corelation(2, 1, [(0, 1, 2)])
     pots, curs = _halves(merge)
     # potentials equal across the block: phi_x0 = phi_x1 = phi_y0
-    assert Subspace(pots, 6) == Subspace([[ONE, ONE, ZERO, ZERO, ONE, ZERO]], 6)
+    assert Subspace(pots, 6) == Subspace([{0: ONE, 1: ONE, 4: ONE}], 6)
     # currents split: lambda_x0 + lambda_x1 = lambda_y0
     curs = Subspace(curs, 6)
     for row in curs.rows:
@@ -904,7 +918,7 @@ def _compose_linear(a_rows, b_rows, m, k, n):
         constraint.append(row)
     out = []
     width = len(a_rows) + len(b_rows)
-    for vec in dense(nullspace(constraint, width), width):
+    for vec in dense(nullspace(sparse(constraint), width, range(width)), width):
         alpha, beta = vec[: len(a_rows)], vec[len(a_rows) :]
         row = []
         for c in range(m):
@@ -918,7 +932,7 @@ def _compose_linear(a_rows, b_rows, m, k, n):
                 acc = acc + coef * h[k + c]
             row.append(acc)
         out.append(row)
-    return Subspace(out, m + n)
+    return Subspace(sparse(out), m + n)
 
 
 def _phi_part(corel):
@@ -940,9 +954,9 @@ def test_phi_and_current_functors_compose():
         a, b = rand_corel(rng, m, k), rand_corel(rng, k, n)
         ab = compose_corelations(a, b)
         lhs = _compose_linear(_phi_part(a), _phi_part(b), m, k, n)
-        assert lhs == Subspace(_phi_part(ab), m + n)
+        assert lhs == Subspace(sparse(_phi_part(ab)), m + n)
         lhs_i = _compose_linear(_cur_part(a), _cur_part(b), m, k, n)
-        assert lhs_i == Subspace(_cur_part(ab), m + n)
+        assert lhs_i == Subspace(sparse(_cur_part(ab)), m + n)
 
 
 def test_symplectification_functoriality():
@@ -959,7 +973,7 @@ def test_symplectification_functoriality():
 def test_twist_examples():
     v = port_space(2)
     tw = twist(v)
-    back = twist(v.conj())
+    back = twist(conj(v))
     assert compose_relations(tw, back) == identity_relation(v)
     # S(cap) equals the LagrRel cap with a twist on the second leg
     v1 = port_space(1)
@@ -968,7 +982,7 @@ def test_twist_examples():
         tensor_relations(identity_relation(v1), twist(v1)), cap_relation(v1)
     )
     assert s_cap.sub == book.sub
-    assert s_cap.source.signs == book.source.signs
+    assert s_cap.source == book.source
 
 
 def test_snake_identities():
@@ -979,7 +993,7 @@ def test_snake_identities():
             tensor_relations(cap_relation(v), identity_relation(v)),
         )
         assert left == identity_relation(v)
-        w = v.conj()
+        w = conj(v)
         right = compose_relations(
             tensor_relations(cup_relation(v), identity_relation(w)),
             tensor_relations(identity_relation(w), cap_relation(v)),
@@ -1008,7 +1022,7 @@ def test_symplectification_of_functions():
             row[m + x] = ONE
             row[2 * m + n + f[x]] = ONE
             rows.append(row)
-        expected = LagrangianRelation(port_space(m), port_space(n), rows)
+        expected = LagrangianRelation(port_space(m), port_space(n), sparse(rows))
         assert sf == expected
 
 
@@ -1020,7 +1034,7 @@ def test_pushforward_lagrangian_examples():
     assert same == sub
 
     collapsed = pushforward_lagrangian({"A": "p", "B": "p"}, labels, sub, ("p",))
-    assert collapsed == Subspace([[ONE, ZERO]], 2)
+    assert collapsed == Subspace([{0: ONE}], 2)
 
 
 def test_pushforward_naturality_with_forms():
@@ -1096,20 +1110,20 @@ def test_graph_of_differential_rows_equal_rref_of_its_generators():
             indicator = {y: ONE if y == x else ZERO for y in labels}
             grad = gradient(form, indicator)
             rows.append([indicator[y] for y in labels] + [grad[y] for y in labels])
-        assert graph_of_differential(form).sparse == rref(rows, 2 * len(labels))
+        assert graph_of_differential(form).sparse == rref(sparse(rows), 2 * len(labels))
 
 
 def _reference_tensor(first, second):
     """tensor_relations through rref of the embedded generators."""
-    s1, t1, s2, t2 = first.source, first.target, second.source, second.target
-    m1, m, n1, n = s1.num_ports, s1.num_ports + s2.num_ports, t1.num_ports, t1.num_ports + t2.num_ports
+    src, tgt = first.source + second.source, first.target + second.target
+    m1, m, n1, n = len(first.source), len(src), len(first.target), len(tgt)
 
     def cols(xs, ys):
         return [*xs, *(m + x for x in xs), *(2 * m + y for y in ys), *(2 * m + n + y for y in ys)]
 
     rows = [embed(r, cols(range(m1), range(n1))) for r in first.sub.sparse]
     rows += [embed(r, cols(range(m1, m), range(n1, n))) for r in second.sub.sparse]
-    return rows, LagrangianRelation(s1.oplus(s2), t1.oplus(t2), rows)
+    return rows, LagrangianRelation(src, tgt, rows)
 
 
 def _relation_pool(rng):
@@ -1139,7 +1153,7 @@ def test_tensor_rows_equal_rref_of_the_embedded_rows():
 def _graph_pairs(cases):
     """(first, second) from ``cases`` where both are graphs of maps."""
     return [(first, second) for first, second, path in cases.values()
-            if path == "graph" and _spans_its_first_columns(first, first.source.dim)]
+            if path == "graph" and _spans_its_first_columns(first, 2 * len(first.source))]
 
 
 def test_graph_composites_equal_rref_of_their_rows(cases):
@@ -1155,8 +1169,8 @@ def test_graph_composites_equal_rref_of_their_rows(cases):
         pairs.append((acc, dagger_relation(acc)))
     assert len(pairs) >= 30
     for first, second in pairs:
-        assert _spans_its_first_columns(first, first.source.dim)
-        assert _spans_its_first_columns(second, second.source.dim)
+        assert _spans_its_first_columns(first, 2 * len(first.source))
+        assert _spans_its_first_columns(second, 2 * len(second.source))
         expected = reference_compose(first, second)
         got = compose_relations(first, second)
         assert got.sub.sparse == expected.sub.sparse
@@ -1210,6 +1224,4 @@ def test_reduced_rows_that_are_not_lagrangian_are_refused():
 
 
 def test_structural_caches_are_bounded():
-    for cached in (port_space, lagrel._partners):
-        assert cached.cache_info().maxsize is not None
-    assert port_space(3) is port_space(3)
+    assert lagrel._partners.cache_info().maxsize is not None

@@ -46,6 +46,29 @@ def test_route_digest_prints_one_digest_per_route_and_the_folds(tmp_path):
     assert all(len(line.split()[1]) == 64 for line in lines)
 
 
+# What every route, the compositional folds, the netlists and the JSON text
+# print over the benchmark's circuits at seeds 1, 5 and 7.  A change that
+# moves one of them changes printed output.
+PINNED_DIGESTS = """\
+blackbox 6391a10258d461946af3d10cdab8c21a3684f6bb1c3ccd52f556147877d5cbab
+blackbox_categorical 6391a10258d461946af3d10cdab8c21a3684f6bb1c3ccd52f556147877d5cbab
+oracle_behavior 6391a10258d461946af3d10cdab8c21a3684f6bb1c3ccd52f556147877d5cbab
+blackbox_fast 6391a10258d461946af3d10cdab8c21a3684f6bb1c3ccd52f556147877d5cbab
+compose_folds ee6ae48be9f2e0ef9a0c41865f2da398be5d3e2ab1123f2e637c6cc8dc133e65
+netlists 9b2b19d6226cefdebe644b30ec56aa53036cd7c8c9a411de8f65d6d339a9de8e
+cli_json f421f7361a39f13ef14e2d5f61a7e165f47feb3d961d39caf9bc664df5f15f6d
+"""
+
+
+def test_route_digest_prints_the_pinned_digests():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/route_digest.py"), "--seeds", "1,5,7"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == PINNED_DIGESTS
+
+
 def test_import_cost_reports_each_engine_module_once(tmp_path):
     # A decoy ``blackbox`` on the path: the script must time its own checkout.
     decoy = tmp_path / "blackbox"

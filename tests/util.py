@@ -250,6 +250,12 @@ def dense(rows, ncols):
     return [tuple(r.get(c, ZERO) for c in range(ncols)) for r in rows]
 
 
+def sparse(rows):
+    """Dense rows as the sparse {column: entry} rows that ``lagrel`` takes,
+    each holding only its nonzero entries."""
+    return [{c: e for c, e in enumerate(r) if e} for r in rows]
+
+
 def omega(u, v, pairing):
     """The symplectic form on two dense rows, port by port, for a pairing of
     (phi column, iota column, sign) triples:
@@ -409,7 +415,7 @@ def reference_current_generators(corel):
     constraint = [{k: ONE if k < m else -ONE for k in block} for block in corel.blocks]
     # Port k of X+Y has its current at column m + k (X) or m + n + k (Y).
     cols = [m + k if k < m else m + n + k for k in range(m + n)]
-    return [embed(vec, cols) for vec in nullspace(constraint, m + n)]
+    return [embed(vec, cols) for vec in nullspace(constraint, m + n, range(m + n))]
 
 
 def composed_cospan_relation(lc):
@@ -516,7 +522,7 @@ def reference_compose(first, second):
     coordinates, each solution projected to the outer coordinates.  The
     reference for every path of ``composite_rows``: the product through the
     second relation's echelon rows, its residual solve and the graph name."""
-    a2, b2 = first.source.dim, first.target.dim
+    a2, b2 = 2 * len(first.source), 2 * len(first.target)
     constraint = [{} for _ in range(b2)]
     outer = []
     for j, grow in enumerate(first.sub.sparse):
@@ -530,7 +536,7 @@ def reference_compose(first, second):
             if c < b2:
                 constraint[c][j] = -e
     rows = []
-    for vec in nullspace(constraint, len(outer)):
+    for vec in nullspace(constraint, len(outer), range(len(outer))):
         row = {}
         for j, f in vec.items():
             for c, e in outer[j].items():
@@ -607,7 +613,8 @@ def reference_port_relation(form, inputs, outputs):
             raise NodeNotInSupport(f"port {lab!r} not in the support of the form")
         rows[lab][p] = MINUS_ONE
     cols = [col[p] for p in inputs] + [col[p] for p in outputs]
-    vecs = nullspace(list(rows.values()), m + n + len(nodes))
+    width = m + n + len(nodes)
+    vecs = nullspace(list(rows.values()), width, range(width))
     return _port_behavior(vecs, cols, range(m + n), m)
 
 
