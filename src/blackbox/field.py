@@ -17,15 +17,14 @@ other denominator, so no gcd of a full result is ever taken, and none at
 all where one side is a constant.  An elimination's update a + f * b
 (``_add_product``) hands the product's cancelled pair straight to the sum,
 with no RatFunc made for it.  Operands that need no general path get
-short ones: a product with ``ONE`` is the other operand, a product with -1
-is a negation, 1 and -1 negate to the shared ``MINUS_ONE`` and ``ONE``, a
-product of two constants p/q and p'/q' is reduced by the one integer gcd of
-pp' and qq', a numerator equal to the other denominator, or to its
-negative, cancels to 1 or -1 with no gcd (``_cancel``), and a result over
-the denominator 1 needs no content gcd.  No floating point anywhere; the
-categorical laws downstream are checked by exact comparison.  Arithmetic and
-equality take ``RatFunc`` operands only; a rational enters the field by
-``from_rat``, and ``ZERO``, ``ONE``, ``MINUS_ONE`` and ``TWO`` are shared.
+short ones: a product with ``ONE`` is the other operand, 1 and -1 negate
+to the shared ``MINUS_ONE`` and ``ONE``, a product of two constants p/q and
+p'/q' is reduced by the one integer gcd of pp' and qq', and a numerator
+equal to the other denominator, or to its negative, cancels to 1 or -1 with
+no gcd (``_cancel``).  No floating point anywhere; the categorical laws
+downstream are checked by exact comparison.  Arithmetic and equality take
+``RatFunc`` operands only; a rational enters the field by ``from_rat``, and
+``ZERO``, ``ONE``, ``MINUS_ONE`` and ``TWO`` are shared.
 """
 
 from __future__ import annotations
@@ -246,13 +245,12 @@ class RatFunc:
     lowest degree first) or a scalar for each part and reduces the quotient
     to lowest terms.  ``_coprime=True`` says both are int tuples without
     trailing zeros that are already coprime over Q: only the content and the
-    sign are normalized.  Over the denominator (1,) neither needs it, since
-    gcd(*n, 1) is 1, so that step is skipped.  Every arithmetic result is
-    built that way, so this normalization is the one shared by all paths;
-    the one exception is a product of two constants, which ``__mul__``
-    reduces by a single integer gcd.  The operators take RatFuncs only:
-    ``2 * x`` raises TypeError and ``x == 1`` is False; write ``TWO * x``, or
-    ``from_rat(q)`` for any rational q.
+    sign are normalized.  Every arithmetic result is built that way, so
+    this normalization is the one shared by all paths; the one exception is
+    a product of two constants, which ``__mul__`` reduces by a single
+    integer gcd.  The operators take RatFuncs only: ``2 * x`` raises
+    TypeError and ``x == 1`` is False; write ``TWO * x``, or ``from_rat(q)``
+    for any rational q.
     """
 
     __slots__ = ("n", "d")
@@ -271,7 +269,7 @@ class RatFunc:
                 n, d = _cancel(n, d)
         if not n:
             d = (1,)
-        elif d != (1,):  # over the denominator 1 the content is 1 already
+        else:
             c = gcd(*n, *d)
             if d[-1] < 0:
                 c = -c
@@ -340,10 +338,6 @@ class RatFunc:
             return other
         if bn == bd == (1,):
             return self
-        if an == (-1,) and ad == (1,):
-            return -other
-        if bn == (-1,) and bd == (1,):
-            return -self
         if len(an) == len(ad) == len(bn) == len(bd) == 1:
             p, q = an[0] * bn[0], ad[0] * bd[0]
             g = gcd(p, q)
@@ -449,8 +443,7 @@ def _combine(op, an, ad, bn, bd):
 
 def _add_product(a, f, b):
     """a + f * b, equal to that expression, with no RatFunc made for the
-    product.  With f = 1 or -1 it is the sum or the difference of a and b;
-    otherwise the product's numerator and denominator are cancelled against
+    product.  The product's numerator and denominator are cancelled against
     each other as ``__mul__`` does, which leaves them coprime over Q, and go
     into the sum (``_combine``) without their content normalized."""
     fn, fd, bn, bd = f.n, f.d, b.n, b.d
@@ -458,8 +451,6 @@ def _add_product(a, f, b):
         return a
     if not a.n:
         return f * b
-    if fd == (1,) and (fn == (1,) or fn == (-1,)):
-        return _combine(_padd if fn[0] == 1 else _psub, a.n, a.d, bn, bd)
     if len(fn) > 1 and len(bd) > 1:
         fn, bd = _cancel(fn, bd)
     if len(bn) > 1 and len(fd) > 1:

@@ -61,18 +61,9 @@ def _sparse(rows):
     return out
 
 
-def _normalized(row, col):
-    """The row scaled to a 1 at ``col``, with that entry left out."""
-    lead = row.pop(col)
-    if lead.is_one():
-        return row
-    inv = lead.inv()
-    return {c: e * inv for c, e in row.items()}
-
-
-def _negated_normalized(row, col):
-    """The row scaled to a -1 at ``col``, with that entry left out."""
-    lead = -row.pop(col)
+def _normalized(row, lead):
+    """The row divided by ``lead``: the pivot entry its caller popped from
+    it, or that entry's negative."""
     if lead.is_one():
         return row
     if lead is MINUS_ONE:
@@ -125,7 +116,8 @@ def rref(rows, ncols):
         if not live:
             continue
         piv = min(live, key=lambda i: (todo[i][col].size(), len(todo[i])))
-        prow = _normalized(todo.pop(piv), col)
+        prow = todo.pop(piv)
+        prow = _normalized(prow, prow.pop(col))
         for row in chain(done, todo):
             if col in row:
                 _add_multiple(row, -row.pop(col), prow)
@@ -179,7 +171,7 @@ def nullspace(rows, ncols, read):
     while keys:
         p = min(keys, key=keys.__getitem__)
         col = pivot_of[p] = keys.pop(p)[2]
-        prow = mat[p] = _negated_normalized(mat[p], col)
+        prow = mat[p] = _normalized(mat[p], -mat[p].pop(col))
         touched = holders[col]
         touched.discard(p)
         finished = []

@@ -613,14 +613,15 @@ def test_short_path_examples():
     assert r == ONE and r.is_one()
     r = RatFunc([2, 4]) * from_rat(3)
     assert (r.n, r.d) == ((6, 12), (1,))
-    # A one-coefficient denominator other than 1 still gets its content gcd.
+    # A product over a one-coefficient denominator gets its content gcd.
     r = RatFunc([4, 2]) * from_rat(Fraction(1, 2))
     assert (r.n, r.d) == ((2, 1), (1,))
     a = (5, -3, 7)
     assert field._scale(a, 1) is a
     p = RatFunc([1, 2, 3], [5, 1])
     assert ONE * p is p and p * ONE is p
-    # 1 and -1 negate to the shared constants; a product with -1 is a negation.
+    # 1 and -1 negate to the shared constants; a product with -1 takes the
+    # general path and equals the negation.
     assert -ONE == MINUS_ONE and (MINUS_ONE.n, MINUS_ONE.d) == ((-1,), (1,))
     _assert_canonical(MINUS_ONE)
     assert -MINUS_ONE is ONE and -RatFunc(-1) is ONE and -RatFunc(1) is MINUS_ONE

@@ -547,6 +547,14 @@ def test_cli_check_names_the_first_differing_entry(tmp_path, capsys, monkeypatch
     )
 
 
+def test_first_difference_in_port_signs_alone():
+    from blackbox.lagrel import identity_relation
+
+    plus, minus = identity_relation((1,)), identity_relation((-1,))
+    assert plus.sub == minus.sub and plus != minus
+    assert cli._first_difference(minus, plus) == "port signs"
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, "bad.net", "nodes: a b\nR a b 0\n")
     assert main(["blackbox", bad]) == 2
