@@ -34,8 +34,6 @@ lives with them in ``tests/util.py``.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .circuits import pushout
 from .corel import Record, corel_from_cospan
 from .dirichlet import (
@@ -70,10 +68,6 @@ class DirichletCospan(Record):
         self.outputs = outputs
         self.form = form
 
-    @property
-    def nodes(self):
-        return self.form.support
-
 
 class LagrCospan(Record):
     """A cospan of finite sets whose apex carries a Lagrangian subspace."""
@@ -101,7 +95,7 @@ def to_lagr_cospan(dc):
 
 def compose_dirichlet_cospans(a, b):
     """Pushout of cospans, decorations pushed forward and summed."""
-    map1, map2, nodes = pushout(a.nodes, a.outputs, b.nodes, b.inputs)
+    map1, map2, nodes = pushout(a.form.support, a.outputs, b.form.support, b.inputs)
     qa = pushforward_form(map1, a.form, nodes)
     qb = pushforward_form(map2, b.form, nodes)
     form = DirichletForm(nodes, [*qa.coeffs.items(), *qb.coeffs.items()])
@@ -206,29 +200,38 @@ def blackbox_categorical(g):
 
 def _eliminate_fewest_first(q, interior):
     """``q`` with every node of ``interior`` eliminated, one
-    ``eliminate_node`` each, fewest incident coefficients in the current form
-    first, ties to the smaller label.  The degrees are recounted over the
-    current form's pairs at each step, so a fill that appears or a pair that
-    cancels counts as the form holds it."""
+    ``eliminate_node`` each, by ``dirichlet._eliminate_interior``'s rule:
+    fewest incident coefficients in the current form first, ties to the
+    smaller label.  They are regathered from the current form's pairs at
+    each step, so a fill or a cancelled pair counts as the form holds it.
+    Returns the reduced form and, per step, the node with its incident
+    coefficients, as ``_eliminate_interior`` does: the tests' reference."""
     interior = set(interior)
+    steps = []
     while interior:
-        degree = Counter(x for pair in q.coeffs for x in pair)
-        n = min(interior, key=lambda x: (degree[x], x))
-        interior.remove(n)
+        incident = {n: {} for n in interior}
+        for (i, j), c in q.coeffs.items():
+            if i in incident:
+                incident[i][j] = c
+            if j in incident:
+                incident[j][i] = c
+        n = min(interior, key=lambda x: (len(incident[x]), x))
+        steps.append((n, incident[n]))
         q = eliminate_node(q, n)
-    return q
+        interior.remove(n)
+    return q, steps
 
 
 def blackbox_fast(g):
     """The behavior via interior-node elimination of the power functional:
     one ``eliminate_node`` per interior node, so that this reference shares
-    no Kron reduction with ``blackbox``, fewest incident coefficients first,
-    recounted per step, ties to the smaller label
-    (``_eliminate_fewest_first``).  The order does not change the result,
-    only the cost: a hub eliminated early, such as a ladder's interior
-    ground, would fill its whole neighbourhood."""
+    no Kron reduction with ``blackbox``, in the kernel's order: fewest
+    incident coefficients in the current form first, ties to the smaller
+    label (``_eliminate_fewest_first``; its steps are dropped).  The order
+    does not change the result, only the cost: a hub eliminated early, such
+    as a ladder's interior ground, would fill its whole neighbourhood."""
     q = extended_power_functional(g)
-    q = _eliminate_fewest_first(q, set(q.support) - set(g.boundary))
+    q = _eliminate_fewest_first(q, set(q.support) - set(g.boundary))[0]
     return cospan_relation(to_lagr_cospan(DirichletCospan(g.inputs, g.outputs, q)))
 
 

@@ -112,12 +112,12 @@ def _cmd_equiv(args):
 
 
 def _cmd_eval(args):
-    g = _load(args.file, args)
-    rel = blackbox(g)
+    # The point is read first, so a bad one exits before any netlist work.
     try:
         sigma = parse_rational(args.at)
     except ValueError as exc:
         raise EngineError(f"bad evaluation point: {exc}") from None
+    rel = blackbox(_load(args.file, args))
     # Every entry is evaluated and rendered before anything is printed, so a
     # pole, or a value too long to print, leaves stdout empty.
     rows = ["[" + ", ".join(str(from_rat(e.eval_at(sigma))) for e in row) + "]"
@@ -233,9 +233,11 @@ _VERBS = {
 }
 
 
+@functools.cache
 def _build():
-    """The full parser, made from ``_VERBS``.  Each verb takes
-    ``--allow-raw-z``, then its positionals, flags and valued options."""
+    """The full parser, made from ``_VERBS`` on first need and reused.  Each
+    verb takes ``--allow-raw-z``, then its positionals, flags and valued
+    options."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -254,11 +256,6 @@ def _build():
         for option, (metavar, required, help_) in verb.options.items():
             p.add_argument(option, metavar=metavar, required=required, help=help_)
     return parser
-
-
-@functools.cache
-def _parser():
-    return _build()
 
 
 def _read_argv(argv):
@@ -299,7 +296,7 @@ def _parse(argv):
     formed, else parsed by the full parser, which prints the same help or
     error as it always does."""
     args = _read_argv(argv)
-    return _parser().parse_args(argv) if args is None else args
+    return _build().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -1,9 +1,10 @@
 """Dirichlet forms over Q(s): power functionals and exact node elimination.
 
 A form on a finite node set S is Q(psi) = sum over stored pairs of
-c_ij (psi_i - psi_j)^2, with one coefficient per unordered pair.  An edge of
-impedance Z contributes 1/(2Z), so the formal gradient of the form is
-exactly the boundary current, with no stray factor of two.
+c_ij (psi_i - psi_j)^2, with one coefficient per unordered pair.  Forms
+add pair by pair, and a pair whose sum is zero is no term (``_add_to_pair``).
+An edge of impedance Z contributes 1/(2Z), so the formal gradient of the
+form is exactly the boundary current, with no stray factor of two.
 
 Three functions have no verb behind them.  ``eliminate_node``, the closed
 form of one minimization written out as it reads, is the step of
@@ -25,6 +26,17 @@ def _pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def _add_to_pair(coeffs, key, c):
+    """Add ``c`` to the coefficient stored at ``key``, dropping the pair when
+    the sum is zero: forms add pair by pair, and a zero pair is no term."""
+    if key in coeffs:
+        c = coeffs[key] + c
+    if c.is_zero():
+        coeffs.pop(key, None)
+    else:
+        coeffs[key] = c
+
+
 class DirichletForm(Record):
     """A quadratic form sum c_ij (psi_i - psi_j)^2 on an ordered support."""
 
@@ -39,12 +51,7 @@ class DirichletForm(Record):
                 raise ValueError("no diagonal coefficients in a Dirichlet form")
             if i not in sset or j not in sset:
                 raise ValueError(f"pair ({i}, {j}) outside support")
-            key = _pair(i, j)
-            c = table.get(key, ZERO) + c
-            if c.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = c
+            _add_to_pair(table, _pair(i, j), c)
         self.support = support
         self.coeffs = table
 
@@ -81,21 +88,13 @@ class DirichletForm(Record):
 
 def extended_power_functional(g):
     """The form on all nodes of a circuit: each edge adds 1/(2Z), built by
-    ``field.half_inverse``, to its pair.  A self-loop adds nothing, and a
-    pair whose parallel edges cancel is dropped, as the constructor does;
-    the edges lie on the graph's sorted nodes, so nothing else is checked."""
+    ``field.half_inverse``, to its pair by ``_add_to_pair``, as the
+    constructor does.  A self-loop adds nothing; the edges lie on the
+    graph's sorted nodes, so nothing else is checked."""
     coeffs = {}
     for src, tgt, z in g.graph.edges:
-        if src == tgt:
-            continue
-        key = _pair(src, tgt)
-        c = half_inverse(z)
-        if key in coeffs:
-            c = coeffs[key] + c
-            if c.is_zero():
-                del coeffs[key]
-                continue
-        coeffs[key] = c
+        if src != tgt:
+            _add_to_pair(coeffs, _pair(src, tgt), half_inverse(z))
     return DirichletForm._trusted(g.graph.nodes, coeffs)
 
 
@@ -141,9 +140,8 @@ def eliminate_node(form, n):
     The form's coefficients are split in two, those incident to n, keyed by
     the neighbour, and the rest, copied as they are.  Each neighbour's
     coefficient is scaled once by 1 / sum_k c_kn, so a fill term costs one
-    product; it is added to the coefficient its pair holds, if any, the sum
-    is kept only if nonzero, and the form is built by
-    ``DirichletForm._trusted``.
+    product and is added to its pair by ``_add_to_pair``, the rule by which
+    forms add, and the form is built by ``DirichletForm._trusted``.
     """
     if n not in form.support:
         raise NodeNotInSupport(f"{n} not in support")
@@ -155,15 +153,13 @@ def eliminate_node(form, n):
         for a, i in enumerate(neighbors[:-1]):
             ci = incident[i] * inv_d
             for j in neighbors[a + 1:]:
-                c = coeffs.pop((i, j), ZERO) + ci * incident[j]
-                if c:
-                    coeffs[i, j] = c
+                _add_to_pair(coeffs, (i, j), ci * incident[j])
     return DirichletForm._trusted(tuple(x for x in form.support if x != n), coeffs)
 
 
 def _add_fill(adj, i, j, fill):
-    """Add ``fill`` to the pair (i, j) of the adjacency map, dropping the
-    pair if it cancels."""
+    """``_add_to_pair`` on the adjacency map: add ``fill`` to the pair
+    (i, j), stored under both nodes, dropping the pair if it cancels."""
     c = adj[i].get(j, ZERO) + fill
     if c.is_zero():
         del adj[i][j], adj[j][i]

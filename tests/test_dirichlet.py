@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blackbox import dirichlet
+from blackbox import behavior, dirichlet
 from blackbox.behavior import blackbox, blackbox_fast
 from blackbox.circuits import circuit, compose_circuits
 from blackbox.dirichlet import (
@@ -28,7 +28,6 @@ from util import (
     rand_circuit,
     rand_form,
     rand_rat,
-    reference_eliminate_interior,
     sample_markov_property,
     workload_circuits,
 )
@@ -357,8 +356,8 @@ def _extension(form, boundary, psi):
 
 
 def test_kron_kernel_equals_the_per_node_elimination():
-    # The kernel against the parent's one-eliminate_node-per-step loop
-    # (``reference_eliminate_interior``): same order, same incident
+    # The kernel against the one-eliminate_node-per-step loop
+    # (``behavior._eliminate_fewest_first``): same order, same incident
     # coefficients per step, the same reduced form, and the same form from a
     # chain in sorted label order.
     rng = random.Random(41)
@@ -375,7 +374,7 @@ def test_kron_kernel_equals_the_per_node_elimination():
         else:
             boundary = rng.sample(labels, rng.randint(1, len(labels)))
         reduced, steps = dirichlet._eliminate_interior(q, boundary)
-        ref, ref_steps = reference_eliminate_interior(q, boundary)
+        ref, ref_steps = behavior._eliminate_fewest_first(q, set(labels) - set(boundary))
         assert reduced == ref and steps == ref_steps
         assert reduced == DirichletForm(reduced.support, reduced.coeffs.items())
         chain = q

@@ -318,7 +318,7 @@ def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("columns: ")
     assert main(["blackbox", series, "--as-impedance"]) == 0
     assert capsys.readouterr().out.strip() == "2"
-    assert cli._parser() is cli._parser()
+    assert cli._build() is cli._build()
 
 
 NET = "<net>"  # stands for a netlist file in the argv below
@@ -437,7 +437,7 @@ def test_main_parses_any_argv_from_the_verb_vocabulary_as_the_full_parser_does(a
     # Verbs, every exact option string, abbreviations, --x=y, --, -, -1, ""
     # and plain words: the table's reader must take an argv exactly as
     # argparse does, or leave it to argparse.
-    assert _parsed(_main_parse, argv) == _parsed(cli._parser().parse_args, argv)
+    assert _parsed(_main_parse, argv) == _parsed(cli._build().parse_args, argv)
 
 
 def test_main_reads_sys_argv_when_given_none(tmp_path, capsys, monkeypatch):
@@ -685,6 +685,18 @@ def test_cli_eval_point_caps(tmp_path, capsys):
         assert code == 2 and captured.out == "" and "digits" in captured.err
     else:
         assert code == 0 and captured.out.startswith("columns: ")
+
+
+def test_cli_eval_reads_the_point_before_the_netlist(tmp_path, capsys, monkeypatch):
+    # A bad point exits 2 before the netlist is black-boxed.
+    def refuse(g):
+        raise AssertionError("blackbox called")
+
+    monkeypatch.setattr(cli, "blackbox", refuse)
+    series = _write(tmp_path, "series.net", SERIES)
+    assert main(["eval", series, "--at", "one"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad evaluation point" in captured.err
 
 
 def test_equiv_is_an_equivalence_on_the_corpus(tmp_path):

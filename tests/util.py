@@ -15,7 +15,7 @@ import blackbox
 from blackbox.behavior import LagrCospan, _port_behavior
 from blackbox.circuits import LabelledGraph, circuit, pushout
 from blackbox.corel import Corelation, corel_from_cospan
-from blackbox.dirichlet import DirichletForm, eliminate_node
+from blackbox.dirichlet import DirichletForm
 from blackbox.errors import EngineError, NodeNotInSupport, NonPositiveImpedance, ParseError
 from blackbox.field import (
     MAX_DIGITS,
@@ -616,29 +616,6 @@ def reference_port_relation(form, inputs, outputs):
     width = m + n + len(nodes)
     vecs = nullspace(list(rows.values()), width, range(width))
     return _port_behavior(vecs, cols, range(m + n), m)
-
-
-def reference_eliminate_interior(form, boundary):
-    """``dirichlet._eliminate_interior`` one ``eliminate_node`` per interior
-    node: each step recounts every interior node's incident coefficients in
-    the current form and takes the fewest, ties to the smaller label.  The
-    reference for the kernel, which keeps one adjacency map instead.
-    Returns the reduced form and, per step, the node with its incident
-    coefficients."""
-    interior = set(form.support) - set(boundary)
-    steps = []
-    while interior:
-        incident = {n: {} for n in interior}
-        for (i, j), c in form.coeffs.items():
-            if i in incident:
-                incident[i][j] = c
-            if j in incident:
-                incident[j][i] = c
-        n = min(interior, key=lambda x: (len(incident[x]), x))
-        steps.append((n, incident[n]))
-        form = eliminate_node(form, n)
-        interior.remove(n)
-    return form, steps
 
 
 def reference_gcd(a, b):
